@@ -21,11 +21,11 @@ from repro.coding.packets import Packetizer
 from repro.coding.rs import RabinDispersal, SystematicRSCodec
 from repro.data import draft_paper_source
 from repro.figures import format_table
+from repro.prep import DocumentSender, TransferSettings
 from repro.transport.arq import selective_repeat, stop_and_wait
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
 from repro.transport.compress import compress
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 DOCUMENT = draft_paper_source().encode("utf-8")
@@ -115,7 +115,10 @@ class TestTransportAblation:
                     prepared = sender.prepare_raw("doc", b"x" * 10240)
                     channel.reset_counters()
                     result = transfer_document(
-                        prepared, channel, cache=PacketCache(), max_rounds=50
+                        prepared,
+                        channel,
+                        cache=PacketCache(),
+                        settings=TransferSettings(max_rounds=50),
                     )
                     total_time += result.response_time
                     controller.record_transfer(

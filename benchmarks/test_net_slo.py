@@ -22,10 +22,11 @@ import pytest
 
 from conftest import emit
 
+from repro.channel import IIDModel
 from repro.coding.packets import Packetizer
 from repro.net import ChaosProxy, DocumentStore, NetServer
 from repro.net.loadgen import run_loadgen, write_bench
-from repro.transport.sender import DocumentSender
+from repro.prep import DocumentSender
 
 pytestmark = pytest.mark.net
 
@@ -58,10 +59,12 @@ def test_net_loadgen_slo():
             async with ChaosProxy(
                 server.host,
                 server.port,
-                rng=random.Random(CHAOS["seed"]),
-                drop=CHAOS["drop"],
-                corrupt=CHAOS["corrupt"],
-                disconnect=CHAOS["disconnect"],
+                model=IIDModel(
+                    rng=random.Random(CHAOS["seed"]),
+                    drop=CHAOS["drop"],
+                    corrupt=CHAOS["corrupt"],
+                    disconnect=CHAOS["disconnect"],
+                ),
                 max_disconnects=CHAOS["max_disconnects"],
             ) as proxy:
                 report, _results = await run_loadgen(

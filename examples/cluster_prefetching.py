@@ -18,9 +18,9 @@ import random
 
 from repro.coding import Packetizer
 from repro.core import DocumentCluster, build_sc
+from repro.prep import DocumentSender
 from repro.search import UserProfile
 from repro.transport import (
-    DocumentSender,
     PacketCache,
     Prefetcher,
     WirelessChannel,

@@ -13,10 +13,11 @@ Run:  python examples/disconnected_browsing.py
 
 import random
 
+from repro.channel import GilbertElliottModel
 from repro.coding import Packetizer
-from repro.transport import DocumentSender, NullCache, PacketCache
+from repro.prep import DocumentSender
+from repro.transport import ModelChannel, NullCache, PacketCache
 from repro.transport.disconnect import OutageChannel, resumable_transfer
-from repro.transport.gilbert import matched_to_alpha
 
 DOCUMENT = b"A technical report worth reading on the train. " * 250  # ~11.7 KB
 
@@ -49,7 +50,12 @@ def tunnel_scenario(cache, label: str) -> None:
 def bursty_scenario() -> None:
     sender = DocumentSender(Packetizer(packet_size=256, redundancy_ratio=1.7))
     prepared = sender.prepare_raw("report", DOCUMENT)
-    channel = matched_to_alpha(0.3, burst_length=8.0, rng=random.Random(7))
+    # One RNG drives both the fade chain and the byte garbling.
+    rng = random.Random(7)
+    channel = ModelChannel(
+        GilbertElliottModel.matched_to_alpha(0.3, burst_length=8.0, rng=rng),
+        rng=rng,
+    )
     result = resumable_transfer(prepared, channel, cache=PacketCache(), max_attempts=10)
     print(
         f"  bursty a*=0.3 (fades of ~8 packets): "

@@ -17,12 +17,8 @@ import random
 
 from repro.analysis import minimal_cooked_packets, stall_probability
 from repro.coding import Packetizer, RabinDispersal, SystematicRSCodec
-from repro.transport import (
-    DocumentSender,
-    PacketCache,
-    WirelessChannel,
-    transfer_document,
-)
+from repro.prep import DocumentSender, TransferSettings
+from repro.transport import PacketCache, WirelessChannel, transfer_document
 
 DOCUMENT = (
     b"Weakly-connected mobile clients need the high content-bearing "
@@ -75,7 +71,9 @@ def caching_demo() -> None:
     for label, cache in (("NoCaching", None), ("Caching  ", PacketCache())):
         channel = WirelessChannel(alpha=0.4, rng=random.Random(99))
         prepared = sender.prepare_raw("demo", DOCUMENT)
-        result = transfer_document(prepared, channel, cache=cache, max_rounds=200)
+        result = transfer_document(
+            prepared, channel, cache=cache, settings=TransferSettings(max_rounds=200)
+        )
         status = "ok" if result.success else "gave up"
         print(
             f"{label}: {status} after {result.rounds:3d} round(s), "

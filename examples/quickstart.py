@@ -16,6 +16,7 @@ import random
 
 from repro import (
     LOD,
+    DocumentSender,
     Query,
     SCPipeline,
     TransmissionSchedule,
@@ -26,7 +27,7 @@ from repro import (
 from repro.coding import Packetizer
 from repro.data import draft_paper_source
 from repro.text.keywords import KeywordExtractor
-from repro.transport import DocumentSender, PacketCache
+from repro.transport import PacketCache
 from repro.xmlkit import parse_xml
 
 

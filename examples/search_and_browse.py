@@ -12,6 +12,7 @@ Run:  python examples/search_and_browse.py
 
 import random
 
+from repro.prep import PrepRequest
 from repro.prototype import (
     DatabaseGateway,
     DocumentTransmitterService,
@@ -109,9 +110,8 @@ def main() -> None:
     for hit in hits:
         result = browser.browse(
             hit.document_id,
-            query_text=query_text,
-            lod_name="paragraph",
             relevance_threshold=0.4,
+            request=PrepRequest(query=query_text, lod="paragraph"),
         )
         verdict = "early-stop" if result.terminated_early else "full download"
         print(

@@ -73,7 +73,6 @@ from repro.analysis import (
     redundancy_ratio,
 )
 from repro.transport import (
-    DocumentSender,
     NullCache,
     PacketCache,
     TransferResult,
@@ -81,6 +80,7 @@ from repro.transport import (
     transfer_document,
 )
 from repro.prep import (
+    DocumentSender,
     PreparationService,
     PrepRequest,
     TransferSettings,

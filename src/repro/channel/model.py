@@ -17,8 +17,7 @@ layer consumes it — the cross-layer parity the chaos suite pins.
 Counter semantics are uniform: ``dropped`` counts frames lost outright
 (including those swallowed inside a disconnection window), ``corrupted``
 counts damaged frames, and ``disconnects`` counts severed-link events —
-a ``DISCONNECT`` verdict is *not* a drop (the pre-refactor ``FaultPlan``
-conflated the two; its compat shim reconstructs the old arithmetic).
+a ``DISCONNECT`` verdict is *not* a drop.
 """
 
 from __future__ import annotations
@@ -133,9 +132,8 @@ class IIDModel(ChannelModel):
     """Independent per-frame drop/corrupt/disconnect (the paper's α).
 
     Draw order is fixed — disconnect, then drop, then corrupt, each
-    drawn only when its probability is positive — byte-compatible with
-    the pre-refactor ``FaultPlan``, so existing seeded schedules and
-    the protocol golden fixtures replay bit-for-bit.
+    drawn only when its probability is positive — so seeded schedules
+    and the protocol golden fixtures replay bit-for-bit.
 
     Parameters
     ----------
@@ -267,10 +265,10 @@ class GilbertElliottModel(ChannelModel):
 
     Per frame: corrupt with ``good_alpha`` or ``bad_alpha`` depending
     on the state, then flip the state with ``good_to_bad`` /
-    ``bad_to_good`` — exactly two RNG draws per frame, in the same
-    order as the simulated
-    :class:`~repro.transport.gilbert.GilbertElliottChannel`, which
-    delegates its corruption process here.
+    ``bad_to_good`` — exactly two RNG draws per frame.  Hand the same
+    ``rng`` to a :class:`~repro.transport.channel.ModelChannel` and
+    the model's decisions and the channel's byte garbling share one
+    stream.
     """
 
     def __init__(

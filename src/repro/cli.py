@@ -17,13 +17,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
 from repro.analysis.planner import minimal_cooked_packets
-from repro.channel import legacy_chaos_spec
 from repro.core.information import annotate_sc
 from repro.core.lod import LOD
 from repro.core.multires import TransmissionSchedule
@@ -102,52 +100,18 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _resolve_chaos_model(args) -> Optional[str]:
-    """Fold the retired per-flag chaos surface into ``--chaos-model``.
-
-    The deprecated ``--chaos-drop`` / ``--chaos-corrupt`` /
-    ``--chaos-disconnect`` flags are translated by the one shared
-    :func:`repro.channel.legacy_chaos_spec` parser into the
-    ``iid:...`` spec they always meant, with a ``DeprecationWarning``
-    naming the replacement.  Both surfaces at once is an error (exit
-    2), matching the historical behaviour.
-    """
-    spec = getattr(args, "chaos_model", None)
-    legacy = legacy_chaos_spec(
-        drop=getattr(args, "chaos_drop", 0.0),
-        corrupt=getattr(args, "chaos_corrupt", 0.0),
-        disconnect=getattr(args, "chaos_disconnect", 0.0),
-    )
-    if spec and legacy:
-        print(
-            "error: give either --chaos-model or the deprecated "
-            "--chaos-drop/--chaos-corrupt/--chaos-disconnect flags, not both"
-        )
-        raise SystemExit(2)
-    if legacy:
-        warnings.warn(
-            "--chaos-drop/--chaos-corrupt/--chaos-disconnect are deprecated; "
-            f"use --chaos-model {legacy}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return legacy
-    return spec
-
-
 def cmd_transfer(args) -> int:
     """Simulate one fault-tolerant transfer of a document file."""
     from repro.coding.backend import get_backend
 
     tracing = bool(getattr(args, "trace", None))
-    chaos_model = _resolve_chaos_model(args)
     if tracing:
         obs.enable()
         obs.OBS.trace.emit(
             "run_config",
             seed=args.seed,
             alpha=args.alpha,
-            chaos_model=chaos_model,
+            chaos_model=args.chaos_model,
             gamma=args.gamma,
             bandwidth=args.bandwidth,
             packet_size=args.packet_size,
@@ -172,14 +136,14 @@ def cmd_transfer(args) -> int:
                 backend=backend,
             ),
         )
-        if chaos_model:
+        if args.chaos_model:
             from repro.channel import parse_model_spec
 
             # --chaos-model replaces the i.i.d. --alpha channel: the
             # model owns the fault schedule (seeded by --seed) while a
             # separate RNG keeps garbling layer-independent.
             channel = ModelChannel(
-                parse_model_spec(chaos_model, seed=args.seed),
+                parse_model_spec(args.chaos_model, seed=args.seed),
                 bandwidth_kbps=args.bandwidth,
                 rng=random.Random(args.seed + 1),
             )
@@ -567,29 +531,25 @@ def cmd_net_loadgen(args) -> int:
     from repro.net import ChaosProxy, run_loadgen, write_bench
 
     chaos_params = None
-    # One chaos surface: the deprecated per-flag probabilities forward
-    # through the shared legacy_chaos_spec parser into the same seeded
-    # model-spec path (byte-identical verdict schedules either way).
-    chaos_model = _resolve_chaos_model(args)
 
     async def _run():
         nonlocal chaos_params
         proxy = None
         host, port = args.host, args.port
-        if chaos_model:
+        if args.chaos_model:
             from repro.channel import parse_model_spec
 
             try:
-                model = parse_model_spec(chaos_model, seed=args.seed)
+                model = parse_model_spec(args.chaos_model, seed=args.seed)
             except (ValueError, OSError) as exc:
                 raise SystemExit(f"error: bad --chaos-model: {exc}")
             proxy = ChaosProxy(args.host, args.port, model=model)
             await proxy.start()
             host, port = proxy.host, proxy.port
-            chaos_params = {"model": chaos_model, "seed": args.seed}
+            chaos_params = {"model": args.chaos_model, "seed": args.seed}
             print(
                 f"chaos proxy on {host}:{port} "
-                f"(model={chaos_model} seed={args.seed})"
+                f"(model={args.chaos_model} seed={args.seed})"
             )
         try:
             if getattr(args, "processes", 1) > 1:
@@ -830,12 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "iid:drop=0.1,corrupt=0.2 | "
                              "gilbert:alpha=0.2,burst=5 | trace:FILE.json "
                              "(seeded by --seed)")
-    p_xfer.add_argument("--chaos-drop", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:drop=P")
-    p_xfer.add_argument("--chaos-corrupt", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:corrupt=P")
-    p_xfer.add_argument("--chaos-disconnect", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:disconnect=P")
     p_xfer.add_argument(
         "--coding-backend",
         default=None,
@@ -922,6 +876,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "under the skewed schedule (default: 8)")
     p_serve.set_defaults(func=cmd_net_serve)
 
+    def add_settings_flags(p) -> None:
+        """Client-side TransferSettings knobs (see _client_settings)."""
+        p.add_argument("--no-cache", dest="cache", action="store_false",
+                       help="disable the §4.2 packet cache (no resume)")
+        p.add_argument("--stop-at", type=float, default=None,
+                       help="relevance threshold F for early termination")
+        p.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
+        p.add_argument("--round-timeout", type=float,
+                       default=DEFAULT_ROUND_TIMEOUT, metavar="SECONDS")
+        p.add_argument("--max-reconnects", type=int, default=4)
+
     def add_prep_flags(p) -> None:
         """Per-request preparation parameters (unset → server default)."""
         p.add_argument("--query", default=None,
@@ -946,16 +911,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fetch.add_argument("document_id")
     p_fetch.add_argument("--host", default="127.0.0.1")
     p_fetch.add_argument("--port", type=int, default=8642)
-    p_fetch.add_argument("--no-cache", dest="cache", action="store_false",
-                         help="disable the §4.2 packet cache (no resume)")
-    p_fetch.add_argument("--stop-at", type=float, default=None,
-                         help="relevance threshold F for early termination")
-    p_fetch.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
-    p_fetch.add_argument("--round-timeout", type=float,
-                         default=DEFAULT_ROUND_TIMEOUT, metavar="SECONDS")
-    p_fetch.add_argument("--max-reconnects", type=int, default=4)
     p_fetch.add_argument("--out", default=None, metavar="PATH",
                          help="write the reconstructed document to PATH")
+    add_settings_flags(p_fetch)
     add_prep_flags(p_fetch)
     p_fetch.set_defaults(func=cmd_net_fetch)
 
@@ -970,24 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="client driver processes; splits --clients "
                              "across N processes so client-side CPU stops "
                              "capping the measured rate (default: 1)")
-    p_load.add_argument("--no-cache", dest="cache", action="store_false")
-    p_load.add_argument("--stop-at", type=float, default=None)
-    p_load.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
-    p_load.add_argument("--round-timeout", type=float,
-                        default=DEFAULT_ROUND_TIMEOUT, metavar="SECONDS")
-    p_load.add_argument("--max-reconnects", type=int, default=4)
-    p_load.add_argument("--chaos-drop", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:drop=P")
-    p_load.add_argument("--chaos-corrupt", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:corrupt=P")
-    p_load.add_argument("--chaos-disconnect", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:disconnect=P")
     p_load.add_argument("--chaos-model", default=None, metavar="SPEC",
                         help="channel model for the proxy: "
                              "iid:drop=0.1,corrupt=0.2 | "
                              "gilbert:alpha=0.2,burst=5 | trace:FILE.json "
-                             "(seeded by --seed; excludes the deprecated "
-                             "--chaos-* probability flags)")
+                             "(seeded by --seed)")
     p_load.add_argument("--seed", type=int, default=0,
                         help="chaos channel-model seed")
     p_load.add_argument("--error-budget", type=float, default=0.05,
@@ -1003,6 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--bench-append", action="store_true",
                         help="append the record to the bench file's rows "
                              "list instead of replacing the file (A/B legs)")
+    add_settings_flags(p_load)
     add_prep_flags(p_load)
     p_load.set_defaults(func=cmd_net_loadgen)
 

@@ -15,8 +15,7 @@ the server→client message stream:
 * ``disconnect`` — both directions are severed mid-stream; the client
   reconnects through the proxy and resumes from its cache.
 
-Any model works: the default i.i.d. one (built from the legacy
-*drop*/*corrupt*/*disconnect* keywords), a bursty
+Any model works: an i.i.d. :class:`~repro.channel.IIDModel`, a bursty
 :class:`~repro.channel.GilbertElliottModel`, or a replayed
 :class:`~repro.channel.TraceModel` — pass ``model=`` (or a
 ``--chaos-model`` spec through :func:`repro.channel.parse_model_spec`).
@@ -33,7 +32,6 @@ of the probabilistic model.
 from __future__ import annotations
 
 import asyncio
-import random
 from collections import deque
 from typing import Deque, Dict, Optional, Set
 
@@ -63,10 +61,8 @@ class ChaosProxy:
         Listen address; port 0 picks a free port.
     model:
         The seeded :class:`~repro.channel.ChannelModel` to consume,
-        one decision per relayed frame.  Alternatively pass
-        *rng*/*drop*/*corrupt*/*disconnect*/*outage_events* to build
-        an i.i.d. one (``plan=`` remains as a deprecated alias of
-        ``model=`` accepting a legacy ``FaultPlan``).
+        one decision per relayed frame; ``None`` is a clean i.i.d.
+        channel (for proxies that only cut via *cut_after_frames*).
     cut_after_frames:
         Deterministic override: sever the **first** connection after
         forwarding exactly this many frames (later connections run on
@@ -92,12 +88,6 @@ class ChaosProxy:
         host: str = "127.0.0.1",
         port: int = 0,
         model: Optional[ChannelModel] = None,
-        plan: Optional[object] = None,
-        rng: Optional[random.Random] = None,
-        drop: float = 0.0,
-        corrupt: float = 0.0,
-        disconnect: float = 0.0,
-        outage_events: int = 0,
         cut_after_frames: Optional[int] = None,
         max_disconnects: Optional[int] = None,
     ) -> None:
@@ -105,27 +95,7 @@ class ChaosProxy:
         self.upstream_port = upstream_port
         self.host = host
         self.port = port
-        if model is not None and plan is not None:
-            raise ValueError("give either model= or the legacy plan=, not both")
-        if model is None and plan is not None:
-            # A legacy FaultPlan wraps an IIDModel; unwrap it so the
-            # proxy books counters with the unified semantics.
-            model = getattr(plan, "model", None)
-            if not isinstance(model, ChannelModel):
-                raise TypeError(f"plan= does not wrap a channel model: {plan!r}")
-        if model is None:
-            model = IIDModel(
-                rng=rng,
-                drop=drop,
-                corrupt=corrupt,
-                disconnect=disconnect,
-                outage_events=outage_events,
-            )
-        elif rng is not None or drop or corrupt or disconnect or outage_events:
-            raise ValueError(
-                "give either model=/plan= or the legacy iid keywords, not both"
-            )
-        self.model = model
+        self.model = model if model is not None else IIDModel()
         self.cut_after_frames = cut_after_frames
         self.max_disconnects = max_disconnects
         self._server: Optional[asyncio.AbstractServer] = None

@@ -27,13 +27,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.net.client import NetClient, NetFetchResult
 from repro.net.wire import ConnectionLost, WireError
 from repro.obs.slo import DEFAULT_ERROR_BUDGET
-from repro.prep.request import (
-    PrepRequest,
-    TransferSettings,
-    legacy_value,
-    settings_from_legacy,
-)
-from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
+from repro.prep.request import PrepRequest, TransferSettings
 from repro.transport.cache import PacketCache
 from repro.util.stats import mean, percentile
 
@@ -194,10 +188,6 @@ async def run_loadgen(
     *,
     clients: int = 50,
     use_cache: bool = True,
-    relevance_threshold: Any = None,
-    max_rounds: Any = DEFAULT_MAX_ROUNDS,
-    round_timeout: Any = DEFAULT_ROUND_TIMEOUT,
-    max_reconnects: Any = 4,
     backend: Optional[object] = None,
     settings: Optional[TransferSettings] = None,
     request: Optional[PrepRequest] = None,
@@ -208,9 +198,7 @@ async def run_loadgen(
     *settings* carries the per-client protocol knobs and *request* the
     per-fetch preparation parameters sent to the server (all clients
     share both, so a preparation-capable server cooks exactly once).
-    The individual ``relevance_threshold`` / ``max_rounds`` /
-    ``round_timeout`` / ``max_reconnects`` keywords are deprecated
-    shims over *settings*.  *error_budget* is the tolerated error rate
+    *error_budget* is the tolerated error rate
     the report's ``error_budget_remaining`` is measured against.
 
     Returns the aggregate report plus the per-client results (``None``
@@ -220,14 +208,6 @@ async def run_loadgen(
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
-    settings = settings_from_legacy(
-        settings,
-        "run_loadgen",
-        relevance_threshold=legacy_value(relevance_threshold, None),
-        max_rounds=legacy_value(max_rounds, DEFAULT_MAX_ROUNDS),
-        round_timeout=legacy_value(round_timeout, DEFAULT_ROUND_TIMEOUT),
-        max_reconnects=legacy_value(max_reconnects, 4),
-    )
 
     async def one_fetch(index: int) -> Optional[NetFetchResult]:
         client = NetClient(

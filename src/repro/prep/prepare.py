@@ -1,12 +1,11 @@
 """Document preparation: schedule → cooked packets + content profile.
 
-Home of :class:`PreparedDocument` and :class:`DocumentSender`, moved
-here from ``repro.transport.sender`` so that every layer that cooks
-content — the simulated byte driver, the socket server, the prototype
-broker — depends on :mod:`repro.prep` rather than on the transport
-internals (``repro.transport.sender`` re-exports both names for
-compatibility).  The :class:`~repro.prep.service.PreparationService`
-builds on this module to make preparation lazy, shared, and metered.
+Home of :class:`PreparedDocument` and :class:`DocumentSender`, so
+that every layer that cooks content — the simulated byte driver, the
+socket server, the prototype broker — depends on :mod:`repro.prep`
+rather than on the transport internals.  The
+:class:`~repro.prep.service.PreparationService` builds on this module
+to make preparation lazy, shared, and metered.
 
 The sender combines the multi-resolution schedule (§3/§4.2) with the
 packetizer (§4.1): the scheduled byte stream is split into M raw
@@ -24,7 +23,7 @@ from repro.coding.packets import CookedDocument, Packetizer
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → transport → prep)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → prep)
     from repro.core.multires import ScheduledSegment, TransmissionSchedule
 
 #: Wire-envelope constants for MSG_FRAME messages, duplicated from

@@ -20,9 +20,9 @@ CRC), and ``disconnect`` to a severed TCP connection.
 Typical use in a test or chaos experiment::
 
     engine = TransferEngine(m, n, ...)
-    faulty = FaultInjector(engine, rng=random.Random(7),
-                           drop=0.1, corrupt=0.05,
-                           disconnect=0.01, outage_events=20)
+    model = IIDModel(rng=random.Random(7), drop=0.1, corrupt=0.05,
+                     disconnect=0.01, outage_events=20)
+    faulty = FaultInjector(engine, model=model)
     effects = faulty.begin()
     ...
     effects = faulty.handle(FrameDelivered(seq))
@@ -35,19 +35,9 @@ or, with a bursty model::
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Tuple
+from typing import Tuple
 
-# Verdict constants are re-exported here for backwards compatibility;
-# their home is repro.channel.
-from repro.channel import (  # noqa: F401  (re-exported)
-    CORRUPT,
-    DISCONNECT,
-    DROP,
-    PASS,
-    ChannelModel,
-    IIDModel,
-)
+from repro.channel import CORRUPT, PASS, ChannelModel
 from repro.protocol.engine import TransferEngine
 from repro.protocol.events import (
     Effect,
@@ -56,85 +46,6 @@ from repro.protocol.events import (
     FrameLost,
     InputEvent,
 )
-
-
-class FaultPlan:
-    """Legacy i.i.d. drop/corrupt/disconnect schedule (compat shim).
-
-    Pre-refactor, this class *was* the decision core; it is now a thin
-    wrapper over :class:`repro.channel.IIDModel`, which preserves its
-    draw order byte-for-byte (disconnect, then drop, then corrupt,
-    each drawn only when its probability is positive).  New code
-    should construct a channel model directly and hand it to
-    :class:`FaultInjector` / :class:`~repro.net.chaos.ChaosProxy`.
-
-    The legacy counter semantics are preserved exactly: ``dropped``
-    counts every lost frame *including* the frame that opened a
-    disconnection window, and ``outages`` counts the windows — where
-    the unified model keeps ``dropped`` and ``disconnects`` distinct.
-    """
-
-    __slots__ = ("model",)
-
-    def __init__(
-        self,
-        *,
-        rng: Optional[random.Random] = None,
-        drop: float = 0.0,
-        corrupt: float = 0.0,
-        disconnect: float = 0.0,
-        outage_events: int = 0,
-    ) -> None:
-        self.model = IIDModel(
-            rng=rng,
-            drop=drop,
-            corrupt=corrupt,
-            disconnect=disconnect,
-            outage_events=outage_events,
-        )
-
-    @property
-    def rng(self) -> random.Random:
-        return self.model.rng
-
-    @property
-    def drop(self) -> float:
-        return self.model.drop
-
-    @property
-    def corrupt(self) -> float:
-        return self.model.corrupt
-
-    @property
-    def disconnect(self) -> float:
-        return self.model.disconnect
-
-    @property
-    def outage_events(self) -> int:
-        return self.model.outage_events
-
-    @property
-    def dropped(self) -> int:
-        """Lost frames, *including* disconnect-opening frames (legacy)."""
-        return self.model.dropped + self.model.disconnects
-
-    @property
-    def corrupted(self) -> int:
-        return self.model.corrupted
-
-    @property
-    def outages(self) -> int:
-        """Disconnection windows opened (the model calls these disconnects)."""
-        return self.model.disconnects
-
-    @property
-    def disconnected(self) -> bool:
-        """True while a disconnection window is swallowing frames."""
-        return self.model.disconnected
-
-    def decide(self) -> str:
-        """Consume the schedule for one frame and return its verdict."""
-        return self.model.decide()
 
 
 class FaultInjector:
@@ -146,91 +57,19 @@ class FaultInjector:
     ``corrupt`` becomes :class:`~repro.protocol.events.FrameCorrupt`
     (CRC failure).
 
-    Pass ``model=`` to inject under any channel model (bursty
-    Gilbert–Elliott, a replayed trace); the legacy keyword form builds
-    a seeded :class:`~repro.channel.IIDModel` with the pre-refactor
-    draw order.  ``RoundEnded`` and already-degraded events pass
-    through untouched — the injector only ever makes the channel
-    worse, so protocol invariants (termination, bounds) are preserved
-    by construction.
+    Any model works — i.i.d., bursty Gilbert–Elliott, a replayed
+    trace — and its counters (``dropped`` / ``corrupted`` /
+    ``disconnects``) live on :attr:`model`.  ``RoundEnded`` and
+    already-degraded events pass through untouched — the injector
+    only ever makes the channel worse, so protocol invariants
+    (termination, bounds) are preserved by construction.
     """
 
     __slots__ = ("engine", "model")
 
-    def __init__(
-        self,
-        engine: TransferEngine,
-        *,
-        model: Optional[ChannelModel] = None,
-        rng: Optional[random.Random] = None,
-        drop: float = 0.0,
-        corrupt: float = 0.0,
-        disconnect: float = 0.0,
-        outage_events: int = 0,
-    ) -> None:
+    def __init__(self, engine: TransferEngine, *, model: ChannelModel) -> None:
         self.engine = engine
-        if model is not None:
-            if rng is not None or drop or corrupt or disconnect or outage_events:
-                raise ValueError(
-                    "give either model= or the legacy iid keywords, not both"
-                )
-            self.model = model
-        else:
-            self.model = IIDModel(
-                rng=rng,
-                drop=drop,
-                corrupt=corrupt,
-                disconnect=disconnect,
-                outage_events=outage_events,
-            )
-
-    # Schedule state and counters live on the model; these mirrors keep
-    # the pre-refactor injector API intact for existing callers.  The
-    # probability mirrors only exist on i.i.d. models, hence getattr.
-
-    @property
-    def rng(self) -> Optional[random.Random]:
-        return getattr(self.model, "rng", None)
-
-    @property
-    def drop(self) -> float:
-        return getattr(self.model, "drop", 0.0)
-
-    @property
-    def corrupt(self) -> float:
-        return getattr(self.model, "corrupt", 0.0)
-
-    @property
-    def disconnect(self) -> float:
-        return getattr(self.model, "disconnect", 0.0)
-
-    @property
-    def outage_events(self) -> int:
-        return getattr(self.model, "outage_events", 0)
-
-    @property
-    def dropped(self) -> int:
-        """Frames turned into losses — drops *and* disconnect frames.
-
-        At the event level both verdicts become ``FrameLost``, so the
-        legacy combined counter is the accurate one here; the model's
-        own :meth:`~repro.channel.ChannelModel.counters` keeps them
-        distinct.
-        """
-        return self.model.dropped + self.model.disconnects
-
-    @property
-    def corrupted(self) -> int:
-        return self.model.corrupted
-
-    @property
-    def outages(self) -> int:
-        return self.model.disconnects
-
-    @property
-    def disconnected(self) -> bool:
-        """True while a disconnection window is swallowing frames."""
-        return self.model.disconnected
+        self.model = model
 
     def begin(self) -> Tuple[Effect, ...]:
         return self.engine.begin()

@@ -5,7 +5,6 @@ compression / prefetching companions.
 
 from repro.transport.channel import Delivery, ModelChannel, WirelessChannel
 from repro.transport.cache import NullCache, PacketCache
-from repro.transport.sender import DocumentSender, PreparedDocument
 from repro.transport.receiver import TransferReceiver
 from repro.transport.session import TransferResult, transfer_document
 from repro.transport.arq import ArqResult, selective_repeat, stop_and_wait
@@ -16,7 +15,6 @@ from repro.transport.compress import (
     decompress,
 )
 from repro.transport.prefetch import PrefetchCandidate, Prefetcher, PrefetchReport
-from repro.transport.gilbert import GilbertElliottChannel, matched_to_alpha
 
 __all__ = [
     "WirelessChannel",
@@ -24,8 +22,6 @@ __all__ = [
     "Delivery",
     "PacketCache",
     "NullCache",
-    "DocumentSender",
-    "PreparedDocument",
     "TransferReceiver",
     "transfer_document",
     "TransferResult",
@@ -39,6 +35,4 @@ __all__ = [
     "Prefetcher",
     "PrefetchCandidate",
     "PrefetchReport",
-    "GilbertElliottChannel",
-    "matched_to_alpha",
 ]

@@ -31,19 +31,11 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.protocol import (
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_ROUND_TIMEOUT,
-    Decoded,
-    EarlyStop,
-    TelemetryBridge,
-    TransferEngine,
-)
-from repro.prep.request import TransferSettings, legacy_value, settings_from_legacy
+from repro.prep import PreparedDocument, TransferSettings
+from repro.protocol import Decoded, EarlyStop, TelemetryBridge, TransferEngine
 from repro.transport.cache import NullCache, PacketCache
 from repro.transport.channel import WirelessChannel
 from repro.transport.receiver import TransferReceiver
-from repro.transport.sender import PreparedDocument
 
 
 class TransferResult(NamedTuple):
@@ -63,9 +55,6 @@ def transfer_document(
     prepared: PreparedDocument,
     channel: WirelessChannel,
     cache: Optional[PacketCache] = None,
-    relevance_threshold: Optional[float] = None,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     *,
     settings: Optional[TransferSettings] = None,
 ) -> TransferResult:
@@ -79,22 +68,14 @@ def transfer_document(
         a shared :class:`PacketCache` for Caching across transfers.
     settings:
         The client-side protocol knobs —
-        :class:`repro.prep.TransferSettings` — replacing the individual
-        ``relevance_threshold`` / ``max_rounds`` / ``round_timeout``
-        keywords, which remain as deprecated shims: passing them still
-        works (one :class:`DeprecationWarning`) and overrides the
-        matching *settings* fields.  ``relevance_threshold`` is the
-        paper's F (stop once received content reaches it; ``None``
-        downloads to completion); ``max_rounds`` bounds retransmission
-        rounds; ``round_timeout`` bounds per-round channel time.
+        :class:`repro.prep.TransferSettings` (defaults when ``None``).
+        ``relevance_threshold`` is the paper's F (stop once received
+        content reaches it; ``None`` downloads to completion);
+        ``max_rounds`` bounds retransmission rounds; ``round_timeout``
+        bounds per-round channel time.
     """
-    settings = settings_from_legacy(
-        settings,
-        "transfer_document",
-        relevance_threshold=legacy_value(relevance_threshold, None),
-        max_rounds=legacy_value(max_rounds, DEFAULT_MAX_ROUNDS),
-        round_timeout=legacy_value(round_timeout, DEFAULT_ROUND_TIMEOUT),
-    )
+    if settings is None:
+        settings = TransferSettings()
     relevance_threshold = settings.relevance_threshold
     max_rounds = settings.max_rounds
     round_timeout = settings.round_timeout

@@ -70,7 +70,7 @@ def test_transmission_time_prefers_model_bandwidth():
 
 
 def _legacy_fault_plan_verdicts(seed, drop, corrupt, disconnect, outage, n):
-    """The pre-refactor FaultPlan draw discipline, replayed inline."""
+    """The original i.i.d. fault-schedule draw discipline, replayed inline."""
     rng = random.Random(seed)
     outage_left = 0
     verdicts = []
@@ -358,34 +358,12 @@ def test_parse_spec_seed_matches_explicit_rng():
     a = parse_model_spec("iid:drop=0.3,corrupt=0.3", seed=11)
     b = parse_model_spec("iid:drop=0.3,corrupt=0.3", rng=random.Random(11))
     assert [a.decide() for _ in range(100)] == [b.decide() for _ in range(100)]
-
-
-# -- the legacy per-flag surface -------------------------------------------
-
-
-def test_legacy_chaos_spec_synthesizes_the_iid_form():
-    from repro.channel import legacy_chaos_spec
-
-    assert legacy_chaos_spec(drop=0.1) == "iid:drop=0.1"
-    assert (
-        legacy_chaos_spec(drop=0.1, corrupt=0.25, disconnect=0.002, outage=2)
-        == "iid:drop=0.1,corrupt=0.25,disconnect=0.002,outage=2"
-    )
-    assert legacy_chaos_spec() is None
-    assert legacy_chaos_spec(drop=0.0, corrupt=0.0) is None
-
-
-def test_legacy_chaos_spec_builds_byte_identical_models():
-    from repro.channel import legacy_chaos_spec
-
-    # The one shared translation point: a legacy flag set and the spec
-    # it synthesizes must produce identical seeded verdict streams.
-    spec = legacy_chaos_spec(drop=0.1, corrupt=0.25, disconnect=0.002)
-    forwarded = parse_model_spec(spec, seed=11)
+    # A spec and the model it names produce identical seeded verdicts.
+    spec = parse_model_spec("iid:drop=0.1,corrupt=0.25,disconnect=0.002", seed=11)
     direct = IIDModel(
         rng=random.Random(11), drop=0.1, corrupt=0.25, disconnect=0.002
     )
-    assert [forwarded.decide() for _ in range(300)] == [
+    assert [spec.decide() for _ in range(300)] == [
         direct.decide() for _ in range(300)
     ]
 

@@ -87,41 +87,33 @@ class TestTransfer:
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 
-
-class TestChaosFlags:
-    def test_deprecated_flags_forward_to_chaos_model(self, capsys):
-        with pytest.warns(DeprecationWarning, match="--chaos-model iid:corrupt=0.1"):
-            code = main(
-                ["transfer", DRAFT, "--chaos-corrupt", "0.1", "--seed", "3"]
-            )
+    def test_chaos_model_replays_the_seeded_schedule(self, capsys):
+        # The same line the removed per-flag corrupt option printed at
+        # 0.1: the spec owns the fault schedule, seeded by --seed.
+        code = main(
+            ["transfer", DRAFT, "--chaos-model", "iid:corrupt=0.1", "--seed", "3"]
+        )
         assert code == 0
-        assert "ok:" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "ok: 4.01s, 1 round(s), 37 frames (M=33, N=50), "
+            "content=1.000, seed=3\n"
+        )
 
-    def test_both_chaos_surfaces_is_an_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "transfer", DRAFT,
-                    "--chaos-model", "iid:corrupt=0.1",
-                    "--chaos-drop", "0.2",
-                ]
-            )
-        assert excinfo.value.code == 2
-        assert "not both" in capsys.readouterr().out
 
-    def test_legacy_flags_are_byte_identical_to_the_spec(self, capsys):
-        # The deprecated flags synthesize the iid: spec and ride the
-        # same parser, so a seeded run is reproduced exactly.
-        args = ["transfer", DRAFT, "--seed", "11"]
-        assert main(args + ["--chaos-model", "iid:corrupt=0.2,drop=0.05"]) == 0
-        spec_out = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning):
-            assert (
-                main(args + ["--chaos-corrupt", "0.2", "--chaos-drop", "0.05"])
-                == 0
-            )
-        legacy_out = capsys.readouterr().out
-        assert legacy_out == spec_out
+class TestSettingsFlags:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--no-cache", "--stop-at", "0.4"],
+        ["--max-rounds", "7", "--round-timeout", "2.5", "--max-reconnects", "0"],
+    ])
+    def test_fetch_and_loadgen_build_the_same_settings(self, argv):
+        from repro.cli import _client_settings, build_parser
+
+        parser = build_parser()
+        fetch = parser.parse_args(["net", "fetch", "doc", *argv])
+        loadgen = parser.parse_args(["net", "loadgen", "doc", *argv])
+        assert fetch.cache == loadgen.cache
+        assert _client_settings(fetch) == _client_settings(loadgen)
 
 
 class TestDeliveryFlag:

@@ -7,10 +7,10 @@ import pytest
 from repro.coding.packets import Packetizer
 from repro.core.cluster import ClusterError, DocumentCluster
 from repro.core.pipeline import build_sc
+from repro.prep import DocumentSender
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
 from repro.transport.prefetch import Prefetcher
-from repro.transport.sender import DocumentSender
 from repro.xmlkit.parser import parse_xml
 
 

@@ -8,6 +8,10 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
+#: Examples are the API's living documentation, so a deprecated call in
+#: one fails its run instead of printing a warning nobody reads.
+PYTHON = [sys.executable, "-W", "error::DeprecationWarning"]
+
 SCRIPTS = [
     "quickstart.py",
     "search_and_browse.py",
@@ -22,7 +26,7 @@ SCRIPTS = [
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_example_runs(script):
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / script)],
+        [*PYTHON, str(EXAMPLES_DIR / script)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -36,7 +40,7 @@ def test_reproduce_evaluation_fast_artifacts():
     analytic figures end-to-end."""
     result = subprocess.run(
         [
-            sys.executable,
+            *PYTHON,
             str(EXAMPLES_DIR / "reproduce_evaluation.py"),
             "table1",
             "table2",
@@ -53,7 +57,7 @@ def test_reproduce_evaluation_fast_artifacts():
 
 def test_reproduce_evaluation_rejects_unknown():
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "reproduce_evaluation.py"), "fig99"],
+        [*PYTHON, str(EXAMPLES_DIR / "reproduce_evaluation.py"), "fig99"],
         capture_output=True,
         text=True,
         timeout=60,

@@ -27,13 +27,13 @@ from typing import List
 import pytest
 
 from repro.coding.packets import Packetizer
+from repro.prep import DocumentSender, TransferSettings
 from repro.protocol import FrameCorrupt, FrameDelivered, RoundEnded, TransferEngine
 from repro.simulation.parallel import SessionTask, map_session_means
 from repro.simulation.parameters import Parameters
 from repro.simulation.runner import simulate_transfer
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 GOLDENS_PATH = Path(__file__).resolve().parent / "data" / "protocol_goldens.json"
@@ -90,7 +90,9 @@ def run_both(script, document_size=2048, gamma=1.5, caching=True,
     cache = PacketCache() if caching else None
     byte_level = transfer_document(
         prepared, channel, cache=cache,
-        relevance_threshold=threshold, max_rounds=max_rounds,
+        settings=TransferSettings(
+            relevance_threshold=threshold, max_rounds=max_rounds
+        ),
     )
 
     oracle = simulate_transfer(
@@ -242,8 +244,10 @@ class TestGoldenTransportReplay:
                 prepared,
                 channel,
                 cache=cache,
-                relevance_threshold=case["threshold"],
-                max_rounds=goldens["max_rounds"],
+                settings=TransferSettings(
+                    relevance_threshold=case["threshold"],
+                    max_rounds=goldens["max_rounds"],
+                ),
             )
             label = _case_id(case, ("alpha", "caching", "threshold", "seed"))
             assert result.success == case["success"], label

@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.channel import IIDModel
 from repro.net import (
     ChaosProxy,
     DocumentStore,
@@ -57,8 +58,7 @@ async def _fetch_under_chaos(batch_send):
         async with ChaosProxy(
             server.host,
             server.port,
-            rng=random.Random(CHAOS_SEED),
-            corrupt=0.15,
+            model=IIDModel(rng=random.Random(CHAOS_SEED), corrupt=0.15),
         ) as proxy:
             client = NetClient(proxy.host, proxy.port, cache=PacketCache())
             result = await client.fetch("doc")

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.channel import IIDModel
 from repro.net import (
     ChaosProxy,
     ConnectionLost,
@@ -26,6 +27,7 @@ from repro.net import (
     read_message,
 )
 from repro.net.wire import MSG_ERROR, MSG_FRAME
+from repro.prep import TransferSettings
 from repro.transport.cache import PacketCache
 
 from tests.netutil import assert_no_leaked_tasks, make_prepared
@@ -50,7 +52,9 @@ def test_server_killed_mid_round_fails_the_transfer():
         # Heavy drop keeps the transfer multi-round so the kill lands
         # mid-transfer deterministically.
         proxy = ChaosProxy(
-            server.host, server.port, rng=random.Random(5), drop=0.97
+            server.host,
+            server.port,
+            model=IIDModel(rng=random.Random(5), drop=0.97),
         )
         await proxy.start()
         try:
@@ -58,8 +62,7 @@ def test_server_killed_mid_round_fails_the_transfer():
                 proxy.host,
                 proxy.port,
                 cache=PacketCache(),
-                round_timeout=1.0,
-                max_reconnects=1,
+                settings=TransferSettings(round_timeout=1.0, max_reconnects=1),
                 reconnect_delay=0.01,
             )
             fetch = asyncio.ensure_future(client.fetch("doc"))
@@ -88,7 +91,10 @@ def test_unreachable_server_raises_connection_lost():
         port = server.port
         await server.stop()  # nothing is listening on `port` now
         client = NetClient(
-            "127.0.0.1", port, max_reconnects=1, reconnect_delay=0.01
+            "127.0.0.1",
+            port,
+            settings=TransferSettings(max_reconnects=1),
+            reconnect_delay=0.01,
         )
         with pytest.raises(ConnectionLost):
             await client.fetch("doc")

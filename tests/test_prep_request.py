@@ -7,10 +7,6 @@ from repro.prep.request import (
     DeliveryMode,
     PrepRequest,
     TransferSettings,
-    UNSET,
-    legacy_value,
-    request_from_legacy,
-    settings_from_legacy,
 )
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
 
@@ -116,6 +112,9 @@ class TestDeliveryMode:
         assert (
             TransferSettings(delivery="unicast").delivery is DeliveryMode.UNICAST
         )
+        settings = TransferSettings(max_rounds=9).replace(delivery="carousel")
+        assert settings.delivery is DeliveryMode.CAROUSEL
+        assert settings.max_rounds == 9
 
     def test_junk_mode_rejected(self):
         with pytest.raises(ValueError, match="delivery"):
@@ -150,16 +149,6 @@ class TestDeliveryMode:
         assert carousel.cache_key(digest) != base.cache_key(digest)
         assert carousel.cache_key(digest)[-1] == "carousel"
 
-    def test_legacy_request_shim_carries_delivery(self):
-        with pytest.warns(DeprecationWarning):
-            request = request_from_legacy(None, "api", delivery="carousel")
-        assert request.delivery is DeliveryMode.CAROUSEL
-
-    def test_legacy_settings_shim_carries_delivery(self):
-        with pytest.warns(DeprecationWarning):
-            settings = settings_from_legacy(None, "api", delivery="carousel")
-        assert settings.delivery is DeliveryMode.CAROUSEL
-
 
 class TestTransferSettings:
     def test_defaults_match_protocol_constants(self):
@@ -180,54 +169,3 @@ class TestTransferSettings:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TransferSettings(**kwargs)
-
-
-class TestLegacyShims:
-    def test_legacy_value_maps_default_to_unset(self):
-        assert legacy_value(60.0, 60.0) is UNSET
-        assert legacy_value(None, None) is UNSET
-        assert legacy_value(30.0, 60.0) == 30.0
-
-    def test_settings_from_legacy_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="max_rounds"):
-            settings = settings_from_legacy(
-                None, "api", max_rounds=7, round_timeout=UNSET
-            )
-        assert settings.max_rounds == 7
-        assert settings.round_timeout == DEFAULT_ROUND_TIMEOUT
-
-    def test_settings_from_legacy_silent_when_nothing_supplied(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            settings = settings_from_legacy(
-                None, "api", max_rounds=UNSET, round_timeout=UNSET
-            )
-        assert settings == TransferSettings()
-
-    def test_legacy_merges_over_explicit_settings(self):
-        base = TransferSettings(max_rounds=9, round_timeout=5.0)
-        with pytest.warns(DeprecationWarning):
-            settings = settings_from_legacy(base, "api", max_rounds=3)
-        assert settings.max_rounds == 3
-        assert settings.round_timeout == 5.0
-
-    def test_request_from_legacy(self):
-        with pytest.warns(DeprecationWarning, match="query"):
-            request = request_from_legacy(None, "api", query="mobile", lod=UNSET)
-        assert request.query == "mobile"
-        assert request.lod == "paragraph"
-
-    def test_transfer_document_legacy_keywords_still_work(self):
-        from repro.prep.prepare import DocumentSender
-        from repro.coding import Packetizer
-        from repro.transport import WirelessChannel, transfer_document
-
-        sender = DocumentSender(Packetizer(packet_size=64, redundancy_ratio=1.5))
-        prepared = sender.prepare_raw("doc", b"x" * 512)
-        with pytest.warns(DeprecationWarning):
-            result = transfer_document(
-                prepared, WirelessChannel(alpha=0.0), max_rounds=3
-            )
-        assert result.success

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.channel import IIDModel
 from repro.obs import trace as tr
 from repro.protocol import (
     DEFAULT_MAX_ROUNDS,
@@ -312,42 +313,49 @@ class TestFaultInjector:
     def test_validation(self):
         engine = TransferEngine(2, 3)
         with pytest.raises(ValueError):
-            FaultInjector(engine, drop=1.5)
+            FaultInjector(engine, model=IIDModel(drop=1.5))
         with pytest.raises(ValueError):
-            FaultInjector(engine, outage_events=-1)
+            FaultInjector(engine, model=IIDModel(outage_events=-1))
 
     def test_drop_converts_delivery_to_loss(self):
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=random.Random(0), drop=1.0)
+        faulty = FaultInjector(
+            engine, model=IIDModel(rng=random.Random(0), drop=1.0)
+        )
         faulty.begin()
         assert faulty.handle(FrameDelivered(0)) == ()
         assert engine.intact_count == 0
         assert engine.lost_seen == 1
-        assert faulty.dropped == 1
+        assert faulty.model.dropped + faulty.model.disconnects == 1
 
     def test_corrupt_converts_delivery_to_crc_failure(self):
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=random.Random(0), corrupt=1.0)
+        faulty = FaultInjector(
+            engine, model=IIDModel(rng=random.Random(0), corrupt=1.0)
+        )
         faulty.begin()
         faulty.handle(FrameDelivered(0))
         assert engine.corrupted_seen == 1
-        assert faulty.corrupted == 1
+        assert faulty.model.corrupted == 1
 
     def test_disconnect_opens_outage_window(self):
         engine = TransferEngine(2, 6)
         faulty = FaultInjector(
-            engine, rng=random.Random(0), disconnect=1.0, outage_events=3
+            engine,
+            model=IIDModel(rng=random.Random(0), disconnect=1.0, outage_events=3),
         )
         faulty.begin()
         for seq in range(3):
             faulty.handle(FrameDelivered(seq))
-        assert faulty.outages == 1
-        assert faulty.dropped == 3
+        assert faulty.model.disconnects == 1
+        assert faulty.model.dropped + faulty.model.disconnects == 3
         assert engine.intact_count == 0
 
     def test_round_ended_passes_through(self):
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=random.Random(0), drop=1.0)
+        faulty = FaultInjector(
+            engine, model=IIDModel(rng=random.Random(0), drop=1.0)
+        )
         faulty.begin()
         effects = faulty.handle(RoundEnded())
         assert effects == (Stalled(round=1, intact=0), SendRound(2))
@@ -355,10 +363,11 @@ class TestFaultInjector:
     def test_seeded_schedule_is_deterministic(self):
         def run(seed):
             engine = TransferEngine(4, 8, max_rounds=20)
-            faulty = FaultInjector(
-                engine, rng=random.Random(seed), drop=0.3, corrupt=0.2,
+            model = IIDModel(
+                rng=random.Random(seed), drop=0.3, corrupt=0.2,
                 disconnect=0.05, outage_events=4,
             )
+            faulty = FaultInjector(engine, model=model)
             faulty.begin()
             while engine.finished is None:
                 for seq in range(8):
@@ -367,7 +376,12 @@ class TestFaultInjector:
                         break
                 else:
                     faulty.handle(RoundEnded())
-            return engine.finished, faulty.dropped, faulty.corrupted, faulty.outages
+            return (
+                engine.finished,
+                model.dropped + model.disconnects,
+                model.corrupted,
+                model.disconnects,
+            )
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -383,7 +397,7 @@ class TestFaultInjector:
 
         rng = CountingRandom(3)
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=rng, drop=0.5)
+        faulty = FaultInjector(engine, model=IIDModel(rng=rng, drop=0.5))
         faulty.begin()
         faulty.handle(RoundEnded())
         assert CountingRandom.calls == 0  # RoundEnded costs no draw
@@ -395,15 +409,13 @@ class TestDefaultMaxRounds:
     def test_one_constant_everywhere(self):
         import inspect
 
-        from repro.prototype.client import SequenceManager
+        from repro.prep import TransferSettings
         from repro.transport.arq import selective_repeat, stop_and_wait
-        from repro.transport.session import transfer_document
 
         assert DEFAULT_MAX_ROUNDS == 100
-        sig = inspect.signature(transfer_document)
-        assert sig.parameters["max_rounds"].default == DEFAULT_MAX_ROUNDS
-        sig = inspect.signature(SequenceManager.__init__)
-        assert sig.parameters["max_rounds"].default == DEFAULT_MAX_ROUNDS
+        # transfer_document, SequenceManager and NetClient read the
+        # bound from TransferSettings.
+        assert TransferSettings().max_rounds == DEFAULT_MAX_ROUNDS
         sig = inspect.signature(selective_repeat)
         assert sig.parameters["max_rounds"].default == DEFAULT_MAX_ROUNDS
         sig = inspect.signature(stop_and_wait)

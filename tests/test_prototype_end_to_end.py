@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.prep import PrepRequest
 from repro.prototype import (
     DatabaseGateway,
     DocumentTransmitterService,
@@ -80,7 +81,9 @@ class TestIncrementalRendering:
 
     def test_query_orders_relevant_units_first(self):
         browser = make_browser()
-        result = browser.browse("paper-1", query_text="caching stalled")
+        result = browser.browse(
+            "paper-1", request=PrepRequest(query="caching stalled")
+        )
         assert result.rendered
         first_label = result.rendered[0].label
         # The caching section (2.x) or its paragraph must render first.
@@ -90,7 +93,7 @@ class TestIncrementalRendering:
 class TestLossyBrowse:
     def test_recovers_under_corruption(self):
         browser = make_browser(alpha=0.3, seed=1, cache=PacketCache())
-        result = browser.browse("paper-1", gamma=2.0)
+        result = browser.browse("paper-1", request=PrepRequest(gamma=2.0))
         assert result.success
         assert "redundancy" in result.document_text
 

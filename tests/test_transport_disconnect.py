@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.coding.packets import Packetizer
+from repro.prep import DocumentSender
 from repro.transport.cache import NullCache, PacketCache
 from repro.transport.disconnect import OutageChannel, resumable_transfer
-from repro.transport.sender import DocumentSender
 
 DOCUMENT = b"r" * 5120
 

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from repro.coding.packets import Packetizer
+from repro.prep import DocumentSender
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
 from repro.transport.prefetch import PrefetchCandidate, Prefetcher
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 

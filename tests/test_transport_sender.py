@@ -7,7 +7,7 @@ from repro.core.information import annotate_sc
 from repro.core.lod import LOD
 from repro.core.multires import TransmissionSchedule
 from repro.core.pipeline import build_sc
-from repro.transport.sender import DocumentSender
+from repro.prep import DocumentSender
 from repro.xmlkit.parser import parse_xml
 
 XML = """<paper>

@@ -23,10 +23,10 @@ import random
 from pathlib import Path
 
 from repro.coding.packets import Packetizer
+from repro.prep import DocumentSender, TransferSettings
 from repro.simulation.runner import simulate_transfer
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 OUTPUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "protocol_goldens.json"
@@ -62,8 +62,10 @@ def byte_cases() -> list:
                             prepared,
                             channel,
                             cache=cache,
-                            relevance_threshold=threshold,
-                            max_rounds=MAX_ROUNDS,
+                            settings=TransferSettings(
+                                relevance_threshold=threshold,
+                                max_rounds=MAX_ROUNDS,
+                            ),
                         )
                         cases.append(
                             {
