@@ -11,7 +11,8 @@ import pytest
 
 from conftest import emit
 
-from repro.coding.rs import SystematicRSCodec
+from repro.coding.matrix import GFMatrix
+from repro.coding.rs import SystematicRSCodec, _generator_matrix
 from repro.coding.stream import IncrementalDecoder
 from repro.figures import format_table
 
@@ -42,6 +43,20 @@ def test_batch_decode_worst_case(benchmark, m):
 
     result = benchmark(decode)
     assert result == raw
+
+
+@pytest.mark.parametrize("m", [33, 130, 170])
+def test_generator_construction(benchmark, m):
+    """Systematic generator build at γ = 1.5, the per-(m, n) cook start-up.
+
+    m = 33 and m = 130 are the bundled paper at 256- and 64-byte
+    packets; m = 170 reaches the GF(2^8) limit n = 255.  The LRU cache
+    is bypassed so every round pays the construction.
+    """
+    n = int(m * 1.5)
+    generator = benchmark(_generator_matrix.__wrapped__, m, n, True)
+    assert generator.nrows == n
+    assert GFMatrix(generator.rows()[:m]).is_identity()
 
 
 @pytest.mark.parametrize("m", [10, 40, 100])

@@ -1,60 +1,26 @@
-"""Cyclic redundancy codes, implemented from the polynomial definition.
+"""Cyclic redundancy codes, computed by the standard library.
 
 The paper (§4.1) adopts CRC for corruption detection, "since it has a
 low computational cost and a high error coverage".  We provide the two
 classic parameterizations used by datalink-layer protocols:
 
-* **CRC-16-CCITT** (poly 0x1021, init 0xFFFF) — the HDLC/X.25 check;
+* **CRC-16-CCITT** (poly 0x1021, init 0xFFFF) — the HDLC/X.25 check,
+  which is exactly ``binascii.crc_hqx`` seeded with 0xFFFF;
 * **CRC-32** (reflected poly 0xEDB88320, init 0xFFFFFFFF, final XOR)
-  — the IEEE 802.3 check, bit-compatible with ``zlib.crc32``.
+  — the IEEE 802.3 check, which is ``zlib.crc32``.
 
-Both use 256-entry lookup tables built at import time.
+Both run in C.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-_CRC16_POLY = 0x1021
-_CRC32_POLY_REFLECTED = 0xEDB88320
-
-
-def _build_crc16_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _CRC16_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-def _build_crc32_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _CRC32_POLY_REFLECTED
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
-_CRC16_TABLE = _build_crc16_table()
-_CRC32_TABLE = _build_crc32_table()
+import binascii
+import zlib
 
 
 def crc16(data: bytes, initial: int = 0xFFFF) -> int:
     """CRC-16-CCITT of *data*."""
-    crc = initial & 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return binascii.crc_hqx(data, initial & 0xFFFF)
 
 
 def crc32(data: bytes, initial: int = 0) -> int:
@@ -62,10 +28,7 @@ def crc32(data: bytes, initial: int = 0) -> int:
 
     *initial* accepts a previous CRC value for incremental checking.
     """
-    crc = (initial ^ 0xFFFFFFFF) & 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(data, initial & 0xFFFFFFFF)
 
 
 def verify_crc16(data: bytes, expected: int) -> bool:

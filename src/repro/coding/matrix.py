@@ -1,16 +1,20 @@
 """Dense matrices over GF(2^8) with Gaussian elimination.
 
 Small and deliberately simple: the erasure code works with matrices of
-at most a few hundred rows (the paper's M ranges over 10..100), so an
-O(n^3) pure-Python elimination is more than fast enough and keeps the
-implementation auditable.
+at most 255 rows.  Elimination is O(n^3) either way, and with one
+Python ``gf_mul`` per element it is too slow for an uncached decode at
+the paper's larger M (docs/performance.md, "Cook-time matrix
+algebra").  :meth:`GFMatrix.inverse` therefore keeps each working row
+as one ``bytes`` object: a row is scaled by one ``bytes.translate``
+through the multiply table and two rows are added as one wide-integer
+XOR, so the O(n) inner loop runs in C.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.coding.gf256 import gf_div, gf_dot, gf_inv, gf_mul, gf_pow
+from repro.coding.gf256 import _mul_table, gf_div, gf_dot, gf_inv, gf_mul, gf_pow
 
 
 class GFMatrix:
@@ -99,31 +103,35 @@ class GFMatrix:
         return [gf_dot(row, vector) for row in self._rows]
 
     def inverse(self) -> "GFMatrix":
-        """Gauss–Jordan inverse; raises ``ValueError`` when singular."""
+        """Gauss–Jordan inverse; raises ``ValueError`` when singular.
+
+        Each row of the ``[A | I]`` working matrix is one ``bytes``
+        object, so scaling a row is a ``translate`` and eliminating a
+        column from a row is one XOR of two wide integers.
+        """
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have inverses")
         n = self.nrows
-        work = [list(row) + identity_row for row, identity_row in zip(
-            self._rows, GFMatrix.identity(n)._rows
-        )]
+        width = 2 * n
+        work = [
+            bytes(row) + bytes(i) + b"\x01" + bytes(n - 1 - i)
+            for i, row in enumerate(self._rows)
+        ]
         for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if work[r][col] != 0), None
-            )
+            pivot_row = next((r for r in range(col, n) if work[r][col]), None)
             if pivot_row is None:
                 raise ValueError("matrix is singular")
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            inv_pivot = gf_inv(pivot)
-            work[col] = [gf_mul(inv_pivot, value) for value in work[col]]
+            pivot_bytes = work[col].translate(_mul_table(gf_inv(work[col][col])))
+            work[col] = pivot_bytes
             for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [
-                        value ^ gf_mul(factor, pivot_value)
-                        for value, pivot_value in zip(work[r], work[col])
-                    ]
-        return GFMatrix([row[n:] for row in work])
+                factor = work[r][col]
+                if r != col and factor:
+                    scaled = pivot_bytes.translate(_mul_table(factor))
+                    work[r] = (
+                        int.from_bytes(work[r], "big") ^ int.from_bytes(scaled, "big")
+                    ).to_bytes(width, "big")
+        return GFMatrix([list(row[n:]) for row in work])
 
     def rank(self) -> int:
         """Rank via forward elimination on a working copy."""

@@ -19,6 +19,12 @@ original.  Two variants are provided:
     Caching strategy both exploit), while the remaining N−M packets
     provide the redundancy.
 
+    Those elementary operations compute ``G = V·V_top⁻¹``, and row *i*
+    of that product is the Lagrange basis over the points 1..M
+    evaluated at the point i+1.  ``_generator_matrix`` writes the same
+    matrix down in that closed form, with O(N·M) field operations
+    instead of an O(M³) inversion and product.
+
 Both codecs guarantee the *any-M-of-N* reconstruction property, which
 is verified by construction (every M-row submatrix of a Vandermonde
 matrix with distinct nonzero evaluation points is invertible, and
@@ -28,10 +34,11 @@ right-multiplying by a fixed invertible matrix preserves that).
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.coding.backend import CodingBackend, get_backend
+from repro.coding.gf256 import gf_div, gf_mul
 from repro.coding.matrix import GFMatrix
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
@@ -51,11 +58,23 @@ class CodecError(Exception):
 
 @lru_cache(maxsize=128)
 def _generator_matrix(m: int, n: int, systematic: bool) -> GFMatrix:
-    vandermonde = GFMatrix.vandermonde(n, m)
     if not systematic:
-        return vandermonde
-    top = GFMatrix([vandermonde.row(i) for i in range(m)])
-    return vandermonde.multiply(top.inverse())
+        return GFMatrix.vandermonde(n, m)
+    # Row i of V·V_top⁻¹ is L_j(x_i) for the Lagrange basis L_j over the
+    # top block's points x_k = k+1:
+    #   L_j(x_i) = Π_k (x_i ⊕ x_k) / ((x_i ⊕ x_j) · w_j),
+    #   w_j = Π_{k≠j} (x_j ⊕ x_k).
+    points = range(1, m + 1)
+    weights = [
+        reduce(gf_mul, (xj ^ xk for xk in points if xk != xj), 1) for xj in points
+    ]
+    rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    for xi in range(m + 1, n + 1):
+        numerator = reduce(gf_mul, (xi ^ xk for xk in points), 1)
+        rows.append(
+            [gf_div(numerator, gf_mul(xi ^ xj, wj)) for xj, wj in zip(points, weights)]
+        )
+    return GFMatrix(rows)
 
 
 class _DecodeMatrixCache:
@@ -77,6 +96,9 @@ class _DecodeMatrixCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -5,12 +5,38 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coding.gf256 import gf_mul
+from repro.coding.gf256 import gf_inv, gf_mul
 from repro.coding.matrix import GFMatrix
+from repro.coding.rs import _generator_matrix
 
 
 def random_matrix(rng: random.Random, n: int) -> GFMatrix:
     return GFMatrix([[rng.randrange(256) for _ in range(n)] for _ in range(n)])
+
+
+def textbook_inverse(rows):
+    """Gauss–Jordan on lists of ints, one ``gf_mul`` per element.
+
+    Same pivot order as :meth:`GFMatrix.inverse` (first nonzero entry
+    at or below the diagonal), kept here as the reference for it.
+    """
+    n = len(rows)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        inv_pivot = gf_inv(work[col][col])
+        work[col] = [gf_mul(inv_pivot, value) for value in work[col]]
+        for r in range(n):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r] = [
+                    value ^ gf_mul(factor, pivot_value)
+                    for value, pivot_value in zip(work[r], work[col])
+                ]
+    return [row[n:] for row in work]
 
 
 class TestConstruction:
@@ -103,6 +129,50 @@ class TestInverse:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             GFMatrix([[1, 2, 3], [4, 5, 6]]).inverse()
+
+
+class TestInverseAgainstTextbook:
+    """The byte-row elimination returns exactly the textbook inverse."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 33, 64, 130])
+    def test_generator_submatrices(self, m):
+        rng = random.Random(m)
+        generator = _generator_matrix(m, min(255, 2 * m), True)
+        for _ in range(3):
+            chosen = sorted(rng.sample(range(generator.nrows), m))
+            sub = generator.submatrix(chosen)
+            assert sub.inverse().rows() == textbook_inverse(sub.rows())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=12))
+    def test_random_matrices(self, seed, n):
+        rng = random.Random(seed)
+        rows = random_matrix(rng, n).rows()
+        try:
+            expected = textbook_inverse(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                GFMatrix(rows).inverse()
+        else:
+            assert GFMatrix(rows).inverse().rows() == expected
+
+    @pytest.mark.parametrize("n", [3, 5, 17])
+    def test_dependent_last_row_raises(self, n):
+        """Singularity that only shows at the last pivot column."""
+        rng = random.Random(n)
+        rows = _generator_matrix(n, 2 * n, True).submatrix(
+            sorted(rng.sample(range(2 * n), n))
+        ).rows()
+        a, b = rng.randrange(1, 256), rng.randrange(1, 256)
+        rows[-1] = [gf_mul(a, x) ^ gf_mul(b, y) for x, y in zip(rows[0], rows[1])]
+        with pytest.raises(ValueError, match="singular"):
+            textbook_inverse(rows)
+        with pytest.raises(ValueError, match="singular"):
+            GFMatrix(rows).inverse()
+
+    def test_zero_column_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            GFMatrix([[0, 1, 2], [0, 3, 4], [0, 5, 6]]).inverse()
 
 
 class TestRank:

@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding.matrix import GFMatrix
 from repro.coding.rs import (
     MAX_COOKED,
     CodecError,
     RabinDispersal,
     SystematicRSCodec,
+    _generator_matrix,
 )
 
 
@@ -56,6 +58,42 @@ class TestSystematicProperty:
         # With high probability no cooked packet equals a raw one
         # (row 0 of the Vandermonde is all-ones, a checksum of rows).
         assert cooked[:4] != raw
+
+
+def elementary_transform_generator(m: int, n: int) -> GFMatrix:
+    """The paper's construction, literally: V · V_top⁻¹ by elimination."""
+    vandermonde = GFMatrix.vandermonde(n, m)
+    top = GFMatrix(vandermonde.rows()[:m])
+    return vandermonde.multiply(top.inverse())
+
+
+class TestClosedFormGenerator:
+    """The Lagrange-form generator equals the elementary-transform one.
+
+    Row i of G(m, n) does not depend on n, so checking n = 255 checks
+    every n for that m.
+    """
+
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_matches_elementary_transform(self, m):
+        assert _generator_matrix(m, MAX_COOKED, True) == (
+            elementary_transform_generator(m, MAX_COOKED)
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", [100, 130, 170, 255])
+    def test_matches_elementary_transform_large_m(self, m):
+        assert _generator_matrix(m, MAX_COOKED, True) == (
+            elementary_transform_generator(m, MAX_COOKED)
+        )
+
+    @pytest.mark.parametrize("n", [20, 21, 30, 100])
+    def test_rows_do_not_depend_on_n(self, n):
+        full = _generator_matrix(20, MAX_COOKED, True).rows()
+        assert _generator_matrix(20, n, True).rows() == full[:n]
+
+    def test_rabin_generator_is_plain_vandermonde(self):
+        assert _generator_matrix(7, 12, False) == GFMatrix.vandermonde(12, 7)
 
 
 class TestAnyMofN:
@@ -143,3 +181,16 @@ class TestCorruptionSemantics:
         first = codec.decode(subset)
         second = codec.decode(subset)
         assert first == second == raw
+
+    def test_decode_cache_clear(self):
+        rng = random.Random(12)
+        codec = SystematicRSCodec(4, 8)
+        raw = random_packets(rng, 4, 8)
+        cooked = codec.encode(raw)
+        subset = {i: cooked[i] for i in range(4, 8)}
+        codec.decode(subset)
+        assert len(codec._decode_cache) == 1
+        codec._decode_cache.clear()
+        assert len(codec._decode_cache) == 0
+        assert codec.decode(subset) == raw
+        assert (4, 5, 6, 7) in codec._decode_cache

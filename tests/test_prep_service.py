@@ -6,12 +6,14 @@ the per-request parameters all landing in the cooked-tier key.
 """
 
 import asyncio
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.pipeline import SCPipeline
+from repro.data import draft_paper_path
 from repro.prep import PrepRequest, PreparationService, prepare
 from repro.prep.cache import MISS, ByteBudgetLRU
 from repro.prep.service import UnknownDocumentError, content_digest
@@ -267,3 +269,26 @@ class TestServiceConveniences:
         assert info["cooked"]["entries"] == 1
         assert info["sc"]["entries"] == 1
         assert info["cooked"]["bytes"] > 0
+
+
+class TestWireBytesPinned:
+    """The framed cooked packets of the bundled paper, byte for byte.
+
+    Digests were recorded before the systematic generator moved to its
+    closed (Lagrange) form, whose output must not differ.  A change
+    here changes every frame on the wire.
+    """
+
+    @pytest.mark.parametrize(
+        "packet_size, m, n, digest",
+        [
+            (64, 130, 195, "dcf7e5f87f21a40a370a44b15326fdb022a7b4c2bda3af3e668ebe7efa2aedb2"),
+            (256, 33, 50, "80e02931ab759ee9f403c0d084491ab6102484abcd720f561731da065697f529"),
+        ],
+    )
+    def test_paper_frames(self, packet_size, m, n, digest):
+        service = PreparationService()
+        document = service.add_path(draft_paper_path())
+        cooked = service.prepare(document, PrepRequest(packet_size=packet_size)).cooked
+        assert (cooked.m, cooked.n) == (m, n)
+        assert hashlib.sha256(b"".join(cooked.frames())).hexdigest() == digest
