@@ -35,6 +35,11 @@ from repro.core.structure import OrganizationalUnit, StructuralCharacteristic
 from repro.text.vector import OccurrenceVector
 
 
+def _query_weights(query: Query) -> Dict[str, float]:
+    """ω_a^Q for every querying word; absent words weigh 0 (§3.2)."""
+    return {keyword: query.weight(keyword) for keyword in query.keywords()}
+
+
 class ContentMeasure(Protocol):
     """A normalized content measure over organizational units."""
 
@@ -52,18 +57,19 @@ class StaticIC:
     name = "ic"
 
     def __init__(self, sc: StructuralCharacteristic) -> None:
-        self._vector = sc.vector
+        self._weights = sc.vector.weights()
         self._denominator = sc.vector.weighted_total()
 
     def _raw(self, counts: Mapping[str, int]) -> float:
+        weights = self._weights
         return sum(
-            count * self._vector.weight(keyword) for keyword, count in counts.items()
+            count * weights.get(keyword, 0.0) for keyword, count in counts.items()
         )
 
     def value(self, unit: OrganizationalUnit) -> float:
         if self._denominator == 0:
             return 0.0
-        return self._raw(unit.counts()) / self._denominator
+        return self._raw(unit._aggregate()) / self._denominator
 
     def value_own(self, unit: OrganizationalUnit) -> float:
         """Content of the unit's intrinsic text only (title words)."""
@@ -78,23 +84,24 @@ class QueryIC:
     name = "qic"
 
     def __init__(self, sc: StructuralCharacteristic, query: Query) -> None:
-        self._vector = sc.vector
-        self._query = query
+        self._weights = sc.vector.weights()
+        self._query_weights = _query_weights(query)
         self._denominator = self._raw(dict(sc.vector.items()))
 
     def _raw(self, counts: Mapping[str, int]) -> float:
+        weights, query_weights = self._weights, self._query_weights
         total = 0.0
         for keyword, count in counts.items():
-            query_weight = self._query.weight(keyword)
+            query_weight = query_weights.get(keyword, 0.0)
             if query_weight == 0.0:
                 continue
-            total += count * self._vector.weight(keyword) * query_weight
+            total += count * weights.get(keyword, 0.0) * query_weight
         return total
 
     def value(self, unit: OrganizationalUnit) -> float:
         if self._denominator == 0:
             return 0.0
-        return self._raw(unit.counts()) / self._denominator
+        return self._raw(unit._aggregate()) / self._denominator
 
     def value_own(self, unit: OrganizationalUnit) -> float:
         """Content of the unit's intrinsic text only (title words)."""
@@ -109,8 +116,8 @@ class ModifiedQueryIC:
     name = "mqic"
 
     def __init__(self, sc: StructuralCharacteristic, query: Query) -> None:
-        self._vector = sc.vector
-        self._query = query
+        self._weights = sc.vector.weights()
+        self._query_weights = _query_weights(query)
         query_total = query.total_occurrences()
         document_total = sc.vector.total
         self._scale = document_total / query_total if query_total else 0.0
@@ -122,16 +129,17 @@ class ModifiedQueryIC:
         return self._scale
 
     def _raw(self, counts: Mapping[str, int]) -> float:
+        weights, query_weights, scale = self._weights, self._query_weights, self._scale
         return sum(
             count
-            * (self._vector.weight(keyword) + self._scale * self._query.weight(keyword))
+            * (weights.get(keyword, 0.0) + scale * query_weights.get(keyword, 0.0))
             for keyword, count in counts.items()
         )
 
     def value(self, unit: OrganizationalUnit) -> float:
         if self._denominator == 0:
             return 0.0
-        return self._raw(unit.counts()) / self._denominator
+        return self._raw(unit._aggregate()) / self._denominator
 
     def value_own(self, unit: OrganizationalUnit) -> float:
         """Content of the unit's intrinsic text only (title words)."""
@@ -155,7 +163,7 @@ class ProportionalIC:
     def value(self, unit: OrganizationalUnit) -> float:
         if self._total == 0:
             return 0.0
-        return sum(unit.counts().values()) / self._total
+        return sum(unit._aggregate().values()) / self._total
 
     def value_own(self, unit: OrganizationalUnit) -> float:
         """Content of the unit's intrinsic text only (title words)."""
@@ -197,7 +205,7 @@ class TfIdfIC:
     def value(self, unit: OrganizationalUnit) -> float:
         if self._denominator == 0:
             return 0.0
-        return self._raw(unit.counts()) / self._denominator
+        return self._raw(unit._aggregate()) / self._denominator
 
     def value_own(self, unit: OrganizationalUnit) -> float:
         """Content of the unit's intrinsic text only (title words)."""

@@ -108,6 +108,13 @@ class TransmissionSchedule:
         Content accrues linearly within a unit (a half-received unit
         yields half its content) — the model the simulator uses for
         clear-text packets.
+
+        Each call rebuilds :meth:`segments`, so it costs O(units)
+        subtree walks.  :class:`~repro.prep.DocumentSender` does not
+        call it per packet: it derives the whole content profile in one
+        merge pass over a single ``segments()`` list, with the same
+        float operations in the same order, and this method is the
+        oracle its tests compare against.
         """
         if byte_count <= 0:
             return 0.0

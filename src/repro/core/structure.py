@@ -89,13 +89,22 @@ class OrganizationalUnit:
 
     def counts(self) -> Dict[str, int]:
         """Keyword occurrences aggregated over the unit's subtree."""
+        return dict(self._aggregate())
+
+    def _aggregate(self) -> Dict[str, int]:
+        """The cached subtree aggregate itself, for read-only use.
+
+        The content measures and the recursive aggregation read it on
+        every unit of every cook; :meth:`counts` hands outside callers
+        a copy instead.
+        """
         if self._aggregated is None:
             total = dict(self.own_counts)
             for child in self.children:
-                for keyword, count in child.counts().items():
+                for keyword, count in child._aggregate().items():
                     total[keyword] = total.get(keyword, 0) + count
             self._aggregated = total
-        return dict(self._aggregated)
+        return self._aggregated
 
     def size_bytes(self) -> int:
         """Payload size of the subtree (intrinsic bytes plus children)."""

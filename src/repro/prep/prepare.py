@@ -157,9 +157,10 @@ class DocumentSender:
         payload = schedule.payload()
         if not payload:
             raise ValueError(f"document {document_id!r} has an empty payload")
+        segments = schedule.segments()
         with timed("sender.prepare"):
             cooked = self.packetizer.cook(payload)
-            profile = self._content_profile(schedule, cooked.m)
+            profile = self._content_profile(segments, cooked.m)
         if OBS.enabled:
             self._record_prepared(cooked)
         return PreparedDocument(
@@ -167,7 +168,7 @@ class DocumentSender:
             cooked,
             profile,
             measure=getattr(schedule, "measure", ""),
-            segments=schedule.segments(),
+            segments=segments,
         )
 
     def prepare_raw(self, document_id: str, payload: bytes) -> PreparedDocument:
@@ -195,13 +196,39 @@ class DocumentSender:
         OBS.metrics.counter("sender.raw_packets").inc(cooked.m)
 
     def _content_profile(
-        self, schedule: "TransmissionSchedule", m: int
+        self, segments: Sequence["ScheduledSegment"], m: int
     ) -> List[float]:
+        """Content carried by each of the *m* clear-text packets.
+
+        Packet i's share is ``content_prefix((i+1)·size) −
+        content_prefix(i·size)``.  One merge pass over *segments*
+        yields every prefix: ``full`` sums the segments wholly inside
+        the prefix, left to right, and the straddling segment adds its
+        linear share — the same float operations in the same order as
+        :meth:`TransmissionSchedule.content_prefix`, so the profile is
+        bit-identical to calling it once per packet.
+        """
         size = self.packetizer.packet_size
         profile: List[float] = []
         previous = 0.0
+        full = 0.0
+        consumed = 0
+        position = 0
         for index in range(m):
-            cumulative = schedule.content_prefix((index + 1) * size)
+            limit = (index + 1) * size
+            while (
+                position < len(segments)
+                and limit - consumed >= segments[position].size
+            ):
+                full += segments[position].content
+                consumed += segments[position].size
+                position += 1
+            cumulative = full
+            if position < len(segments):
+                straddling = segments[position]
+                cumulative = full + straddling.content * (
+                    (limit - consumed) / straddling.size
+                )
             profile.append(cumulative - previous)
             previous = cumulative
         return profile

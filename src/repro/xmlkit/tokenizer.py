@@ -23,6 +23,7 @@ PREDEFINED_ENTITIES: Dict[str, str] = {
 }
 
 _NAME_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_.:\-]*")
+_WHITESPACE_RE = re.compile(r"[ \t\r\n]+")
 _ENTITY_RE = re.compile(r"&(#x[0-9A-Fa-f]+|#[0-9]+|[A-Za-z_:][A-Za-z0-9_.:\-]*);")
 
 
@@ -83,14 +84,19 @@ class XmlTokenizer:
     # -- position helpers ---------------------------------------------------
 
     def _advance(self, count: int) -> str:
-        """Consume *count* characters, maintaining line/column."""
+        """Consume *count* characters, maintaining line/column.
+
+        Every character moves the column on by one and a newline starts
+        the next line at column 1, so the position after a run follows
+        from the run's newline count and where its last newline sits.
+        """
         consumed = self._source[self._pos : self._pos + count]
-        for char in consumed:
-            if char == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
+        newlines = consumed.count("\n")
+        if newlines:
+            self._line += newlines
+            self._column = len(consumed) - consumed.rfind("\n")
+        else:
+            self._column += len(consumed)
         self._pos += count
         return consumed
 
@@ -219,8 +225,9 @@ class XmlTokenizer:
         return match.group(0)
 
     def _skip_whitespace(self) -> None:
-        while not self._at_end() and self._peek() in " \t\r\n":
-            self._advance(1)
+        run = _WHITESPACE_RE.match(self._source, self._pos)
+        if run is not None:
+            self._advance(run.end() - self._pos)
 
 
 def tokenize_xml(source: str) -> List[Token]:

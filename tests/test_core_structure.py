@@ -59,6 +59,14 @@ class TestAggregation:
         )
         assert root.counts()["new"] == 7
 
+    def test_counts_returns_a_copy(self):
+        root = build_tree()
+        counts = root.counts()
+        counts["web"] = 99
+        counts["extra"] = 1
+        assert root.counts() == {"web": 3, "mobile": 4, "cache": 5}
+        assert root.children[0].counts() is not root.children[0].counts()
+
     def test_size_bytes(self):
         root = build_tree()
         assert root.size_bytes() == len(b"T" + b"S1" + b"p111" + b"p121" + b"p211")

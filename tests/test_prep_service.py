@@ -17,6 +17,7 @@ from repro.data import draft_paper_path
 from repro.prep import PrepRequest, PreparationService, prepare
 from repro.prep.cache import MISS, ByteBudgetLRU
 from repro.prep.service import UnknownDocumentError, content_digest
+from repro.simulation.textgen import CorpusGenerator
 
 PAPER = """<paper>
   <title>Service Cache Paper</title>
@@ -292,3 +293,32 @@ class TestWireBytesPinned:
         cooked = service.prepare(document, PrepRequest(packet_size=packet_size)).cooked
         assert (cooked.m, cooked.n) == (m, n)
         assert hashlib.sha256(b"".join(cooked.frames())).hexdigest() == digest
+
+
+class TestCorpusCookPinned:
+    """Cooked output of seeded corpus documents, bit for bit.
+
+    One digest covers the frames, every content-profile float (as
+    ``float.hex``) and the scheduled segments of 20 ``CorpusGenerator``
+    documents, each cooked with and without its topic query.  It was
+    recorded before the content profile moved to a single pass over
+    the segments, which must not change a bit of the output.
+    """
+
+    DIGEST = "3dd636e4ee81aa5b79de9da26cf2d2bd71c351d5d5f9cacc700012eae95afa42"
+
+    def test_corpus_cooks(self):
+        generator = CorpusGenerator(seed=1)
+        service = PreparationService()
+        digest = hashlib.sha256()
+        for name, (xml, topic) in generator.corpus(20).items():
+            service.add_document(name, xml)
+            for query in (None, generator.topic_query(topic)):
+                prepared = service.prepare(name, PrepRequest(query=query))
+                digest.update(b"".join(prepared.frames()))
+                digest.update(
+                    " ".join(share.hex() for share in prepared.content_profile).encode()
+                )
+                for label, size, content in prepared.segments:
+                    digest.update(f"{label}:{size}:{content.hex()};".encode())
+        assert digest.hexdigest() == self.DIGEST

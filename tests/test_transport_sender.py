@@ -7,7 +7,10 @@ from repro.core.information import annotate_sc
 from repro.core.lod import LOD
 from repro.core.multires import TransmissionSchedule
 from repro.core.pipeline import build_sc
+from repro.core.query import Query
+from repro.data import draft_paper_source
 from repro.prep import DocumentSender
+from repro.simulation.textgen import CorpusGenerator
 from repro.xmlkit.parser import parse_xml
 
 XML = """<paper>
@@ -80,3 +83,54 @@ class TestPrepare:
             "doc", b"z" * 640
         )
         assert len(prepared.frames()) == prepared.n
+
+
+def _exact_sources():
+    """(name, xml, query) — the bundled paper, seeded corpus docs, one paragraph."""
+    generator = CorpusGenerator(seed=1)
+    sources = [("paper", draft_paper_source(), "mobile web browsing")]
+    for name, (xml, topic) in generator.corpus(4).items():
+        sources.append((name, xml, generator.topic_query(topic)))
+    # One 150-byte paragraph: every packet boundary falls inside it and
+    # the payload ends partway through the last packet.
+    body = "channel " * 18 + "packet"
+    single = f"<paper><section><paragraph>{body}</paragraph></section></paper>"
+    sources.append(("single", single, "channel"))
+    return sources
+
+
+class TestProfileExact:
+    """The one-pass profile equals content_prefix differences bit for bit."""
+
+    @pytest.mark.parametrize("measure", ["ic", "mqic"])
+    @pytest.mark.parametrize("lod", [LOD.SECTION, LOD.PARAGRAPH])
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize(
+        "name, xml, query",
+        [pytest.param(*source, id=source[0]) for source in _exact_sources()],
+    )
+    def test_profile_equals_prefix_differences(
+        self, name, xml, query, size, lod, measure
+    ):
+        sc = build_sc(parse_xml(xml))
+        annotate_sc(sc, query=Query(query))
+        schedule = TransmissionSchedule(sc, lod=lod, measure=measure)
+        prepared = DocumentSender(Packetizer(packet_size=size)).prepare(name, schedule)
+        assert len(prepared.content_profile) == prepared.m
+        for index, share in enumerate(prepared.content_profile):
+            expected = schedule.content_prefix(
+                (index + 1) * size
+            ) - schedule.content_prefix(index * size)
+            assert share == expected, (index, share, expected)
+        assert prepared.segments == schedule.segments()
+
+    def test_single_source_ends_mid_segment(self):
+        """The "single" case above covers a payload that ends inside its segment."""
+        name, xml, query = _exact_sources()[-1]
+        sc = build_sc(parse_xml(xml))
+        annotate_sc(sc, query=Query(query))
+        schedule = TransmissionSchedule(sc, lod=LOD.PARAGRAPH, measure="mqic")
+        (segment,) = schedule.segments()
+        assert (name, segment.size) == ("single", 150)
+        prepared = DocumentSender(Packetizer(packet_size=64)).prepare(name, schedule)
+        assert prepared.m == 3

@@ -1,6 +1,7 @@
 """Tests for the XML lexer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.xmlkit.errors import XmlSyntaxError
 from repro.xmlkit.tokenizer import XmlTokenizer, resolve_entities, tokenize_xml
@@ -102,3 +103,85 @@ class TestErrors:
     def test_unterminated_tag(self):
         with pytest.raises(XmlSyntaxError):
             tokenize_xml("<a href=")
+
+
+def reference_position(source, offset):
+    """(line, column) of *offset*, counted one character at a time."""
+    line, column = 1, 1
+    for char in source[:offset]:
+        if char == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return line, column
+
+
+#: Whitespace runs with both line-ending styles, and text that mixes them in.
+_SPACE = st.lists(st.sampled_from(["\n", "\r\n", " ", "\t"]), max_size=4).map("".join)
+_FILLER = st.lists(
+    st.sampled_from(["\n", "\r\n", " ", "\t", "ab", "z."]), max_size=6
+).map("".join)
+_TEXT = _FILLER.map(lambda filler: "w" + filler)
+
+
+@st.composite
+def _markup_piece(draw):
+    """One piece of markup that lexes to exactly one token."""
+    kind = draw(st.sampled_from(["comment", "cdata", "pi", "start", "empty"]))
+    body = draw(_FILLER)
+    if kind == "comment":
+        return f"<!--{body}-->"
+    if kind == "cdata":
+        return f"<![CDATA[{body}]]>"
+    if kind == "pi":
+        return f"<?pi {body}?>"
+    quotes = draw(st.lists(st.sampled_from("'\""), max_size=3))
+    attrs = "".join(
+        f"{draw(_SPACE) or ' '}k{index}{draw(_SPACE)}={draw(_SPACE)}"
+        f"{quote}{draw(_FILLER)}{quote}"
+        for index, quote in enumerate(quotes)
+    )
+    close = "/>" if kind == "empty" else ">"
+    return f"<e{attrs}{draw(_SPACE)}{close}"
+
+
+@st.composite
+def _document(draw):
+    """(source, pieces): each piece is the source text of one token."""
+    pieces = ["<root>"]
+    for markup in draw(st.lists(_markup_piece(), max_size=8)):
+        if draw(st.booleans()):
+            pieces.append(draw(_TEXT))
+        pieces.append(markup)
+        if markup.startswith("<e") and not markup.endswith("/>"):
+            pieces.append(f"</e{draw(_SPACE)}>")
+    pieces.append("</root>")
+    return "".join(pieces), pieces
+
+
+class TestPositionsAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_document())
+    def test_every_token_starts_where_the_reference_says(self, document):
+        source, pieces = document
+        tokens = tokenize_xml(source)
+        assert len(tokens) == len(pieces)
+        offset = 0
+        for token, piece in zip(tokens, pieces):
+            expected = reference_position(source, offset)
+            assert (token.line, token.column) == expected, piece
+            offset += len(piece)
+
+    @pytest.mark.parametrize(
+        "source, message, line, column",
+        [
+            ("<a>\r\n  <!-- oops\n</a>", "unterminated comment", 2, 7),
+            ('<a>\n<b\n  x "1"/>', "missing '='", 3, 5),
+            ("<a>\n  <b x=\r\nbad/>", "must be quoted", 3, 1),
+            ('<a\r\n  x="one\ntwo &bogus;"/>', "unknown entity", 2, 5),
+        ],
+    )
+    def test_error_positions_pinned(self, source, message, line, column):
+        with pytest.raises(XmlSyntaxError, match=message) as caught:
+            tokenize_xml(source)
+        assert (caught.value.line, caught.value.column) == (line, column)
