@@ -51,7 +51,8 @@ SCHEDULES = ("flat", "skewed")
 def _build_tagged_envelopes(tag: int, frames: Sequence[bytes]) -> List[memoryview]:
     """One arena of MSG_BCAST_FRAME envelopes for a document's frames.
 
-    Mirrors :func:`repro.prep.prepare._build_envelopes`, with the
+    The carousel counterpart of a cooked document's ``MSG_FRAME``
+    arena (:class:`repro.coding.packets.CookedDocument`), with the
     one-byte document tag between the message type and the frame.
     """
     per_frame_overhead = ENVELOPE_OVERHEAD + 1

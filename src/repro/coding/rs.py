@@ -77,6 +77,20 @@ def _generator_matrix(m: int, n: int, systematic: bool) -> GFMatrix:
     return GFMatrix(rows)
 
 
+@lru_cache(maxsize=128)
+def _encode_rows(m: int, n: int, systematic: bool) -> Tuple[Tuple[int, ...], ...]:
+    """The generator rows an encoder multiplies by, shared per shape.
+
+    Systematic codes skip the identity prefix (those cooked packets
+    are the raw packets verbatim).  Immutable, so every codec of one
+    ``(m, n, systematic)`` shape can share the same rows.
+    """
+    generator = _generator_matrix(m, n, systematic)
+    return tuple(
+        tuple(generator.row(i)) for i in range(m if systematic else 0, n)
+    )
+
+
 class _DecodeMatrixCache:
     """LRU cache of decode-matrix inverses, keyed by chosen indices."""
 
@@ -131,23 +145,27 @@ class _VandermondeCodec:
         self.backend = get_backend(backend)
         self.generator = _generator_matrix(m, n, self.systematic)
         self._decode_cache = _DecodeMatrixCache()
-        self._encode_rows: Optional[List[List[int]]] = None
-
-    def _encode_matrix(self) -> List[List[int]]:
-        """The generator rows the encoder multiplies by, fetched once.
-
-        Systematic codecs skip the identity prefix (those cooked
-        packets are the raw packets verbatim); caching the row lists
-        keeps repeated encodes off the per-row matrix accessors.
-        """
-        if self._encode_rows is None:
-            start = self.m if self.systematic else 0
-            self._encode_rows = [
-                self.generator.row(i) for i in range(start, self.n)
-            ]
-        return self._encode_rows
 
     # -- encoding ----------------------------------------------------------
+
+    def encode_rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """The generator rows the encoder multiplies by (shared per shape).
+
+        All N rows for Rabin's dispersal; the N−M redundancy rows for
+        the systematic code, whose first M cooked packets are the raw
+        packets verbatim.  Row *k* yields cooked packet
+        ``n − len(rows) + k``.
+        """
+        return _encode_rows(self.m, self.n, self.systematic)
+
+    def _packet_size(self, raw_packets: Sequence[bytes]) -> int:
+        """The common length of the M raw packets (validated)."""
+        if len(raw_packets) != self.m:
+            raise CodecError(f"expected {self.m} raw packets, got {len(raw_packets)}")
+        size = len(raw_packets[0])
+        if any(len(packet) != size for packet in raw_packets):
+            raise CodecError("raw packets must all have the same length")
+        return size
 
     def encode(self, raw_packets: Sequence[bytes]) -> List[bytes]:
         """Transform M raw packets into N cooked packets.
@@ -156,19 +174,13 @@ class _VandermondeCodec:
         Cooked packet *i* is the GF(2^8) inner product of generator row
         *i* with the raw packet column.
         """
-        if len(raw_packets) != self.m:
-            raise CodecError(f"expected {self.m} raw packets, got {len(raw_packets)}")
-        size = len(raw_packets[0])
-        if any(len(packet) != size for packet in raw_packets):
-            raise CodecError("raw packets must all have the same length")
-
+        size = self._packet_size(raw_packets)
         with timed("rs.encode"):
-            rows = self._encode_matrix()
+            rows = self.encode_rows()
             if self.systematic:
                 # Clear-text fast path: the first M cooked packets are
                 # the raw packets verbatim; only the redundancy rows
-                # go through the kernel (no dead generator.row(i)
-                # fetch for the identity prefix).
+                # go through the kernel.
                 cooked = [bytes(packet) for packet in raw_packets]
                 if rows:
                     cooked.extend(self.backend.matmul(rows, raw_packets, size))
@@ -177,6 +189,22 @@ class _VandermondeCodec:
         if OBS.enabled:
             OBS.metrics.counter("rs.encodes").labels(backend=self.backend.name).inc()
         return cooked
+
+    def encode_into(
+        self, raw_packets: Sequence[bytes], out: Union[bytearray, memoryview]
+    ) -> None:
+        """Write the :meth:`encode_rows` packets back to back into *out*.
+
+        The buffer-reuse form of :meth:`encode` for a caller that lays
+        the clear packets down itself: *out* must hold
+        ``len(encode_rows()) · size`` bytes, and receives exactly the
+        last cooked packets :meth:`encode` would return.
+        """
+        size = self._packet_size(raw_packets)
+        with timed("rs.encode"):
+            self.backend.matmul_into(self.encode_rows(), raw_packets, size, out)
+        if OBS.enabled:
+            OBS.metrics.counter("rs.encodes").labels(backend=self.backend.name).inc()
 
     # -- decoding ------------------------------------------------------------
 

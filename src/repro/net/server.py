@@ -51,7 +51,6 @@ from repro.broadcast.scheduler import CarouselScheduler
 from repro.net.wire import (
     MSG_DONE,
     MSG_ERROR,
-    MSG_FRAME,
     MSG_HELLO,
     MSG_MANIFEST,
     MSG_NEXT_ROUND,
@@ -61,7 +60,6 @@ from repro.net.wire import (
     WireError,
     decode_json,
     encode_json,
-    encode_message,
     read_expected,
 )
 from repro.obs.flight import DEFAULT_FLIGHT_EVENTS, FlightRecorder
@@ -74,7 +72,7 @@ from repro.obs.slo import (
     SLOTracker,
 )
 from repro.obs.trace import NET_CONN_CLOSE, NET_CONN_OPEN, NET_FLIGHT_DUMP, NET_ROUND_SERVED
-from repro.prep.prepare import PreparedDocument
+from repro.prep.prepare import PreparedDocument, WireFrames
 from repro.prep.request import DeliveryMode, PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT, TransferEngine
 
@@ -141,13 +139,13 @@ class _BoundedSender:
     blocked producer can never deadlock; the failure resurfaces on the
     next ``send``/``flush``.
 
-    ``send_many`` is the vectored path: it coalesces a sequence of
-    prebuilt wire envelopes (bytes or memoryview slices) into joined
-    writes of at most ``batch_bytes`` each — one ``b"".join`` copy at
-    the socket boundary and one queue slot / ``drain()`` per batch
-    instead of per frame.  Backpressure is preserved: a batch is one
-    queue item, so a slow reader still caps queued memory at roughly
-    ``capacity × batch_bytes``.
+    ``send_many`` is the vectored path: it coalesces prebuilt wire
+    envelopes into writes of at most ``batch_bytes`` each — one queue
+    slot / ``drain()`` per batch instead of per frame, and for a
+    cooked document's envelope arena a batch of consecutive sequences
+    is a zero-copy slice of it.  Backpressure is preserved: a batch
+    is one queue item, so a slow reader still caps queued memory at
+    roughly ``capacity × batch_bytes``.
     """
 
     def __init__(
@@ -181,35 +179,30 @@ class _BoundedSender:
         await self._put(data)
 
     async def send_many(
-        self, chunks: Sequence[Union[bytes, memoryview]]
+        self, envelopes: WireFrames, sequences: Sequence[int]
     ) -> Tuple[int, int]:
-        """Queue *chunks* as coalesced batches; returns (batches, bytes).
+        """Queue the envelopes of *sequences* as coalesced batches.
 
-        Consecutive chunks are joined until adding the next one would
-        exceed ``batch_bytes`` (a single oversized chunk still goes
-        out alone).  Each batch is written to the socket with one
-        ``write`` + ``drain``.
+        Returns (batches, bytes).  *sequences* must be increasing.
+        Every envelope of an arena has the same length, so a batch is
+        the next ``batch_bytes // stride`` sequences (at least one),
+        written to the socket with one ``write`` + ``drain``.  A batch
+        of consecutive sequences is queued as one zero-copy span of
+        the arena; only a batch broken by resume gaps is joined.
         """
         if self._failure is not None:
             raise self._failure
+        per_batch = max(1, self._batch_bytes // envelopes.stride)
         batches = 0
-        total = 0
-        group: List[Union[bytes, memoryview]] = []
-        group_size = 0
-        for chunk in chunks:
-            length = len(chunk)
-            if group and group_size + length > self._batch_bytes:
-                await self._put(b"".join(group))
-                batches += 1
-                group = []
-                group_size = 0
-            group.append(chunk)
-            group_size += length
-            total += length
-        if group:
-            await self._put(b"".join(group))
+        for start in range(0, len(sequences), per_batch):
+            batch = sequences[start : start + per_batch]
+            if batch[-1] - batch[0] == len(batch) - 1:
+                data = envelopes.span(batch[0], batch[-1] + 1)
+            else:
+                data = b"".join(envelopes[sequence] for sequence in batch)
+            await self._put(data)
             batches += 1
-        return batches, total
+        return batches, len(sequences) * envelopes.stride
 
     def try_send(self, data: Union[bytes, memoryview]) -> bool:
         """Non-blocking send for the broadcast path.
@@ -810,15 +803,13 @@ class NetServer:
         )
         state.flight.record("manifest", m=prepared.m, n=prepared.n, skip=len(skip))
 
-        # Serialize once per connection (and, for preparation-service
-        # stores, once per *cooked document*: the envelopes are cached
-        # next to the cooked packets, so a cache hit re-serializes
-        # nothing and every round below is pure buffer handoff).
         controller: Optional[AdaptiveRedundancyController] = None
         if self.adaptive_gamma:
             controller = self._gamma_controller(state.transfer_id, prepared.m)
 
-        envelopes = self._wire_envelopes(prepared)
+        # The envelopes are the cooked document's arena, serialized
+        # once at cook time: every round below is pure buffer handoff.
+        envelopes = prepared.wire_frames()
         while True:
             missing = [
                 sequence
@@ -858,12 +849,12 @@ class NetServer:
                         "net.adaptive.frames_saved",
                         "redundant frames withheld by adaptive γ",
                     ).inc(saved)
-                to_send = [envelopes[sequence] for sequence in missing[:send_count]]
+                to_send = missing[:send_count]
             else:
-                to_send = [envelopes[sequence] for sequence in missing]
+                to_send = missing
             sent = len(to_send)
             if self.batch_send:
-                batches, batched_bytes = await sender.send_many(to_send)
+                batches, batched_bytes = await sender.send_many(envelopes, to_send)
                 self.stats["batches_sent"] += batches
                 if OBS.enabled and sent:
                     OBS.metrics.counter(
@@ -876,8 +867,8 @@ class NetServer:
                         "net.send.batches", "coalesced socket writes"
                     ).inc(batches)
             else:
-                for envelope in to_send:
-                    await sender.send(envelope)
+                for sequence in to_send:
+                    await sender.send(envelopes[sequence])
                 self.stats["batches_sent"] += sent
             self.stats["frames_sent"] += sent
             self.stats["rounds_served"] += 1
@@ -1102,20 +1093,6 @@ class NetServer:
         except KeyError:
             # UnknownDocumentError (or any KeyError-style miss).
             return None
-
-    @staticmethod
-    def _wire_envelopes(prepared) -> Sequence[Union[bytes, memoryview]]:
-        """Complete MSG_FRAME wire images for *prepared*, in sequence order.
-
-        Prefers the precomputed envelopes a :mod:`repro.prep` document
-        caches next to its cooked packets (zero serialization on this
-        path); any store object exposing only ``frames()`` gets the
-        legacy per-connection ``encode_message`` fallback.
-        """
-        wire_frames = getattr(prepared, "wire_frames", None)
-        if callable(wire_frames):
-            return wire_frames()
-        return [encode_message(MSG_FRAME, wire) for wire in prepared.frames()]
 
     @staticmethod
     def _valid_sequences(have: Iterable[object], n: int) -> Set[int]:

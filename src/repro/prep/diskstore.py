@@ -7,8 +7,9 @@ restarts — and sibling worker processes sharing one cache root — serve
 previously-cooked content without re-running the pipeline or the
 encode.  The unit of storage is a **bundle**: the complete wire image
 of one prepared document, i.e. exactly the ``MSG_FRAME`` envelope
-arena that :meth:`~repro.prep.prepare.PreparedDocument.wire_frames`
-serves, plus a JSON header carrying everything needed to rebuild the
+arena a :class:`~repro.coding.packets.CookedDocument` stores and
+:meth:`~repro.prep.prepare.PreparedDocument.wire_frames` serves, plus
+a JSON header carrying everything needed to rebuild the
 :class:`~repro.prep.prepare.PreparedDocument` around it.
 
 Bundle file format (version ``RPB1``, all integers big-endian)::
@@ -20,7 +21,11 @@ Bundle file format (version ``RPB1``, all integers big-endian)::
                             measure, backend, content_profile,
                             frame_count, arena_bytes
     ...        arena        frame_count MSG_FRAME wire envelopes,
-                            back to back (the zero-copy serving arena)
+                            back to back (the zero-copy serving arena);
+                            every envelope is exactly
+                            stride = packet_size + 9 bytes (4 length,
+                            1 type, 2 seq, payload, 2 CRC), so
+                            arena_bytes = n · stride
     last 32    checksum     SHA-256 over every preceding byte
 
 Safety discipline:
@@ -33,9 +38,15 @@ Safety discipline:
   before trusting a byte; a failed check (torn rename-less write,
   bit rot, truncation) **quarantines** the file under
   ``<root>/quarantine/`` and reports a miss, so the caller re-cooks;
-* **zero-copy reads** — a verified bundle is ``mmap``-ed and its
-  envelopes are served as memoryview slices of the mapping, the same
-  shape the in-memory arena path produces;
+* **structural checks** — a bundle whose frame count is not ``n``,
+  whose arena size disagrees with its header, or whose envelopes are
+  truncated, mistyped, shorter than the frame overhead, of a length
+  other than the stride, or followed by trailing bytes is rejected
+  like a checksum failure;
+* **zero-copy reads** — a verified bundle is ``mmap``-ed and the
+  read-only mapping becomes the document's arena through the same
+  :class:`~repro.coding.packets.CookedDocument` constructor a fresh
+  cook uses, so disk hits and in-memory hits share one code path;
 * **cross-process single-flight** — :meth:`lock` takes an exclusive
   ``flock`` on a per-bundle lock file, so N workers missing the same
   key cook it exactly once cluster-wide (the losers block, then find
@@ -56,14 +67,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.coding.packets import CookedDocument
-from repro.coding.rs import RabinDispersal, SystematicRSCodec
-from repro.obs.runtime import OBS
-from repro.prep.prepare import (
+from repro.coding.packets import (
     _ENVELOPE_OVERHEAD,
     _FRAME_MSG_TYPE,
-    PreparedDocument,
+    FRAME_OVERHEAD,
+    CookedDocument,
+    envelope_stride,
 )
+from repro.coding.rs import RabinDispersal, SystematicRSCodec
+from repro.obs.runtime import OBS
+from repro.prep.prepare import PreparedDocument
 
 #: Bundle format magic + version (bump on any layout change).
 BUNDLE_MAGIC = b"RPB1"
@@ -166,8 +179,8 @@ class DiskCookedStore:
 
     def put(self, key: Tuple, prepared: PreparedDocument) -> Path:
         """Persist *prepared* as the bundle for *key* (atomic, fsynced)."""
-        envelopes = prepared.wire_frames()
         cooked = prepared.cooked
+        arena = cooked.arena
         header = {
             "version": 1,
             "document_id": prepared.document_id,
@@ -182,8 +195,8 @@ class DiskCookedStore:
                 getattr(cooked.codec, "backend", None), "name", ""
             ),
             "content_profile": list(prepared.content_profile),
-            "frame_count": len(envelopes),
-            "arena_bytes": sum(len(view) for view in envelopes),
+            "frame_count": prepared.n,
+            "arena_bytes": len(arena),
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         path = self.bundle_path(key)
@@ -199,9 +212,8 @@ class DiskCookedStore:
                 ):
                     hasher.update(chunk)
                     handle.write(chunk)
-                for view in envelopes:
-                    hasher.update(view)
-                    handle.write(view)
+                hasher.update(arena)
+                handle.write(arena)
                 handle.write(hasher.digest())
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -283,30 +295,29 @@ class DiskCookedStore:
         except (ValueError, KeyError, TypeError):
             self._reject(path, window)
             return None
-        # Anchor the mapping to the cooked document: the served
-        # memoryviews stay valid for as long as the entry is cached.
-        prepared.cooked._disk_mmap = mapped
+        # The arena view references the mapping, so the served slices
+        # stay valid for as long as the entry is cached.
         return prepared
 
     @staticmethod
     def _rebuild(
         header: Dict[str, Any], arena: memoryview
     ) -> PreparedDocument:
-        """A PreparedDocument whose frames/envelopes view the mapping.
+        """A PreparedDocument whose arena is the mapped bundle bytes.
 
-        Raises ``ValueError`` on any structural inconsistency — the
-        caller folds that into the quarantine path.
+        Walks the envelopes once to check the structure, then hands
+        the mapping to the same :class:`CookedDocument` constructor a
+        fresh cook uses.  Raises ``ValueError`` on any structural
+        inconsistency — the caller folds that into the quarantine path.
         """
         m = int(header["m"])
         n = int(header["n"])
         frame_count = int(header["frame_count"])
+        stride = envelope_stride(int(header["packet_size"]))
         if frame_count != n:
             raise ValueError("frame count does not match n")
         if len(arena) != int(header["arena_bytes"]):
             raise ValueError("arena size mismatch")
-        envelopes: List[memoryview] = []
-        frames: List[memoryview] = []
-        cooked_payloads: List[memoryview] = []
         offset = 0
         for _ in range(frame_count):
             if offset + _ENVELOPE_OVERHEAD > len(arena):
@@ -315,13 +326,11 @@ class DiskCookedStore:
             total = 4 + length
             if arena[offset + 4] != _FRAME_MSG_TYPE or offset + total > len(arena):
                 raise ValueError("malformed envelope")
-            envelopes.append(arena[offset : offset + total])
-            frame = arena[offset + _ENVELOPE_OVERHEAD : offset + total]
-            frames.append(frame)
             # frame = seq(2) + payload + crc(2); see repro.coding.packets.
-            if len(frame) < 4:
+            if length - 1 < FRAME_OVERHEAD:
                 raise ValueError("frame shorter than its overhead")
-            cooked_payloads.append(frame[2 : len(frame) - 2])
+            if total != stride:
+                raise ValueError("envelope length differs from the stride")
             offset += total
         if offset != len(arena):
             raise ValueError("trailing bytes after the last envelope")
@@ -329,17 +338,12 @@ class DiskCookedStore:
         codec_cls = (
             SystematicRSCodec if header.get("systematic", True) else RabinDispersal
         )
-        codec = codec_cls(m, n, backend=backend)
         cooked = CookedDocument(
             original_size=int(header["original_size"]),
             packet_size=int(header["packet_size"]),
-            codec=codec,
-            cooked=cooked_payloads,
+            codec=codec_cls(m, n, backend=backend),
+            arena=arena,
         )
-        # Pre-seed both serving caches with the mapped views so a disk
-        # hit is exactly as zero-copy as an in-memory one.
-        cooked._frames = frames
-        cooked._wire_envelopes = envelopes
         return PreparedDocument(
             str(header["document_id"]),
             cooked,

@@ -19,45 +19,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.coding.packets import CookedDocument, Packetizer
+from repro.coding.packets import ArenaSlices, CookedDocument, Packetizer, WireFrames
+
+# The MSG_FRAME envelope constants live next to the cook that writes
+# envelopes; tests/test_net_wire.py pins them here against repro.net.wire.
+from repro.coding.packets import _ENVELOPE_OVERHEAD, _FRAME_MSG_TYPE  # noqa: F401
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → prep)
     from repro.core.multires import ScheduledSegment, TransmissionSchedule
-
-#: Wire-envelope constants for MSG_FRAME messages, duplicated from
-#: :mod:`repro.net.wire` because the layering DAG forbids prep → net.
-#: tests/test_net_wire.py asserts byte parity between the two, so a
-#: drift in either is caught immediately.
-_FRAME_MSG_TYPE = 0x03
-_ENVELOPE_OVERHEAD = 5  # 4-byte length prefix + 1-byte message type
-
-
-def _build_envelopes(frames: Sequence[bytes]) -> List[memoryview]:
-    """Prebuilt MSG_FRAME wire envelopes, packed into one arena.
-
-    Each frame's complete wire image — length prefix, message type,
-    frame bytes — is laid down back-to-back in a single contiguous
-    buffer; the returned memoryviews slice it per frame.  A cache hit
-    then serves with zero serialization work: the server hands these
-    slices straight to the socket (or coalesces several into one
-    write) without touching the payload bytes again.
-    """
-    arena = bytearray(
-        sum(len(frame) for frame in frames) + _ENVELOPE_OVERHEAD * len(frames)
-    )
-    views: List[memoryview] = []
-    window = memoryview(arena)
-    offset = 0
-    for frame in frames:
-        total = _ENVELOPE_OVERHEAD + len(frame)
-        window[offset : offset + 4] = (len(frame) + 1).to_bytes(4, "big")
-        window[offset + 4] = _FRAME_MSG_TYPE
-        window[offset + 5 : offset + total] = frame
-        views.append(window[offset : offset + total])
-        offset += total
-    return views
 
 
 class PreparedDocument:
@@ -101,31 +72,26 @@ class PreparedDocument:
 
     @property
     def cooked_bytes(self) -> int:
-        """Total cooked payload bytes (the cache-budget weight)."""
-        return sum(len(packet) for packet in self.cooked.cooked)
+        """Total cooked payload bytes, ``n · packet_size``."""
+        return self.cooked.n * self.cooked.packet_size
 
     @property
     def wire_bytes(self) -> int:
-        """Bytes held by the precomputed wire envelopes."""
-        return sum(len(view) for view in self.wire_frames())
+        """Bytes held by the envelope arena, ``n · stride``."""
+        return self.cooked.n * self.cooked.stride
 
-    def frames(self) -> List[bytes]:
+    def frames(self) -> ArenaSlices:
         return self.cooked.frames()
 
-    def wire_frames(self) -> List[memoryview]:
+    def wire_frames(self) -> WireFrames:
         """Ready-to-send MSG_FRAME envelopes, one per cooked packet.
 
-        Built once per cooked document and cached **on the
-        CookedDocument** (not on this wrapper): the preparation
-        service aliases one cooked set under many request-scoped
-        PreparedDocument identities, and all of them must share the
-        same envelope arena.  Callers treat the views as immutable.
+        Cached **on the CookedDocument** (not on this wrapper): the
+        preparation service aliases one cooked set under many
+        request-scoped PreparedDocument identities, and all of them
+        serve the same read-only arena.
         """
-        envelopes = getattr(self.cooked, "_wire_envelopes", None)
-        if envelopes is None:
-            envelopes = _build_envelopes(self.cooked.frames())
-            self.cooked._wire_envelopes = envelopes
-        return envelopes
+        return self.cooked.wire_frames()
 
 
 class DocumentSender:

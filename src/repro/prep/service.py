@@ -123,15 +123,11 @@ def _sc_size(sc: StructuralCharacteristic) -> int:
 def _cooked_size(prepared: PreparedDocument) -> int:
     """Byte-budget weight of a cached cooked document.
 
-    Counts the precomputed wire-envelope arena alongside the cooked
-    payloads (envelopes live next to the packets for the document's
-    whole cache lifetime) plus the content-profile floats.
+    The bytes the entry actually holds: its envelope arena (the one
+    stored form of the cooked packets, frames and envelopes alike)
+    plus the content-profile floats.
     """
-    return (
-        prepared.cooked_bytes
-        + prepared.wire_bytes
-        + 8 * len(prepared.content_profile)
-    )
+    return prepared.wire_bytes + 8 * len(prepared.content_profile)
 
 
 class PreparationService:

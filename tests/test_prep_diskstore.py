@@ -6,12 +6,15 @@ and a warm restart on the same cache root serves byte-identical wire
 frames without re-running the pipeline (``cooked_misses == 0``).
 """
 
+import hashlib
+import json
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.wire import MSG_FRAME, encode_message
 from repro.prep import PrepRequest
 from repro.prep.diskstore import BUNDLE_MAGIC, QUARANTINE_DIR, key_digest
 
@@ -185,6 +188,93 @@ class TestBitFlips:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
+        warm, pipeline = make_disk_service(tmp_path)
+        assert warm.prepare("doc", REQUEST) is not None
+        assert pipeline.runs == 1
+        assert warm.disk_store.stats["rejected"] == 1
+
+
+def reseal(path, edit_header=None, edit_frames=None, extra=b""):
+    """Rewrite a bundle with edited contents and a *valid* checksum.
+
+    Only the structural checks can then reject it.  *edit_frames*
+    rewrites the list of frames the envelopes are rebuilt from.
+    """
+    data = path.read_bytes()
+    header_len = int.from_bytes(data[4:8], "big")
+    header = json.loads(data[8 : 8 + header_len])
+    arena = data[8 + header_len : -32]
+    if edit_frames is not None:
+        stride = header["packet_size"] + 9
+        frames = [arena[start + 5 : start + stride] for start in range(0, len(arena), stride)]
+        edit_frames(frames)
+        arena = b"".join(encode_message(MSG_FRAME, frame) for frame in frames)
+    arena += extra
+    header["arena_bytes"] = len(arena)
+    if edit_header is not None:
+        edit_header(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = BUNDLE_MAGIC + len(header_bytes).to_bytes(4, "big") + header_bytes + arena
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _unequal_lengths(frames):
+    # Same total size, same count: only the per-envelope lengths differ.
+    frames[0] = frames[0][:-1]
+    frames[1] = frames[1] + b"\x00"
+
+
+def _short_frame(frames):
+    frames[-1] = frames[-1] + frames[0][3:]
+    frames[0] = frames[0][:3]
+
+
+class TestStructuralChecks:
+    """Checksum-valid bundles whose structure is wrong are misses too."""
+
+    @pytest.mark.parametrize(
+        "case, reseal_kwargs",
+        [
+            ("frame_count", {"edit_header": lambda h: h.update(frame_count=h["n"] - 1)}),
+            ("arena_bytes", {"edit_header": lambda h: h.update(arena_bytes=h["arena_bytes"] + 1)}),
+            ("trailing", {"extra": b"\x00" * 3}),
+            ("short_frame", {"edit_frames": _short_frame}),
+            ("unequal_lengths", {"edit_frames": _unequal_lengths}),
+            ("packet_size", {"edit_header": lambda h: h.update(packet_size=h["packet_size"] - 1)}),
+        ],
+    )
+    def test_malformed_bundle_is_quarantined_as_a_miss(
+        self, tmp_path, case, reseal_kwargs
+    ):
+        service, _ = make_disk_service(tmp_path)
+        reference = wire_bytes(service.prepare("doc", REQUEST))
+        reseal(sole_bundle(service.disk_store), **reseal_kwargs)
+
+        warm, pipeline = make_disk_service(tmp_path)
+        assert wire_bytes(warm.prepare("doc", REQUEST)) == reference
+        assert pipeline.runs == 1, case
+        assert warm.disk_store.stats["rejected"] == 1
+        assert warm.disk_store.stats["hits"] == 0
+        assert len(list((tmp_path / QUARANTINE_DIR).iterdir())) == 1
+
+    def test_resealed_bundle_is_accepted_unchanged(self, tmp_path):
+        # The control for the cases above: resealing alone breaks nothing.
+        service, _ = make_disk_service(tmp_path)
+        reference = wire_bytes(service.prepare("doc", REQUEST))
+        reseal(sole_bundle(service.disk_store))
+        warm, pipeline = make_disk_service(tmp_path)
+        assert wire_bytes(warm.prepare("doc", REQUEST)) == reference
+        assert pipeline.runs == 0
+
+    def test_foreign_message_type_is_rejected(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        service.prepare("doc", REQUEST)
+        path = sole_bundle(service.disk_store)
+        data = bytearray(path.read_bytes())
+        header_len = int.from_bytes(data[4:8], "big")
+        data[8 + header_len + 4] = 0x7F  # first envelope's type byte
+        body = bytes(data[:-32])
+        path.write_bytes(body + hashlib.sha256(body).digest())
         warm, pipeline = make_disk_service(tmp_path)
         assert warm.prepare("doc", REQUEST) is not None
         assert pipeline.runs == 1
