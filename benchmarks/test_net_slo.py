@@ -154,7 +154,6 @@ def test_net_loadgen_slo_bursty_adaptive_row():
             store,
             slo_error_budget=ERROR_BUDGET,
             adaptive_gamma=True,
-            initial_loss=0.0,
             gamma_ceiling=3.0,
         ) as server:
             model = parse_model_spec(

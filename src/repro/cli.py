@@ -123,18 +123,9 @@ def cmd_transfer(args) -> int:
     try:
         backend = get_backend(args.coding_backend).name if args.coding_backend else None
         service = PreparationService()
-        document_id = service.add_path(
-            Path(args.path), html=getattr(args, "html", False)
-        )
+        document_id = service.add_path(Path(args.path), html=args.html)
         prepared = service.prepare(
-            document_id,
-            PrepRequest(
-                lod=args.lod,
-                query=getattr(args, "query", "") or "",
-                packet_size=args.packet_size,
-                gamma=args.gamma,
-                backend=backend,
-            ),
+            document_id, _document_request(args).replace(backend=backend)
         )
         if args.chaos_model:
             from repro.channel import parse_model_spec
@@ -188,42 +179,68 @@ def cmd_transfer(args) -> int:
     return 0 if result.success else 1
 
 
-def _default_prep_request(args) -> PrepRequest:
-    """The server-side default preparation parameters from CLI flags."""
+def _document_request(args) -> PrepRequest:
+    """The :class:`PrepRequest` the document flags describe.
+
+    ``transfer`` cooks with it; ``net serve`` makes it the default for
+    clients that send no ``prep`` parameters.
+    """
     return PrepRequest(
         lod=args.lod,
-        query=getattr(args, "query", "") or "",
+        query=args.query,
         packet_size=args.packet_size,
         gamma=args.gamma,
     )
 
 
-def _build_net_store(args) -> PreparationService:
-    """Register every document path with a lazy preparation service.
+def _serve_config(args):
+    """The one :class:`~repro.net.workers.WorkerConfig` of ``net serve``.
 
-    One shared pipeline serves all documents, the CLI ``--query`` /
-    ``--lod`` / ``--gamma`` flags become the service's *default*
-    request (used for clients that send no ``prep`` parameters), and
-    nothing is cooked until the first fetch — unless ``--warmup``
-    prefetches the default request for every document.
+    Nothing is cooked until the first fetch unless ``--warmup`` cooks
+    every document with the default request at start-up.
     """
-    disk_budget_mb = getattr(args, "disk_budget_mb", None)
-    service = PreparationService(
-        default_request=_default_prep_request(args),
-        sc_budget_bytes=args.sc_budget_mb * 1024 * 1024,
-        cooked_budget_bytes=args.cooked_budget_mb * 1024 * 1024,
-        disk_path=getattr(args, "disk_cache", None),
-        disk_budget_bytes=(
-            disk_budget_mb * 1024 * 1024 if disk_budget_mb else None
-        ),
+    from repro.net.workers import HAVE_REUSE_PORT, WorkerConfig
+
+    mib = 1024 * 1024
+    return WorkerConfig(
+        host=args.host,
+        port=args.port,
+        paths=tuple(str(path) for path in args.paths),
+        html=args.html,
+        default_request=_document_request(args),
+        sc_budget_bytes=args.sc_budget_mb * mib,
+        cooked_budget_bytes=args.cooked_budget_mb * mib,
+        disk_root=args.disk_cache,
+        disk_budget_bytes=args.disk_budget_mb * mib if args.disk_budget_mb else None,
+        warmup=args.warmup,
+        max_rounds=args.max_rounds,
+        round_timeout=args.round_timeout,
+        adaptive_gamma=args.adaptive_gamma,
+        gamma_floor=args.gamma_floor,
+        gamma_ceiling=args.gamma_ceiling,
+        # A lone server binds its port exclusively; only the workers
+        # of a pool share one.
+        reuse_port=HAVE_REUSE_PORT and args.workers > 1,
     )
+
+
+def _broker_store(args):
+    """``--via-broker``: every fetch is one invocation of the prototype ORB."""
+    from repro.prototype.broker import ObjectRequestBroker
+    from repro.prototype.netmode import BrokerDocumentStore
+    from repro.prototype.server import DatabaseGateway, DocumentTransmitterService
+
+    gateway = DatabaseGateway()
     for path in args.paths:
-        document_id = service.add_path(Path(path), html=getattr(args, "html", False))
-        print(f"serving {document_id!r} from {path}")
-    if args.warmup:
-        count = service.warmup()
-        print(f"warmed up {count} document(s) with the default request")
-    return service
+        document_id = Path(path).stem
+        gateway.put(document_id, Path(path).read_text(encoding="utf-8"))
+        print(f"serving {document_id!r} from {path} (via broker)")
+    broker = ObjectRequestBroker()
+    broker.register(
+        "transmitter",
+        DocumentTransmitterService(gateway, packet_size=args.packet_size),
+    )
+    return BrokerDocumentStore(broker, request=_document_request(args))
 
 
 def _serve_workers(args) -> int:
@@ -238,46 +255,22 @@ def _serve_workers(args) -> int:
     import asyncio
     import signal
     import tempfile
+    from dataclasses import replace
 
     from repro.net.stats_http import StatsHTTP
-    from repro.net.workers import HAVE_REUSE_PORT, WorkerConfig, WorkerPool
+    from repro.net.workers import WorkerPool, build_worker_service
 
-    disk_root = getattr(args, "disk_cache", None)
-    if disk_root is None:
+    config = _serve_config(args)
+    if config.disk_root is None:
         # Workers without a shared tier would each cook their own copy
         # of everything; an ephemeral root restores sharing.
-        disk_root = tempfile.mkdtemp(prefix="repro-net-cache-")
-        print(f"no --disk-cache given; using ephemeral {disk_root}")
-    disk_budget_mb = getattr(args, "disk_budget_mb", None)
-    disk_budget = disk_budget_mb * 1024 * 1024 if disk_budget_mb else None
-    if args.warmup:
-        service = PreparationService(
-            default_request=_default_prep_request(args),
-            disk_path=disk_root,
-            disk_budget_bytes=disk_budget,
-        )
-        for path in args.paths:
-            service.add_path(Path(path), html=getattr(args, "html", False))
-        count = service.warmup()
-        print(f"warmed {count} document(s) into the shared disk tier")
-    config = WorkerConfig(
-        host=args.host,
-        port=args.port,
-        paths=tuple(str(path) for path in args.paths),
-        html=getattr(args, "html", False),
-        default_request=_default_prep_request(args),
-        sc_budget_bytes=args.sc_budget_mb * 1024 * 1024,
-        cooked_budget_bytes=args.cooked_budget_mb * 1024 * 1024,
-        disk_root=disk_root,
-        disk_budget_bytes=disk_budget,
-        warmup=False,  # cooked once above, served from disk below
-        max_rounds=args.max_rounds,
-        round_timeout=args.round_timeout,
-        adaptive_gamma=getattr(args, "adaptive_gamma", False),
-        gamma_floor=getattr(args, "gamma_floor", 1.0),
-        gamma_ceiling=getattr(args, "gamma_ceiling", 3.0),
-    )
-    pool = WorkerPool(config, args.workers)
+        config = replace(config, disk_root=tempfile.mkdtemp(prefix="repro-net-cache-"))
+        print(f"no --disk-cache given; using ephemeral {config.disk_root}")
+    if config.warmup:
+        service = build_worker_service(config)
+        print(f"warmed {len(service)} document(s) into the shared disk tier")
+    # Cooked once above, served from disk below.
+    pool = WorkerPool(replace(config, warmup=False), args.workers)
     pool.start()
     mode = "SO_REUSEPORT" if pool.config.reuse_port else "shared listener"
     print(
@@ -296,7 +289,7 @@ def _serve_workers(args) -> int:
             except (NotImplementedError, ValueError):
                 pass
         metrics_http = None
-        if getattr(args, "metrics_port", None) is not None:
+        if args.metrics_port is not None:
             metrics_http = StatsHTTP(
                 lambda: pool.stats_snapshot(timeout=2.0),
                 args.host,
@@ -341,16 +334,16 @@ def cmd_net_serve(args) -> int:
     """Serve cooked documents over TCP until interrupted."""
     import asyncio
 
-    from repro.net.server import NetServer
+    from repro.net.workers import build_server, build_worker_service
 
-    if getattr(args, "carousel", False) and getattr(args, "via_broker", False):
+    if args.carousel and args.via_broker:
         print("error: --carousel is not supported with --via-broker")
         return 2
-    if getattr(args, "workers", 1) > 1:
-        if getattr(args, "via_broker", False):
+    if args.workers > 1:
+        if args.via_broker:
             print("error: --workers is not supported with --via-broker")
             return 2
-        if getattr(args, "carousel", False):
+        if args.carousel:
             # Each worker would air its own independent stream; one
             # shared carousel across processes needs a shared medium.
             print("error: --carousel is not supported with --workers > 1")
@@ -358,38 +351,17 @@ def cmd_net_serve(args) -> int:
         return _serve_workers(args)
 
     async def _serve() -> int:
-        if getattr(args, "via_broker", False):
-            if getattr(args, "adaptive_gamma", False):
-                print("warning: --adaptive-gamma is not supported with --via-broker")
-            from repro.prototype.broker import ObjectRequestBroker
-            from repro.prototype.netmode import serve_broker
-            from repro.prototype.server import (
-                DatabaseGateway,
-                DocumentTransmitterService,
-            )
-
-            gateway = DatabaseGateway()
-            for path in args.paths:
-                document_id = Path(path).stem
-                gateway.put(document_id, Path(path).read_text(encoding="utf-8"))
-                print(f"serving {document_id!r} from {path} (via broker)")
-            broker = ObjectRequestBroker()
-            broker.register(
-                "transmitter",
-                DocumentTransmitterService(gateway, packet_size=args.packet_size),
-            )
-            server = await serve_broker(
-                broker,
-                args.host,
-                args.port,
-                request=_default_prep_request(args),
-                max_rounds=args.max_rounds,
-                round_timeout=args.round_timeout,
-            )
+        config = _serve_config(args)
+        carousel = None
+        if args.via_broker:
+            store = _broker_store(args)
         else:
-            store = _build_net_store(args)
-            carousel = None
-            if getattr(args, "carousel", False):
+            store = build_worker_service(config)
+            for path in config.paths:
+                print(f"serving {Path(path).stem!r} from {path}")
+            if config.warmup:
+                print(f"warmed up {len(store)} document(s) with the default request")
+            if args.carousel:
                 from repro.broadcast import CarouselScheduler
 
                 carousel = CarouselScheduler.from_service(
@@ -403,39 +375,24 @@ def cmd_net_serve(args) -> int:
                     f"{carousel.period_slots} slot(s)/cycle "
                     f"({args.carousel_schedule})"
                 )
-            server = NetServer(
-                store,
-                args.host,
-                args.port,
-                max_rounds=args.max_rounds,
-                round_timeout=args.round_timeout,
-                adaptive_gamma=getattr(args, "adaptive_gamma", False),
-                gamma_floor=getattr(args, "gamma_floor", 1.0),
-                gamma_ceiling=getattr(args, "gamma_ceiling", 3.0),
-                carousel=carousel,
+        server = build_server(config, store, carousel=carousel)
+        await server.start()
+        if config.adaptive_gamma:
+            print(
+                f"adaptive gamma on "
+                f"(floor={config.gamma_floor:g} ceiling={config.gamma_ceiling:g})"
             )
-            await server.start()
-            if getattr(args, "adaptive_gamma", False):
-                print(
-                    f"adaptive gamma on "
-                    f"(floor={args.gamma_floor:g} ceiling={args.gamma_ceiling:g})"
-                )
         print(f"listening on {server.host}:{server.port} (ctrl-c to stop)")
         metrics_http = None
-        if getattr(args, "metrics_port", None) is not None:
-            if not hasattr(server, "stats_snapshot"):
-                print("warning: --metrics-port is not supported with --via-broker")
-            else:
-                from repro.net.stats_http import StatsHTTP
+        if args.metrics_port is not None:
+            from repro.net.stats_http import StatsHTTP
 
-                metrics_http = StatsHTTP(
-                    server.stats_snapshot, args.host, args.metrics_port
-                )
-                await metrics_http.start()
-                print(
-                    f"metrics on http://{metrics_http.host}:{metrics_http.port}"
-                    "/metrics (also /stats.json, /healthz)"
-                )
+            metrics_http = StatsHTTP(server.stats_snapshot, args.host, args.metrics_port)
+            await metrics_http.start()
+            print(
+                f"metrics on http://{metrics_http.host}:{metrics_http.port}"
+                "/metrics (also /stats.json, /healthz)"
+            )
         try:
             await asyncio.Event().wait()
         except asyncio.CancelledError:
@@ -725,6 +682,13 @@ def cmd_figure(args) -> int:
     return 0
 
 
+#: ``--chaos-model`` help shared by ``transfer`` and ``net loadgen``.
+CHAOS_MODEL_HELP = (
+    "channel model: iid:drop=0.1,corrupt=0.2 | gilbert:alpha=0.2,burst=5 | "
+    "trace:FILE.json (seeded by --seed)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -765,31 +729,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--success", type=float, default=0.95)
     p_plan.set_defaults(func=cmd_plan)
 
+    def add_document_flags(p) -> None:
+        """How a document is prepared: ``transfer`` and ``net serve``.
+
+        The flags build :func:`_document_request` plus the round bound.
+        """
+        p.add_argument("--html", action="store_true", help="treat input as HTML")
+        p.add_argument("--query", default="", help="query for MQIC ordering")
+        p.add_argument("--lod", default="paragraph",
+                       choices=[lod.name.lower() for lod in LOD])
+        p.add_argument("--gamma", type=float, default=1.5)
+        p.add_argument("--packet-size", type=int, default=256)
+        p.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
+                       metavar="N",
+                       help="retransmission-round bound before giving up "
+                            f"(default: {DEFAULT_MAX_ROUNDS})")
+
     p_xfer = sub.add_parser("transfer", help="simulate one document transfer")
     p_xfer.add_argument("path")
-    p_xfer.add_argument("--html", action="store_true")
-    p_xfer.add_argument("--query", default="")
-    p_xfer.add_argument("--lod", default="paragraph",
-                        choices=[lod.name.lower() for lod in LOD])
-    p_xfer.add_argument("--alpha", type=float, default=0.1)
-    p_xfer.add_argument("--gamma", type=float, default=1.5)
+    add_document_flags(p_xfer)
+    p_xfer.add_argument("--alpha", type=float, default=0.1,
+                        help="i.i.d. frame-loss rate (replaced by --chaos-model)")
     p_xfer.add_argument("--bandwidth", type=float, default=19.2)
-    p_xfer.add_argument("--packet-size", type=int, default=256)
     p_xfer.add_argument("--seed", type=int, default=0)
     p_xfer.add_argument("--cache", action="store_true", help="enable the packet cache")
     p_xfer.add_argument("--stop-at", type=float, default=None,
                         help="relevance threshold F for early termination")
-    p_xfer.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS,
-                        metavar="N",
-                        help="retransmission-round bound before giving up "
-                             f"(default: {DEFAULT_MAX_ROUNDS})")
     p_xfer.add_argument("--trace", default=None, metavar="PATH",
                         help="record a telemetry trace to PATH (JSON Lines)")
     p_xfer.add_argument("--chaos-model", default=None, metavar="SPEC",
-                        help="channel model replacing the i.i.d. --alpha one: "
-                             "iid:drop=0.1,corrupt=0.2 | "
-                             "gilbert:alpha=0.2,burst=5 | trace:FILE.json "
-                             "(seeded by --seed)")
+                        help=CHAOS_MODEL_HELP)
     p_xfer.add_argument(
         "--coding-backend",
         default=None,
@@ -816,16 +785,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = net_sub.add_parser("serve", help="serve cooked documents over TCP")
     p_serve.add_argument("paths", nargs="+", help="XML document file(s) to serve")
-    p_serve.add_argument("--html", action="store_true", help="treat inputs as HTML")
+    add_document_flags(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8642,
                          help="listen port (0 picks a free port)")
-    p_serve.add_argument("--query", default="", help="query for MQIC ordering")
-    p_serve.add_argument("--lod", default="paragraph",
-                         choices=[lod.name.lower() for lod in LOD])
-    p_serve.add_argument("--gamma", type=float, default=1.5)
-    p_serve.add_argument("--packet-size", type=int, default=256)
-    p_serve.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
     p_serve.add_argument("--round-timeout", type=float,
                          default=DEFAULT_ROUND_TIMEOUT, metavar="SECONDS")
     p_serve.add_argument("--via-broker", action="store_true",
@@ -929,10 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "across N processes so client-side CPU stops "
                              "capping the measured rate (default: 1)")
     p_load.add_argument("--chaos-model", default=None, metavar="SPEC",
-                        help="channel model for the proxy: "
-                             "iid:drop=0.1,corrupt=0.2 | "
-                             "gilbert:alpha=0.2,burst=5 | trace:FILE.json "
-                             "(seeded by --seed)")
+                        help=CHAOS_MODEL_HELP)
     p_load.add_argument("--seed", type=int, default=0,
                         help="chaos channel-model seed")
     p_load.add_argument("--error-budget", type=float, default=0.05,

@@ -12,11 +12,11 @@ I/O discipline the paper's broker needs on a weak link:
 * a **bounded send queue** per connection — the handler blocks when a
   slow reader stops draining the socket, so a stalled client holds at
   most ``send_queue_frames`` queued writes of server memory
-  (backpressure, not buffering).  With the default vectored send path
-  each queued write is a coalesced batch of at most
-  ``send_batch_bytes`` bytes — a whole round usually goes out as a
-  handful of ``write``/``drain`` pairs over cached wire envelopes,
-  with the byte bound ``send_queue_frames × send_batch_bytes``;
+  (backpressure, not buffering).  Each queued write is a coalesced
+  batch of at most ``send_batch_bytes`` bytes — a whole round usually
+  goes out as a handful of ``write``/``drain`` pairs over cached wire
+  envelopes, with the byte bound ``send_queue_frames ×
+  send_batch_bytes``;
 * **idle/stall timeouts** — every wait on the peer is bounded by the
   shared :data:`repro.protocol.DEFAULT_ROUND_TIMEOUT`, and total
   rounds by :data:`repro.protocol.DEFAULT_MAX_ROUNDS`;
@@ -43,7 +43,7 @@ import asyncio
 import math
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.ewma import AdaptiveRedundancyController
 
@@ -65,12 +65,7 @@ from repro.net.wire import (
 from repro.obs.flight import DEFAULT_FLIGHT_EVENTS, FlightRecorder
 from repro.obs.live import TraceContext
 from repro.obs.runtime import OBS
-from repro.obs.slo import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_SLO_WINDOW,
-    DEFAULT_TARGET_SECONDS,
-    SLOTracker,
-)
+from repro.obs.slo import DEFAULT_ERROR_BUDGET, SLOTracker
 from repro.obs.trace import NET_CONN_CLOSE, NET_CONN_OPEN, NET_FLIGHT_DUMP, NET_ROUND_SERVED
 from repro.prep.prepare import PreparedDocument, WireFrames
 from repro.prep.request import DeliveryMode, PrepRequest
@@ -106,14 +101,21 @@ SEND_BATCH_BYTES = 64 * 1024
 #: estimate where the severed connection left it.
 MAX_GAMMA_CONTROLLERS = 256
 
+#: EWMA weight of each round's loss observation in the adaptive γ
+#: controller.
+GAMMA_WEIGHT = 0.3
+
+#: Loss-rate prior of a client's γ controller before any feedback.
+INITIAL_LOSS = 0.0
+
 
 class DocumentStore:
-    """Trivial in-memory document_id → :class:`PreparedDocument` store.
+    """In-memory store of pre-cooked documents.
 
-    Anything with a ``get(document_id)`` returning a
-    ``PreparedDocument`` or ``None`` satisfies the server's store
-    contract (a plain dict works); this class exists for the common
-    case and for symmetry with the prototype's gateway-backed store.
+    Satisfies the server's one store contract,
+    ``prepare(document_id, request)``, by ignoring *request*: every
+    client gets the bytes cooked before :meth:`add`.  An unknown
+    document raises :class:`KeyError`, like every store.
     """
 
     def __init__(self) -> None:
@@ -122,8 +124,10 @@ class DocumentStore:
     def add(self, prepared: PreparedDocument) -> None:
         self._documents[prepared.document_id] = prepared
 
-    def get(self, document_id: str) -> Optional[PreparedDocument]:
-        return self._documents.get(document_id)
+    def prepare(
+        self, document_id: str, request: Optional[PrepRequest] = None
+    ) -> PreparedDocument:
+        return self._documents[document_id]
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -333,11 +337,12 @@ class NetServer:
     Parameters
     ----------
     store:
-        ``get(document_id) -> Optional[PreparedDocument]`` provider.
-        Stores that also expose ``prepare(document_id, request)`` —
-        e.g. :class:`~repro.prep.service.PreparationService` — cook on
-        demand per the client's ``HELLO`` ``prep`` parameters, off the
-        event loop.
+        ``prepare(document_id, request) -> PreparedDocument`` provider,
+        called off the event loop with the client's ``HELLO`` ``prep``
+        parameters (``None`` when it sent none).  An unknown document
+        raises :class:`KeyError`.  :class:`DocumentStore` serves
+        pre-cooked documents; :class:`~repro.prep.service.PreparationService`
+        cooks on demand.
     host, port:
         Bind address; port 0 picks a free port (read :attr:`port`
         after :meth:`start`).
@@ -347,16 +352,16 @@ class NetServer:
         Wall-clock bound on every wait for the peer (seconds).
     send_queue_frames:
         Capacity of the per-connection bounded send queue (measured in
-        queued writes; under batching one write is one batch).
-    batch_send:
-        When True (default) the frames of each round are coalesced
-        into joined socket writes of at most *send_batch_bytes* each;
-        False restores the one-write-per-frame path (useful for
-        comparative tests — the bytes on the wire are identical).
+        queued writes; one write is one coalesced batch).
     send_batch_bytes:
-        Coalescing bound for the vectored send path.
-    slo_target_seconds, slo_error_budget, slo_window:
-        Rolling SLO parameters (see :class:`~repro.obs.slo.SLOTracker`).
+        Coalescing bound: the frames of each round are joined into
+        socket writes of at most this many bytes (at least one frame
+        each, so ``1`` writes one frame per syscall — the bytes on the
+        wire are identical either way).
+    slo_error_budget:
+        Error budget of the rolling SLO (see
+        :class:`~repro.obs.slo.SLOTracker`; window and latency target
+        are its defaults).
     flight_events:
         Ring capacity of each connection's flight recorder.
     adaptive_gamma:
@@ -371,11 +376,9 @@ class NetServer:
         ``gamma_ceiling``.  Controllers are keyed by transfer ID, so a
         reconnecting client keeps its channel estimate.
     gamma_floor, gamma_ceiling:
-        Clamp on the adaptive γ (floor must be ≥ 1).
-    gamma_weight:
-        EWMA weight for per-round loss observations.
-    initial_loss:
-        Prior loss-rate estimate before any feedback arrives.
+        Clamp on the adaptive γ (floor must be ≥ 1).  The EWMA weight
+        and loss prior are :data:`GAMMA_WEIGHT` and
+        :data:`INITIAL_LOSS`.
     carousel:
         Optional :class:`~repro.broadcast.CarouselScheduler`.  When
         given, the server runs a broadcast channel next to the unicast
@@ -385,10 +388,8 @@ class NetServer:
         for ``delivery=carousel``).  Fan-out is non-blocking — a
         subscriber whose send queue is full misses the slot and
         recovers on a later cycle — so one slow reader never stalls
-        the shared stream.
-    carousel_interval:
-        Pause between carousel cycles (seconds; 0 airs back-to-back,
-        yielding to the event loop each slot).
+        the shared stream.  Cycles air back-to-back, yielding to the
+        event loop each slot.
     """
 
     def __init__(
@@ -400,19 +401,13 @@ class NetServer:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         round_timeout: float = DEFAULT_ROUND_TIMEOUT,
         send_queue_frames: int = 32,
-        batch_send: bool = True,
         send_batch_bytes: int = SEND_BATCH_BYTES,
-        slo_target_seconds: float = DEFAULT_TARGET_SECONDS,
         slo_error_budget: float = DEFAULT_ERROR_BUDGET,
-        slo_window: int = DEFAULT_SLO_WINDOW,
         flight_events: int = DEFAULT_FLIGHT_EVENTS,
         adaptive_gamma: bool = False,
         gamma_floor: float = 1.0,
         gamma_ceiling: float = 3.0,
-        gamma_weight: float = 0.3,
-        initial_loss: float = 0.0,
         carousel: Optional[CarouselScheduler] = None,
-        carousel_interval: float = 0.0,
         reuse_port: bool = False,
         sock=None,
         worker_label: Optional[str] = None,
@@ -433,20 +428,12 @@ class NetServer:
         self.max_rounds = max_rounds
         self.round_timeout = round_timeout
         self.send_queue_frames = send_queue_frames
-        self.batch_send = batch_send
         self.send_batch_bytes = send_batch_bytes
         self.flight_events = flight_events
         self.adaptive_gamma = adaptive_gamma
         self.gamma_floor = gamma_floor
         self.gamma_ceiling = gamma_ceiling
-        self.gamma_weight = gamma_weight
-        self.initial_loss = initial_loss
-        if carousel_interval < 0:
-            raise ValueError(
-                f"carousel_interval must be >= 0, got {carousel_interval}"
-            )
         self.carousel = carousel
-        self.carousel_interval = carousel_interval
         #: conn_id → sender of connections subscribed to the carousel.
         self._subscribers: Dict[int, _BoundedSender] = {}
         self._carousel_task: Optional[asyncio.Task] = None
@@ -465,8 +452,8 @@ class NetServer:
             # Validate the knobs eagerly with a throwaway controller so
             # misconfiguration fails at construction, not mid-transfer.
             AdaptiveRedundancyController(
-                weight=gamma_weight,
-                initial_alpha=initial_loss,
+                weight=GAMMA_WEIGHT,
+                initial_alpha=INITIAL_LOSS,
                 floor=gamma_floor,
                 ceiling=gamma_ceiling,
             )
@@ -474,11 +461,7 @@ class NetServer:
         self._gamma_controllers: "OrderedDict[str, AdaptiveRedundancyController]" = (
             OrderedDict()
         )
-        self.slo = SLOTracker(
-            window=slo_window,
-            error_budget=slo_error_budget,
-            target_seconds=slo_target_seconds,
-        )
+        self.slo = SLOTracker(error_budget=slo_error_budget)
         #: Most recent abnormal-close flight dumps, newest last.
         self.flight_dumps: Deque[Dict[str, Any]] = deque(maxlen=FLIGHT_DUMPS_KEPT)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -751,7 +734,20 @@ class NetServer:
                         "carousel delivery not enabled on this server"
                     )
                 return await self._serve_carousel(reader, sender, state)
-            prepared = await self._prepare(document_id, request)
+            # The store cooks off the event loop: a cold cook runs the
+            # full pipeline + encode, and the service's single-flight
+            # makes concurrent identical requests share one build.
+            prepared = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.prepare, document_id, request
+            )
+        except KeyError:
+            await sender.send(
+                encode_json(MSG_ERROR, {"message": f"unknown document {document_id!r}"})
+            )
+            await sender.flush()
+            self.stats["errors"] += 1
+            state.flight.record("unknown_document", doc=document_id)
+            return "unknown_document"
         except ValueError as exc:
             # Malformed prep parameters, a delivery mode the server
             # does not offer, or a request the document cannot satisfy
@@ -763,14 +759,6 @@ class NetServer:
             self.stats["errors"] += 1
             state.flight.record("bad_request", detail=str(exc))
             return "bad_request"
-        if prepared is None:
-            await sender.send(
-                encode_json(MSG_ERROR, {"message": f"unknown document {document_id!r}"})
-            )
-            await sender.flush()
-            self.stats["errors"] += 1
-            state.flight.record("unknown_document", doc=document_id)
-            return "unknown_document"
         skip = self._valid_sequences(hello.get("have", ()), prepared.n)
 
         # Per-connection engine: the server never sees frame outcomes
@@ -853,23 +841,18 @@ class NetServer:
             else:
                 to_send = missing
             sent = len(to_send)
-            if self.batch_send:
-                batches, batched_bytes = await sender.send_many(envelopes, to_send)
-                self.stats["batches_sent"] += batches
-                if OBS.enabled and sent:
-                    OBS.metrics.counter(
-                        "net.send.batched_frames", "frames sent via coalesced writes"
-                    ).inc(sent)
-                    OBS.metrics.counter(
-                        "net.send.batch_bytes", "bytes sent via coalesced writes"
-                    ).inc(batched_bytes)
-                    OBS.metrics.counter(
-                        "net.send.batches", "coalesced socket writes"
-                    ).inc(batches)
-            else:
-                for sequence in to_send:
-                    await sender.send(envelopes[sequence])
-                self.stats["batches_sent"] += sent
+            batches, batched_bytes = await sender.send_many(envelopes, to_send)
+            self.stats["batches_sent"] += batches
+            if OBS.enabled and sent:
+                OBS.metrics.counter(
+                    "net.send.batched_frames", "frames sent via coalesced writes"
+                ).inc(sent)
+                OBS.metrics.counter(
+                    "net.send.batch_bytes", "bytes sent via coalesced writes"
+                ).inc(batched_bytes)
+                OBS.metrics.counter(
+                    "net.send.batches", "coalesced socket writes"
+                ).inc(batches)
             self.stats["frames_sent"] += sent
             self.stats["rounds_served"] += 1
             state.rounds += 1
@@ -991,8 +974,6 @@ class NetServer:
                             ).inc()
                 await asyncio.sleep(0)
             cycle += 1
-            if self.carousel_interval > 0:
-                await asyncio.sleep(self.carousel_interval)
 
     def _gamma_controller(
         self, transfer_id: Optional[str], m_hint: int
@@ -1010,8 +991,8 @@ class NetServer:
             return controller
         controller = AdaptiveRedundancyController(
             m_hint=max(1, m_hint),
-            weight=self.gamma_weight,
-            initial_alpha=self.initial_loss,
+            weight=GAMMA_WEIGHT,
+            initial_alpha=INITIAL_LOSS,
             floor=self.gamma_floor,
             ceiling=self.gamma_ceiling,
         )
@@ -1066,33 +1047,6 @@ class NetServer:
         if callable(cache_info):
             snapshot["prep_cache"] = cache_info()
         return snapshot
-
-    async def _prepare(
-        self, document_id: str, request: Optional[PrepRequest]
-    ) -> Optional[PreparedDocument]:
-        """Resolve the document through the store, off the event loop.
-
-        Preparation-capable stores (anything with
-        ``prepare(document_id, request)`` — notably
-        :class:`~repro.prep.service.PreparationService`) cook on
-        demand with the connection's ``prep`` parameters; since a cold
-        cook runs the full pipeline + encode, it is off-loaded to the
-        default executor so the event loop keeps serving other
-        connections.  The service's single-flight makes concurrent
-        identical requests share one build.  Plain ``get`` stores keep
-        the old behaviour: pre-cooked bytes, ``prep`` ignored.
-        """
-        prepare = getattr(self.store, "prepare", None)
-        if not callable(prepare):
-            return self.store.get(document_id)
-        loop = asyncio.get_running_loop()
-        try:
-            return await loop.run_in_executor(
-                None, prepare, document_id, request
-            )
-        except KeyError:
-            # UnknownDocumentError (or any KeyError-style miss).
-            return None
 
     @staticmethod
     def _valid_sequences(have: Iterable[object], n: int) -> Set[int]:

@@ -55,7 +55,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.broadcast.scheduler import CarouselScheduler
+from repro.net.server import NetServer
+from repro.obs.slo import DEFAULT_ERROR_BUDGET
 from repro.prep.request import PrepRequest
+from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
 
 #: Does this platform support kernel accept balancing?
 HAVE_REUSE_PORT = hasattr(socket, "SO_REUSEPORT")
@@ -69,11 +73,13 @@ SPAWN_TIMEOUT = 60.0
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker process needs to build its serving stack.
+    """Everything needed to build one serving stack.
 
-    Must stay picklable (spawn-start): primitives, tuples, and the
-    frozen :class:`PrepRequest` only.  Documents travel either as
-    filesystem paths (re-read by each worker) or inline as
+    A worker process builds its stack from it, and so does the
+    single-process ``repro net serve``.  Must stay picklable
+    (spawn-start): primitives, tuples, and the frozen
+    :class:`PrepRequest` only.  Documents travel either as filesystem
+    paths (re-read by each worker) or inline as
     ``(document_id, source, is_html)`` triples.
     """
 
@@ -89,20 +95,24 @@ class WorkerConfig:
     disk_root: Optional[str] = None
     disk_budget_bytes: Optional[int] = None
     warmup: bool = False
-    max_rounds: int = 16
-    round_timeout: float = 10.0
-    slo_error_budget: float = 0.05
+    max_rounds: int = DEFAULT_MAX_ROUNDS
+    round_timeout: float = DEFAULT_ROUND_TIMEOUT
+    slo_error_budget: float = DEFAULT_ERROR_BUDGET
     adaptive_gamma: bool = False
     gamma_floor: float = 1.0
     gamma_ceiling: float = 3.0
-    initial_loss: float = 0.0
     #: Bind per-worker SO_REUSEPORT listeners (False → the parent
     #: passes one shared listening socket over the control pipe).
     reuse_port: bool = field(default_factory=lambda: HAVE_REUSE_PORT)
 
 
 def build_worker_service(config: WorkerConfig):
-    """The per-worker :class:`PreparationService` (shared disk tier)."""
+    """The :class:`PreparationService` a serving stack cooks with.
+
+    Registers every configured document (path documents are named by
+    their file stem) and, with ``config.warmup``, cooks each once with
+    the default request — into the shared disk tier when one is set.
+    """
     from repro.prep.service import (
         DEFAULT_COOKED_BUDGET,
         DEFAULT_SC_BUDGET,
@@ -133,15 +143,23 @@ def build_worker_service(config: WorkerConfig):
     return service
 
 
-async def _worker_async(config: WorkerConfig, index: int, conn) -> None:
-    """One worker's whole life: serve until drained, then report."""
-    import asyncio
+def build_server(
+    config: WorkerConfig,
+    store,
+    *,
+    carousel: Optional[CarouselScheduler] = None,
+    sock: Optional[socket.socket] = None,
+    worker_label: Optional[str] = None,
+) -> NetServer:
+    """The one :class:`NetServer` builder: *store* served per *config*.
 
-    from repro.net.server import NetServer
-
-    service = build_worker_service(config)
-    server = NetServer(
-        service,
+    *store* is any ``prepare(document_id, request)`` store — usually
+    :func:`build_worker_service`'s, or a broker adapter.  *sock* and
+    *worker_label* are for pool members (a shared listener and the
+    snapshot tag); *carousel* airs a broadcast channel beside unicast.
+    """
+    return NetServer(
+        store,
         config.host,
         config.port,
         max_rounds=config.max_rounds,
@@ -150,8 +168,20 @@ async def _worker_async(config: WorkerConfig, index: int, conn) -> None:
         adaptive_gamma=config.adaptive_gamma,
         gamma_floor=config.gamma_floor,
         gamma_ceiling=config.gamma_ceiling,
-        initial_loss=config.initial_loss,
+        carousel=carousel,
         reuse_port=config.reuse_port,
+        sock=sock,
+        worker_label=worker_label,
+    )
+
+
+async def _worker_async(config: WorkerConfig, index: int, conn) -> None:
+    """One worker's whole life: serve until drained, then report."""
+    import asyncio
+
+    server = build_server(
+        config,
+        build_worker_service(config),
         sock=None if config.reuse_port else _receive_listener(conn),
         worker_label=f"w{index}",
     )

@@ -133,9 +133,11 @@ def _cooked_size(prepared: PreparedDocument) -> int:
 class PreparationService:
     """Lazy document preparation behind a shared two-tier cache.
 
-    Satisfies the net-server store contract twice over: ``get`` cooks
-    with the service's default request, ``prepare`` with any request —
-    so per-request FETCH parameters and plain stores interoperate.
+    Satisfies the net-server store contract,
+    ``prepare(document_id, request)``: a client that sends per-request
+    FETCH parameters gets them, one that sends none gets the default
+    request, and an unregistered id raises :class:`UnknownDocumentError`
+    (a :class:`KeyError`).
 
     Parameters
     ----------
@@ -143,8 +145,8 @@ class PreparationService:
         The shared :class:`SCPipeline`; one instance serves every
         document (its configuration is part of the SC-tier key).
     default_request:
-        Used by :meth:`get`, :meth:`warmup`, and whenever ``prepare``
-        receives ``request=None``.
+        Used by :meth:`warmup` and whenever ``prepare`` receives
+        ``request=None``.
     sc_budget_bytes / cooked_budget_bytes:
         LRU byte budgets per tier; ``None`` disables eviction.
     disk_store / disk_path:
@@ -365,13 +367,6 @@ class PreparationService:
         return await loop.run_in_executor(
             None, partial(self.prepare, document_id, request)
         )
-
-    def get(self, document_id: str) -> Optional[PreparedDocument]:
-        """Net-store contract: default-request preparation, None if unknown."""
-        try:
-            return self.prepare(document_id, None)
-        except UnknownDocumentError:
-            return None
 
     def sc_for(self, document_id: str) -> StructuralCharacteristic:
         """The (cached) pipeline output for a registered document."""

@@ -116,6 +116,41 @@ class TestSettingsFlags:
         assert _client_settings(fetch) == _client_settings(loadgen)
 
 
+class TestDocumentFlags:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--html", "--query", "mobile web", "--lod", "section"],
+        ["--gamma", "2.0", "--packet-size", "64", "--max-rounds", "7"],
+    ])
+    def test_transfer_and_serve_build_the_same_request(self, argv):
+        from repro.cli import _document_request, build_parser
+
+        parser = build_parser()
+        transfer = parser.parse_args(["transfer", DRAFT, *argv])
+        serve = parser.parse_args(["net", "serve", DRAFT, *argv])
+        for dest in ("html", "query", "lod", "gamma", "packet_size", "max_rounds"):
+            assert getattr(transfer, dest) == getattr(serve, dest), dest
+        assert _document_request(transfer) == _document_request(serve)
+
+    def test_serve_flags_become_one_worker_config(self):
+        from repro.cli import _document_request, _serve_config, build_parser
+        from repro.net.workers import HAVE_REUSE_PORT
+
+        parser = build_parser()
+        argv = ["net", "serve", DRAFT, "--query", "mobile web",
+                "--max-rounds", "7", "--round-timeout", "2.5", "--warmup"]
+        single = parser.parse_args(argv)
+        config = _serve_config(single)
+        assert config.paths == (DRAFT,)
+        assert config.default_request == _document_request(single)
+        assert (config.max_rounds, config.round_timeout) == (7, 2.5)
+        assert config.warmup is True
+        # Only pool members share a port.
+        assert config.reuse_port is False
+        pool = _serve_config(parser.parse_args([*argv, "--workers", "2"]))
+        assert pool.reuse_port is HAVE_REUSE_PORT
+
+
 class TestDeliveryFlag:
     def test_fetch_accepts_delivery_choices(self):
         from repro.cli import build_parser
@@ -135,6 +170,18 @@ class TestDeliveryFlag:
         args = parser.parse_args(["net", "serve", DRAFT, "--carousel"])
         assert args.carousel is True
         assert args.carousel_schedule == "flat"
+        # Each refused combination returns before anything binds or
+        # spawns a worker.
+        for flags, message in [
+            (["--carousel", "--via-broker"],
+             "error: --carousel is not supported with --via-broker"),
+            (["--carousel", "--workers", "2"],
+             "error: --carousel is not supported with --workers > 1"),
+            (["--via-broker", "--workers", "2"],
+             "error: --workers is not supported with --via-broker"),
+        ]:
+            assert main(["net", "serve", DRAFT, "--port", "0", *flags]) == 2, flags
+            assert capsys.readouterr().out.strip() == message
 
 
 class TestFigure:

@@ -47,6 +47,23 @@ class TestLayeringLint:
         assert len(violations) == 1
         assert "repro.simulation.bad imports repro.transport.session" in violations[0]
 
+    def test_store_direction_detected(self, tmp_path):
+        # The serving and prep layers never reach up into a store
+        # adapter or the CLI.
+        pkg = tmp_path / "repro"
+        for layer in ("net", "prep"):
+            (pkg / layer).mkdir(parents=True)
+            (pkg / layer / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "net" / "bad.py").write_text(
+            "from repro.prototype.netmode import BrokerDocumentStore\n"
+        )
+        (pkg / "prep" / "bad.py").write_text("import repro.cli\n")
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 2
+        assert "repro.net.bad imports repro.prototype.netmode (store direction" in violations[0]
+        assert "repro.prep.bad imports repro.cli (store direction" in violations[1]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

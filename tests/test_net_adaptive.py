@@ -51,7 +51,7 @@ def test_clean_channel_converges_to_the_floor_and_saves_frames():
     async def go():
         store, prepared, payload = make_store(size=8192, packet_size=64, gamma=2.0)
         async with NetServer(
-            store, adaptive_gamma=True, initial_loss=0.0
+            store, adaptive_gamma=True
         ) as server:
             result = await fetch_once(server)
             assert result.status == "decoded"
@@ -81,7 +81,7 @@ def test_bursty_channel_pushes_gamma_above_the_clean_baseline():
     async def go():
         store, prepared, payload = make_store(size=8192, packet_size=64, gamma=2.0)
         async with NetServer(
-            store, adaptive_gamma=True, initial_loss=0.0, gamma_ceiling=3.0
+            store, adaptive_gamma=True, gamma_ceiling=3.0
         ) as server:
             model = GilbertElliottModel.matched_to_alpha(
                 0.35, burst_length=6.0, rng=random.Random(20000806)
@@ -110,7 +110,7 @@ def test_reconnecting_client_keeps_its_channel_estimate():
     async def go():
         store, prepared, payload = make_store(size=8192, packet_size=64, gamma=2.0)
         async with NetServer(
-            store, adaptive_gamma=True, initial_loss=0.0
+            store, adaptive_gamma=True
         ) as server:
             model = GilbertElliottModel.matched_to_alpha(
                 0.3, burst_length=5.0, rng=random.Random(7)

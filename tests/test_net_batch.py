@@ -1,8 +1,8 @@
 """Batched frame serving: coalescing equivalence + byte backpressure.
 
-The server's vectored send path (``batch_send=True``, the default)
-coalesces every frame of a round into at most
-``ceil(round_bytes / send_batch_bytes)`` socket writes.  These tests
+The server's one send path coalesces every frame of a round into at
+most ``ceil(round_bytes / send_batch_bytes)`` socket writes
+(``send_batch_bytes=1`` degenerates to one write per frame).  These tests
 pin the two contracts that make that safe to ship:
 
 * **equivalence** — under an identical chaos seed, a client decodes
@@ -51,10 +51,10 @@ def make_store(**kwargs):
     return store, prepared, payload
 
 
-async def _fetch_under_chaos(batch_send):
-    """One chaotic fetch against a server with/without batching."""
+async def _fetch_under_chaos(**server_options):
+    """One chaotic fetch against a server built with *server_options*."""
     store, prepared, payload = make_store(size=4096, packet_size=64)
-    async with NetServer(store, batch_send=batch_send) as server:
+    async with NetServer(store, **server_options) as server:
         async with ChaosProxy(
             server.host,
             server.port,
@@ -68,7 +68,7 @@ async def _fetch_under_chaos(batch_send):
 
 
 def test_batched_and_unbatched_decode_identically():
-    """Same chaos seed, both send paths: byte-identical decodes.
+    """Same chaos seed, coalesced vs one-frame writes: identical decodes.
 
     The chaos proxy corrupts per *message* (it re-parses envelopes off
     its upstream), so an identical rng seed lands identical faults on
@@ -76,8 +76,12 @@ def test_batched_and_unbatched_decode_identically():
     """
 
     async def go():
-        batched, batched_stats, payload, prepared = await _fetch_under_chaos(True)
-        plain, plain_stats, payload2, _ = await _fetch_under_chaos(False)
+        batched, batched_stats, payload, prepared = await _fetch_under_chaos()
+        # A one-byte batch bound still carries one frame per write:
+        # the unbatched reference.
+        plain, plain_stats, payload2, _ = await _fetch_under_chaos(
+            send_batch_bytes=1
+        )
         assert payload == payload2  # same deterministic document
 
         assert batched.status == "decoded"

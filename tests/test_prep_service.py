@@ -142,7 +142,11 @@ class TestCacheTiers:
         service, _ = make_service()
         with pytest.raises(UnknownDocumentError):
             service.prepare("nope")
-        assert service.get("nope") is None
+        # The net-server store contract: UnknownDocumentError is the
+        # KeyError the server answers with "unknown document".
+        with pytest.raises(UnknownDocumentError):
+            service.prepare("nope", None)
+        assert issubclass(UnknownDocumentError, KeyError)
 
 
 class TestInvalidation:

@@ -13,6 +13,7 @@ import pytest
 
 import repro
 from repro.protocol import (
+    DEFAULT_MAX_ROUNDS,
     DEFAULT_ROUND_TIMEOUT,
     Failed,
     TransferEngine,
@@ -70,6 +71,22 @@ class TestConstant:
             assert (
                 default_of(cls.__init__, "round_timeout") is DEFAULT_ROUND_TIMEOUT
             ), cls
+
+    def test_worker_config_matches_a_default_server(self):
+        # A pool built in code enforces the same retransmission bound
+        # and round timeout as a single default server.
+        from repro.net.server import DocumentStore, NetServer
+        from repro.net.workers import WorkerConfig, build_server
+
+        server = NetServer(DocumentStore())
+        config = WorkerConfig()
+        assert config.max_rounds == server.max_rounds == DEFAULT_MAX_ROUNDS
+        assert config.round_timeout == server.round_timeout == DEFAULT_ROUND_TIMEOUT
+        built = build_server(config, DocumentStore())
+        assert (built.max_rounds, built.round_timeout) == (
+            server.max_rounds,
+            server.round_timeout,
+        )
 
     def test_non_positive_timeout_rejected(self):
         prepared = prepared_doc()

@@ -13,7 +13,11 @@ module under ``src/repro`` and fails the build when:
    ``repro.protocol`` (the prototype drives the engine itself, and the
    oracle runner must not silently fall back to the byte path);
 3. ``repro.obs`` imports any protocol or I/O layer (telemetry is a
-   leaf: everything may report to it, it depends on nothing).
+   leaf: everything may report to it, it depends on nothing);
+4. ``repro.net`` or ``repro.prep`` imports ``repro.prototype`` or
+   ``repro.cli`` — the store direction: a store adapter such as the
+   prototype's broker store depends on the serving layer and plugs
+   into it, never the reverse.
 
 Usage::
 
@@ -30,6 +34,11 @@ import ast
 import sys
 from pathlib import Path
 from typing import Iterator, List, Tuple
+
+STORE_DIRECTION = (
+    "store direction: store adapters (the prototype's broker store) and "
+    "the CLI build on the serving layer, never the reverse"
+)
 
 #: package prefix → module prefixes it must never import.
 #: Checked against absolute imports of ``repro.*`` (the codebase uses
@@ -109,8 +118,6 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
         "repro.net",
         (
             "repro.simulation",
-            "repro.prototype",
-            "repro.cli",
             "repro.figures",
             "repro.xmlkit",
             "repro.htmlkit",
@@ -162,14 +169,14 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
             "repro.net",
             "repro.broadcast",
             "repro.transport",
-            "repro.prototype",
             "repro.simulation",
-            "repro.cli",
             "repro.figures",
         ),
         "repro.prep cooks documents for every driver: it may use the "
         "core/coding/text substrate, never the layers that call it",
     ),
+    ("repro.net", ("repro.prototype", "repro.cli"), STORE_DIRECTION),
+    ("repro.prep", ("repro.prototype", "repro.cli"), STORE_DIRECTION),
     (
         "repro.prep.diskstore",
         (
