@@ -153,7 +153,10 @@ class CarouselReceiver:
                 self.absent = True
                 return None
             return self._sync(entry)
-        if entry is None or (entry.m, entry.n) != (self._entry.m, self._entry.n):
+        old = self._entry
+        if entry is None or (entry.m, entry.n, entry.packet_size) != (
+            old.m, old.n, old.packet_size
+        ):
             # The carousel dropped or re-cooked the document under us;
             # collected packets no longer compose.  Give up cleanly.
             return self._finish(self._engine.abort())
@@ -190,7 +193,11 @@ class CarouselReceiver:
             terminal = engine.on_frame_corrupt()
         else:
             decoded = parse_frame(frame)
-            if decoded.intact and 0 <= decoded.sequence < self._entry.n:
+            if (
+                decoded.intact
+                and 0 <= decoded.sequence < self._entry.n
+                and len(decoded.payload) == self._entry.packet_size
+            ):
                 self.frames_intact += 1
                 if decoded.sequence not in self._intact:
                     self._intact[decoded.sequence] = decoded.payload
@@ -236,7 +243,8 @@ class CarouselReceiver:
     # -- internals ---------------------------------------------------------
 
     def _sync(self, entry: CarouselEntry) -> Optional[Effect]:
-        self._entry = entry
+        # Stay unsynced until the entry's geometry builds an engine: a
+        # malformed index must not leave a half-synced receiver behind.
         profile = list(entry.profile) if entry.profile else None
         if self.relevance_threshold is not None and profile is None:
             raise ValueError(
@@ -252,6 +260,7 @@ class CarouselReceiver:
             document_id=self.document_id,
             bridge=self._bridge,
         )
+        self._entry = entry
         terminal = self._engine.start()
         if terminal is not None:
             return self._finish(terminal)

@@ -25,7 +25,7 @@ import time
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.net.client import NetClient, NetFetchResult
-from repro.net.wire import ConnectionLost, WireError
+from repro.net.wire import WireError
 from repro.obs.slo import DEFAULT_ERROR_BUDGET
 from repro.prep.request import PrepRequest, TransferSettings
 from repro.transport.cache import PacketCache
@@ -208,8 +208,30 @@ async def run_loadgen(
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
+    started = time.monotonic()
+    results = await _fetch_all(
+        host, port, document_id, clients, use_cache, settings, request, backend
+    )
+    elapsed = time.monotonic() - started
+    report = summarize_results(
+        results, clients=clients, elapsed=elapsed, error_budget=error_budget
+    )
+    return report, results
 
-    async def one_fetch(index: int) -> Optional[NetFetchResult]:
+
+async def _fetch_all(
+    host: str,
+    port: int,
+    document_id: str,
+    clients: int,
+    use_cache: bool,
+    settings: Optional[TransferSettings],
+    request: Optional[PrepRequest],
+    backend: Optional[object] = None,
+) -> List[Optional[NetFetchResult]]:
+    """*clients* concurrent fetches; ``None`` for one that got no verdict."""
+
+    async def one_fetch() -> Optional[NetFetchResult]:
         client = NetClient(
             host,
             port,
@@ -220,18 +242,10 @@ async def run_loadgen(
         )
         try:
             return await client.fetch(document_id)
-        except (ConnectionLost, WireError, OSError):
+        except (WireError, OSError):  # ConnectionLost included
             return None
 
-    started = time.monotonic()
-    results = list(
-        await asyncio.gather(*(one_fetch(index) for index in range(clients)))
-    )
-    elapsed = time.monotonic() - started
-    report = summarize_results(
-        results, clients=clients, elapsed=elapsed, error_budget=error_budget
-    )
-    return report, results
+    return list(await asyncio.gather(*(one_fetch() for _ in range(clients))))
 
 
 def _mp_fetch_block(
@@ -249,24 +263,8 @@ def _mp_fetch_block(
     returns reduced outcomes — top-level and argument-picklable so
     :class:`~concurrent.futures.ProcessPoolExecutor` can ship it.
     """
-
-    async def _block() -> List[Optional[NetFetchResult]]:
-        async def one_fetch() -> Optional[NetFetchResult]:
-            client = NetClient(
-                host,
-                port,
-                cache=PacketCache() if use_cache else None,
-                settings=settings,
-                request=request,
-            )
-            try:
-                return await client.fetch(document_id)
-            except (ConnectionLost, WireError, OSError):
-                return None
-
-        return list(await asyncio.gather(*(one_fetch() for _ in range(clients))))
-
-    return [outcome_of(result) for result in asyncio.run(_block())]
+    fetches = _fetch_all(host, port, document_id, clients, use_cache, settings, request)
+    return [outcome_of(result) for result in asyncio.run(fetches)]
 
 
 def run_loadgen_mp(

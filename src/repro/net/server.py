@@ -43,11 +43,12 @@ import asyncio
 import math
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Iterable, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Deque, Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.ewma import AdaptiveRedundancyController
 
 from repro.broadcast.scheduler import CarouselScheduler
+from repro.coding.packets import MAX_SEQUENCE
 from repro.net.wire import (
     MSG_DONE,
     MSG_ERROR,
@@ -170,6 +171,9 @@ class _BoundedSender:
 
     async def _put(self, data: Union[bytes, memoryview]) -> None:
         await self._queue.put(data)
+        self._account(data)
+
+    def _account(self, data: Union[bytes, memoryview]) -> None:
         self.queued_bytes += len(data)
         if self.queued_bytes > self.high_water_bytes:
             self.high_water_bytes = self.queued_bytes
@@ -223,12 +227,7 @@ class _BoundedSender:
             self._queue.put_nowait(data)
         except asyncio.QueueFull:
             return False
-        self.queued_bytes += len(data)
-        if self.queued_bytes > self.high_water_bytes:
-            self.high_water_bytes = self.queued_bytes
-        depth = self._queue.qsize()
-        if depth > self.high_water:
-            self.high_water = depth
+        self._account(data)
         return True
 
     async def flush(self) -> None:
@@ -264,6 +263,19 @@ class _BoundedSender:
                 if data is not None:
                     self.queued_bytes -= len(data)
                 self._queue.task_done()
+
+
+def _parse_have(have: object, n: int) -> Set[int]:
+    """The ``have`` of a HELLO or NEXT_ROUND: sequences below *n*.
+
+    Absent or null is the empty set, a list keeps its in-range
+    non-bool ints, anything else is a :class:`WireError`.
+    """
+    if have is None:
+        return set()
+    if not isinstance(have, list):
+        raise WireError(f"have must be a list, got {type(have).__name__}")
+    return {s for s in have if type(s) is int and 0 <= s < n}
 
 
 class _ConnState:
@@ -613,11 +625,8 @@ class NetServer:
             self.stats["client_gone"] += 1
             state.flight.record("client_gone", detail=str(exc))
         except WireError as exc:
-            self.stats["errors"] += 1
-            state.flight.record("wire_error", detail=str(exc))
             try:
-                await sender.send(encode_json(MSG_ERROR, {"message": str(exc)}))
-                await sender.flush()
+                await self._refuse(sender, state, "wire_error", str(exc), detail=str(exc))
             except ConnectionLost:
                 pass
         except asyncio.CancelledError:
@@ -645,6 +654,17 @@ class NetServer:
                 OBS.metrics.counter(
                     "net.connections", "transfer connections served"
                 ).labels(outcome=outcome).inc()
+
+    async def _refuse(
+        self, sender: _BoundedSender, state: _ConnState, event: str, message: str,
+        **detail: Any,
+    ) -> str:
+        """Answer ``ERROR``, count it, record flight *event*; return *event*."""
+        self.stats["errors"] += 1
+        state.flight.record(event, **detail)
+        await sender.send(encode_json(MSG_ERROR, {"message": message}))
+        await sender.flush()
+        return event
 
     def _finish(self, state: _ConnState, outcome: str) -> None:
         """Close out one connection: flight dump, SLO, trace event."""
@@ -708,13 +728,9 @@ class NetServer:
         else:
             # Legacy client: correlate under a server-local ID.
             state.transfer_id = f"conn{state.conn_id}"
-        state.resumed = bool(hello.get("have"))
-        state.flight.record(
-            "hello",
-            doc=document_id,
-            have=len(hello.get("have") or ()),
-            span=state.span,
-        )
+        have = _parse_have(hello.get("have"), MAX_SEQUENCE + 1)
+        state.resumed = bool(have)
+        state.flight.record("hello", doc=document_id, have=len(have), span=state.span)
         if OBS.enabled:
             OBS.trace.emit(
                 NET_CONN_OPEN,
@@ -741,25 +757,19 @@ class NetServer:
                 None, self.store.prepare, document_id, request
             )
         except KeyError:
-            await sender.send(
-                encode_json(MSG_ERROR, {"message": f"unknown document {document_id!r}"})
+            return await self._refuse(
+                sender, state, "unknown_document",
+                f"unknown document {document_id!r}", doc=document_id,
             )
-            await sender.flush()
-            self.stats["errors"] += 1
-            state.flight.record("unknown_document", doc=document_id)
-            return "unknown_document"
         except ValueError as exc:
             # Malformed prep parameters, a delivery mode the server
             # does not offer, or a request the document cannot satisfy
             # (e.g. a query measure without a query).
-            await sender.send(
-                encode_json(MSG_ERROR, {"message": f"bad prep parameters: {exc}"})
+            return await self._refuse(
+                sender, state, "bad_request",
+                f"bad prep parameters: {exc}", detail=str(exc),
             )
-            await sender.flush()
-            self.stats["errors"] += 1
-            state.flight.record("bad_request", detail=str(exc))
-            return "bad_request"
-        skip = self._valid_sequences(hello.get("have", ()), prepared.n)
+        skip = {sequence for sequence in have if sequence < prepared.n}
 
         # Per-connection engine: the server never sees frame outcomes
         # (the client decides), so its engine instance only does the
@@ -886,7 +896,7 @@ class NetServer:
                 state.flight.record("done", status=status)
                 return status
             request = decode_json(body)
-            new_skip = self._valid_sequences(request.get("have", ()), prepared.n)
+            new_skip = _parse_have(request.get("have"), prepared.n)
             if controller is not None and sent > 0:
                 # The round's loss observable: frames sent minus
                 # sequences that newly became intact at the client.
@@ -897,16 +907,11 @@ class NetServer:
             state.flight.record("next_round", have=len(skip))
             if engine.on_round_ended(carried=True) is not None:
                 # Server-side retransmission bound: refuse more rounds.
-                await sender.send(
-                    encode_json(
-                        MSG_ERROR,
-                        {"message": f"retransmission bound {self.max_rounds} exhausted"},
-                    )
+                return await self._refuse(
+                    sender, state, "round_bound",
+                    f"retransmission bound {self.max_rounds} exhausted",
+                    bound=self.max_rounds,
                 )
-                await sender.flush()
-                self.stats["errors"] += 1
-                state.flight.record("round_bound", bound=self.max_rounds)
-                return "round_bound"
 
     # -- broadcast channel ---------------------------------------------------
 
@@ -1047,13 +1052,3 @@ class NetServer:
         if callable(cache_info):
             snapshot["prep_cache"] = cache_info()
         return snapshot
-
-    @staticmethod
-    def _valid_sequences(have: Iterable[object], n: int) -> Set[int]:
-        valid: Set[int] = set()
-        if not isinstance(have, (list, tuple)):
-            return valid
-        for entry in have:
-            if isinstance(entry, int) and 0 <= entry < n:
-                valid.add(entry)
-        return valid

@@ -142,21 +142,25 @@ async def read_message(reader: asyncio.StreamReader) -> Tuple[int, bytes]:
     return msg_type, envelope[1:]
 
 
+def check_expected(msg_type: int, body: bytes, *expected: int) -> None:
+    """Require *msg_type* to be in *expected*.
+
+    An ``ERROR`` message outside *expected* surfaces as a
+    :class:`WireError` carrying the peer's explanation.
+    """
+    if msg_type in expected:
+        return
+    if msg_type == MSG_ERROR:
+        message = decode_json(body).get("message", "unspecified")
+        raise WireError(f"peer error: {message}")
+    names = "/".join(MESSAGE_NAMES[t] for t in expected)
+    raise WireError(f"expected {names}, got {MESSAGE_NAMES[msg_type]}")
+
+
 async def read_expected(
     reader: asyncio.StreamReader, *expected: int
 ) -> Tuple[int, bytes]:
-    """Read one envelope and require its type to be in *expected*.
-
-    An ``ERROR`` message is always accepted and surfaced as a
-    :class:`WireError` carrying the peer's explanation.
-    """
+    """Read one envelope and require its type (see :func:`check_expected`)."""
     msg_type, body = await read_message(reader)
-    if msg_type == MSG_ERROR and MSG_ERROR not in expected:
-        message = decode_json(body).get("message", "unspecified")
-        raise WireError(f"peer error: {message}")
-    if msg_type not in expected:
-        names = "/".join(MESSAGE_NAMES[t] for t in expected)
-        raise WireError(
-            f"expected {names}, got {MESSAGE_NAMES[msg_type]}"
-        )
+    check_expected(msg_type, body, *expected)
     return msg_type, body

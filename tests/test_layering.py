@@ -64,6 +64,23 @@ class TestLayeringLint:
         assert "repro.net.bad imports repro.prototype.netmode (store direction" in violations[0]
         assert "repro.prep.bad imports repro.cli (store direction" in violations[1]
 
+    def test_peer_split_detected(self, tmp_path):
+        # The client and server sides of repro.net share only the
+        # wire codec; server-side modules may still import each other.
+        pkg = tmp_path / "repro"
+        (pkg / "net").mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "net" / "__init__.py").write_text("")
+        (pkg / "net" / "chaos.py").write_text("from repro.net.server import NetServer\n")
+        (pkg / "net" / "workers.py").write_text(
+            "import repro.net.loadgen\nfrom repro.net.server import NetServer\n"
+        )
+        (pkg / "net" / "client.py").write_text("from repro.net.wire import WireError\n")
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 2
+        assert "repro.net.chaos imports repro.net.server (peer split" in violations[0]
+        assert "repro.net.workers imports repro.net.loadgen (peer split" in violations[1]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

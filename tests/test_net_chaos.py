@@ -22,12 +22,13 @@ from repro.net import (
     MSG_ROUND_END,
     NetClient,
     NetServer,
+    decode_json,
     encode_json,
     read_expected,
     read_message,
 )
 from repro.net.wire import MSG_ERROR, MSG_FRAME
-from repro.prep import TransferSettings
+from repro.prep import DeliveryMode, PrepRequest, TransferSettings
 from repro.transport.cache import PacketCache
 
 from tests.netutil import assert_no_leaked_tasks, make_prepared
@@ -81,8 +82,12 @@ def test_server_killed_mid_round_fails_the_transfer():
     asyncio.run(go())
 
 
-def test_unreachable_server_raises_connection_lost():
-    """No manifest was ever seen: the failure surfaces as an exception."""
+@pytest.mark.parametrize(
+    "request_", [None, PrepRequest(delivery=DeliveryMode.CAROUSEL)],
+    ids=["unicast", "carousel"],
+)
+def test_unreachable_server_raises_connection_lost(request_):
+    """No manifest (or air index) was ever seen: the failure is an exception."""
 
     async def go():
         store, _, _ = make_store()
@@ -95,9 +100,79 @@ def test_unreachable_server_raises_connection_lost():
             port,
             settings=TransferSettings(max_reconnects=1),
             reconnect_delay=0.01,
+            request=request_,
         )
         with pytest.raises(ConnectionLost):
             await client.fetch("doc")
+        await assert_no_leaked_tasks()
+
+    asyncio.run(go())
+
+
+def test_frames_on_a_dropped_connection_are_counted():
+    """frames_received counts every frame read, the cut connection's too.
+
+    On a clean channel the cached resume reads exactly M frames: the
+    first connection's before the cut, the rest on the redial.
+    """
+
+    async def go():
+        store, prepared, payload = make_store(size=4096)
+        async with NetServer(store) as server:
+            async with ChaosProxy(
+                server.host, server.port, cut_after_frames=10
+            ) as proxy:
+                client = NetClient(
+                    proxy.host, proxy.port, cache=PacketCache(), reconnect_delay=0.01
+                )
+                result = await client.fetch("doc")
+        assert result.status == "decoded" and result.payload == payload
+        assert result.reconnects == 1
+        assert result.frames_received == prepared.m
+        await assert_no_leaked_tasks()
+
+    asyncio.run(go())
+
+
+async def _hello_reply(server, have):
+    """Send one raw HELLO with *have*; return the first reply envelope."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(encode_json(MSG_HELLO, {"doc": "doc", "have": have}))
+        await writer.drain()
+        return await read_message(reader)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+def test_hello_have_that_is_not_a_list_is_refused():
+    """A non-list ``have`` is answered with ERROR and counted."""
+
+    async def go():
+        store, _, _ = make_store(size=512)
+        async with NetServer(store) as server:
+            msg_type, body = await _hello_reply(server, 5)
+            assert msg_type == MSG_ERROR
+            assert "have must be a list" in decode_json(body)["message"]
+        assert server.stats["errors"] == 1
+        await assert_no_leaked_tasks()
+
+    asyncio.run(go())
+
+
+def test_hello_have_ignores_bools():
+    """JSON ``true`` is not sequence 1: the manifest skips nothing."""
+
+    async def go():
+        store, _, _ = make_store(size=512)
+        async with NetServer(store) as server:
+            msg_type, body = await _hello_reply(server, [True])
+            assert msg_type == MSG_MANIFEST
+            assert decode_json(body)["skip"] == []
         await assert_no_leaked_tasks()
 
     asyncio.run(go())

@@ -17,7 +17,10 @@ module under ``src/repro`` and fails the build when:
 4. ``repro.net`` or ``repro.prep`` imports ``repro.prototype`` or
    ``repro.cli`` — the store direction: a store adapter such as the
    prototype's broker store depends on the serving layer and plugs
-   into it, never the reverse.
+   into it, never the reverse;
+5. the client side of ``repro.net`` (``client``, ``loadgen``,
+   ``chaos``) and the server side (``server``, ``workers``) never
+   import each other — the two peers share only ``repro.net.wire``.
 
 Usage::
 
@@ -39,6 +42,13 @@ STORE_DIRECTION = (
     "store direction: store adapters (the prototype's broker store) and "
     "the CLI build on the serving layer, never the reverse"
 )
+
+PEERS = (
+    "peer split: the client side (client, loadgen, chaos) and the "
+    "server side (server, workers) share only repro.net.wire"
+)
+CLIENT_SIDE = ("repro.net.client", "repro.net.loadgen", "repro.net.chaos")
+SERVER_SIDE = ("repro.net.server", "repro.net.workers")
 
 #: package prefix → module prefixes it must never import.
 #: Checked against absolute imports of ``repro.*`` (the codebase uses
@@ -177,6 +187,8 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
     ),
     ("repro.net", ("repro.prototype", "repro.cli"), STORE_DIRECTION),
     ("repro.prep", ("repro.prototype", "repro.cli"), STORE_DIRECTION),
+    *((module, SERVER_SIDE, PEERS) for module in CLIENT_SIDE),
+    *((module, CLIENT_SIDE, PEERS) for module in SERVER_SIDE),
     (
         "repro.prep.diskstore",
         (
