@@ -763,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--coding-backend",
         default=None,
         metavar="NAME",
-        help="GF(2^8) kernel: baseline, fused, numpy, or auto "
+        help="GF(2^8) kernel: baseline, fused, native, numpy, or auto "
         "(default: $REPRO_CODING_BACKEND, else best available)",
     )
     p_xfer.set_defaults(func=cmd_transfer)

@@ -25,27 +25,32 @@ swapped without touching codec logic:
     dominate, it falls back to per-coefficient 256-entry translate
     tables accumulated into the same wide-integer register.
 
+``native``
+    The block kernel: a PSHUFB-style nibble-table microkernel compiled
+    from C at first use (:mod:`repro.coding._native`) and called
+    through :mod:`ctypes` on stdlib buffers — the matrix as flat
+    ``bytes``, the packets copied into a grow-only thread-local
+    ``bytearray`` stack, the product written into a fresh
+    ``bytearray`` or, for ``matmul_into``, straight into the caller's
+    buffer.  ``scale`` and ``mul_xor`` reuse the ``fused`` translate
+    tables.  Needs a C compiler, never numpy.
+
 ``numpy``
-    The block kernel.  Operands live in preallocated, thread-local
-    scratch arenas (``np.frombuffer`` fills — no ``b"".join``
-    re-copies, no per-call allocation growth); the product itself
-    runs in a PSHUFB-style nibble-table microkernel compiled from C
-    at first use and called through :mod:`ctypes`
-    (:mod:`repro.coding._native` — no compiler, no problem: a pure
-    numpy uint64-lane fallback computes the identical bytes with an
-    accumulating XOR over per-column nibble gathers, never
-    materializing the n·m·size product tensor).  ``scale`` and
-    ``mul_xor`` accept any bytes-like object (``memoryview``
-    included) without intermediate ``bytes`` round-trips, and
-    ``matmul_into`` writes straight into a caller-supplied buffer so
-    decode can reuse one arena end to end.
+    The no-compiler block kernel: a pure numpy uint64-lane engine that
+    computes the identical bytes with an accumulating XOR over
+    per-column nibble gathers, in preallocated thread-local scratch
+    arenas, never materializing the n·m·size product tensor.  numpy
+    is imported when this backend is first used, not when this module
+    is imported.
 
 Selection: ``REPRO_CODING_BACKEND`` in the environment (also surfaced
 as ``--coding-backend`` on the CLI) is an explicit override.  Unset
-(or ``auto``) picks the best available backend: ``numpy`` when numpy
-imports *and* a tiny parity self-check against ``baseline`` passes,
-``fused`` otherwise.  The choice is made once per process and logged
-once through :mod:`repro.obs` when telemetry is on.  All backends are
+(or ``auto``) picks the best available backend, each candidate gated
+by a tiny parity self-check against ``baseline``: ``native`` when the
+kernel loads, else ``numpy`` when numpy imports, else ``fused``.  A
+serving process on a host with a C compiler therefore never imports
+numpy.  The choice is made once per process and logged once through
+:mod:`repro.obs` when telemetry is on.  All backends are
 byte-identical; the parity property suite
 (``tests/test_coding_backend.py``) enforces it across randomized
 (m, n, packet-size) grids.
@@ -53,9 +58,12 @@ byte-identical; the parity property suite
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import os
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.coding.gf256 import FIELD_SIZE, _mul_table, gf_mul_bytes
 from repro.obs.runtime import OBS
@@ -287,88 +295,172 @@ class FusedBackend(CodingBackend):
         ).to_bytes(size, "little")
 
 
-# -- numpy block kernel ------------------------------------------------------
+# -- native kernel ------------------------------------------------------------
 
-try:  # numpy is optional: auto-detect, never require
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on environment
-    _np = None  # type: ignore[assignment]
+class NativeBackend(CodingBackend):
+    """The compiled C microkernel on stdlib buffers — no numpy.
 
-if _np is not None:
-    #: Full 256×256 product table, built once at import:
-    #: ``_MUL_MATRIX[a, b] == a·b`` in GF(2^8).
-    _MUL_MATRIX = _np.frombuffer(
+    :mod:`repro.coding._native` compiles, loads and parity-checks the
+    kernel; this backend only lays its operands out.  The matrix is one
+    flat ``bytes`` object, and the packet column is copied into a
+    grow-only thread-local ``bytearray`` stack, so read-only packets
+    (``mmap`` slices of a disk-tier bundle) work as they are.
+    ``matmul`` lands the product in a fresh ``bytearray``;
+    ``matmul_into`` hands the caller's writable buffer to the kernel
+    directly.  ``scale`` and ``mul_xor`` are the ``fused`` translate-
+    table primitives: at packet sizes a foreign call costs more than
+    the work.
+    """
+
+    name = "native"
+    native = True
+
+    def __init__(self) -> None:
+        from repro.coding import _native
+
+        kernel = _native.load()
+        if kernel is None:
+            raise CodingBackendError(
+                "native coding backend unavailable: the GF(2^8) kernel did "
+                "not build or load (no C compiler, or REPRO_CODING_NATIVE=0)"
+            )
+        self._kernel = kernel
+        # Thread-local: backend instances are process-wide singletons
+        # and the preparation service cooks from executor threads.
+        self._local = threading.local()
+
+    @property
+    def native_simd(self) -> bool:
+        """True when the kernel was compiled with AVX2."""
+        return bool(self._kernel.simd)
+
+    def _stack(self, packets: Sequence[BytesLike], size: int):
+        """The packet column copied into this thread's contiguous stack."""
+        local = self._local
+        stack = getattr(local, "stack", None)
+        need = len(packets) * size
+        if stack is None or len(stack) < need:
+            stack = local.stack = bytearray(max(need, 1))
+            # The export pins the stack's size: a packet of the wrong
+            # length raises BufferError instead of resizing it.
+            local.pointer = (ctypes.c_char * len(stack)).from_buffer(stack)
+        offset = 0
+        for packet in packets:
+            stack[offset : offset + size] = packet
+            offset += size
+        return local.pointer
+
+    def _product(
+        self,
+        rows: Sequence[Sequence[int]],
+        packets: Sequence[BytesLike],
+        size: int,
+        out,
+    ) -> None:
+        n, m = len(rows), len(packets)
+        matrix = b"".join(map(bytes, rows))
+        if len(matrix) != n * m:
+            raise CodingBackendError(
+                f"matrix has {len(matrix)} coefficients, need {n} x {m}"
+            )
+        target = (ctypes.c_char * (n * size)).from_buffer(out)
+        self._kernel.matmul_into(
+            target, matrix, self._stack(packets, size), n, m, size
+        )
+
+    def matmul(
+        self, rows: Sequence[Sequence[int]], packets: Sequence[BytesLike], size: int
+    ) -> List[bytes]:
+        n = len(rows)
+        if n == 0:
+            return []
+        out = bytearray(n * size)
+        self._product(rows, packets, size, out)
+        view = memoryview(out)
+        result = [
+            view[start : start + size].tobytes() for start in range(0, n * size, size)
+        ]
+        if OBS.enabled:
+            _count_matmul(self.name, n, size)
+        return result
+
+    def matmul_into(
+        self,
+        rows: Sequence[Sequence[int]],
+        packets: Sequence[BytesLike],
+        size: int,
+        out: Union[bytearray, memoryview],
+    ) -> None:
+        n = len(rows)
+        view = memoryview(out)
+        if view.nbytes != n * size:
+            raise CodingBackendError(
+                f"matmul_into buffer is {view.nbytes} bytes, need {n * size}"
+            )
+        if n == 0:
+            return
+        self._product(rows, packets, size, view)
+        if OBS.enabled:
+            _count_matmul(self.name, n, size)
+
+    scale = FusedBackend.scale
+    mul_xor = FusedBackend.mul_xor
+
+
+# -- pure-numpy engine ---------------------------------------------------------
+
+
+class _NumpyTables(NamedTuple):
+    np: Any
+    #: Full 256×256 product table: ``mul[a, b] == a·b`` in GF(2^8).
+    mul: Any
+    #: uint64 lane masks and the reduction constant.
+    m7f: Any
+    m01: Any
+    m0f: Any
+    x1d: Any
+
+
+@lru_cache(maxsize=None)
+def _numpy_tables() -> _NumpyTables:
+    """numpy and the tables built from it, imported on first use."""
+    import numpy as np
+
+    mul = np.frombuffer(
         b"".join(
             [bytes(FIELD_SIZE)]
             + [_mul_table(scalar) for scalar in range(1, FIELD_SIZE)]
         ),
-        dtype=_np.uint8,
+        dtype=np.uint8,
     ).reshape(FIELD_SIZE, FIELD_SIZE)
-    #: uint64 lane masks for the pure-numpy fallback kernel.
-    _M7F = _np.uint64(0x7F7F7F7F7F7F7F7F)
-    _M01 = _np.uint64(0x0101010101010101)
-    _M0F = _np.uint64(0x0F0F0F0F0F0F0F0F)
-    _X1D = _np.uint64(0x1D)
-
-#: Sentinel distinguishing "native kernel not yet probed" from
-#: "probed and unavailable".
-_NATIVE_UNSET = object()
+    return _NumpyTables(
+        np,
+        mul,
+        np.uint64(0x7F7F7F7F7F7F7F7F),
+        np.uint64(0x0101010101010101),
+        np.uint64(0x0F0F0F0F0F0F0F0F),
+        np.uint64(0x1D),
+    )
 
 
 class NumpyBackend(CodingBackend):
-    """Block kernel: scratch-arena data plane + nibble-table product.
+    """Pure-numpy block kernel over scratch arenas.
 
-    The product itself runs in one of two interchangeable engines:
-
-    * a C microkernel (:mod:`repro.coding._native`) compiled at first
-      use and invoked through :mod:`ctypes` on raw arena pointers —
-      the GB/s path (AVX2 PSHUFB where the host supports it, scalar
-      table lookups otherwise);
-    * a pure numpy fallback that packs packets into uint64 lanes,
-      builds the 16-entry nibble product table per packet with a
-      carry-free xtime ladder, and folds each matrix column into the
-      accumulator with one gather + XOR — O(n·size) live memory, the
-      full n·m·size product tensor is never materialized.
+    Packs packets into uint64 lanes, builds the 16-entry nibble product
+    table per packet with a carry-free xtime ladder, and folds each
+    matrix column into the accumulator with one gather + XOR —
+    O(n·size) live memory; the n·m·size product tensor is never
+    materialized.  numpy is imported at the first call, not at import.
 
     All operand buffers come from a thread-local grow-only arena, so
-    steady-state encode/decode performs no allocation beyond the
-    output ``bytes`` objects themselves (and ``matmul_into`` skips
-    even those).
+    steady-state encode/decode allocates nothing beyond the output
+    ``bytes`` objects (and ``matmul_into`` skips even those).
     """
 
     name = "numpy"
 
-    def __init__(self, use_native: bool = True) -> None:
-        if _np is None:
-            raise ImportError("numpy is not available")
-        self._np = _np
-        self._use_native = use_native
-        self._native_kernel: object = _NATIVE_UNSET if use_native else None
+    def __init__(self) -> None:
         self._local = threading.local()
-
-    # -- native kernel plumbing ---------------------------------------------
-
-    @property
-    def _kernel(self):
-        """The ctypes kernel, compiled lazily; None when unavailable."""
-        if self._native_kernel is _NATIVE_UNSET:
-            from repro.coding import _native
-
-            self._native_kernel = _native.load()
-        return self._native_kernel
-
-    @property
-    def native(self) -> bool:
-        """True when the compiled C microkernel is in use."""
-        return self._kernel is not None
-
-    @property
-    def native_simd(self) -> bool:
-        """True when the native kernel was compiled with AVX2."""
-        kernel = self._kernel
-        return bool(kernel is not None and kernel.simd)
-
-    # -- scratch arena -------------------------------------------------------
 
     def _scratch(self, tag: str, count: int, dtype):
         """A reusable thread-local buffer of at least *count* elements.
@@ -384,7 +476,7 @@ class NumpyBackend(CodingBackend):
         key = (tag, dtype)
         buffer = buffers.get(key)
         if buffer is None or buffer.size < count:
-            buffer = self._np.empty(max(count, 1), dtype=dtype)
+            buffer = _numpy_tables().np.empty(max(count, 1), dtype=dtype)
             buffers[key] = buffer
         return buffer[:count]
 
@@ -409,7 +501,7 @@ class NumpyBackend(CodingBackend):
         size: int,
         out: Union[bytearray, memoryview],
     ) -> None:
-        np = self._np
+        np = _numpy_tables().np
         n = len(rows)
         view = np.frombuffer(out, dtype=np.uint8)
         if view.size != n * size:
@@ -418,39 +510,9 @@ class NumpyBackend(CodingBackend):
             )
         if n == 0:
             return
-        kernel = self._kernel
-        if kernel is not None and view.flags["C_CONTIGUOUS"]:
-            # The C kernel writes straight into the caller's buffer —
-            # the only copy left is the packet fill of the stack arena.
-            matrix = self._matrix(rows, n)
-            stack = self._fill_stack(packets, size)
-            kernel.matmul_into(
-                view.ctypes.data,
-                matrix.ctypes.data,
-                stack.ctypes.data,
-                n,
-                len(packets),
-                size,
-            )
-        else:
-            block = self._matmul_block(rows, packets, size, n)
-            view.reshape(n, size)[:] = block
+        view.reshape(n, size)[:] = self._matmul_block(rows, packets, size, n)
         if OBS.enabled:
             _count_matmul(self.name, n, size)
-
-    def _matrix(self, rows: Sequence[Sequence[int]], n: int):
-        np = self._np
-        matrix = np.ascontiguousarray(np.asarray(rows, dtype=np.uint8))
-        return matrix.reshape(n, -1)
-
-    def _fill_stack(self, packets: Sequence[BytesLike], size: int):
-        """Pack the packet column into one contiguous (m, size) arena."""
-        np = self._np
-        m = len(packets)
-        stack = self._scratch("stack", m * size, np.uint8).reshape(m, size)
-        for index, packet in enumerate(packets):
-            stack[index] = np.frombuffer(packet, dtype=np.uint8)
-        return stack
 
     def _matmul_block(
         self, rows: Sequence[Sequence[int]], packets: Sequence[BytesLike], size: int, n: int
@@ -459,26 +521,6 @@ class NumpyBackend(CodingBackend):
 
         Callers must consume (copy out of) the result before the next
         kernel call on this thread.
-        """
-        matrix = self._matrix(rows, n)
-        kernel = self._kernel
-        if kernel is not None:
-            np = self._np
-            stack = self._fill_stack(packets, size)
-            out = self._scratch("out", n * size, np.uint8).reshape(n, size)
-            kernel.matmul_into(
-                out.ctypes.data,
-                matrix.ctypes.data,
-                stack.ctypes.data,
-                n,
-                len(packets),
-                size,
-            )
-            return out
-        return self._matmul_fallback(matrix, packets, size, n)
-
-    def _matmul_fallback(self, matrix, packets: Sequence[BytesLike], size: int, n: int):
-        """Pure numpy engine: nibble gathers over uint64 lanes.
 
         For each packet the 16 low-nibble products v·p are built with
         three xtime doublings and eleven XORs; a coefficient c then
@@ -488,12 +530,13 @@ class NumpyBackend(CodingBackend):
         accumulator — the n·m·size broadcast tensor of the old
         gather/reduce formulation never exists.
         """
-        np = self._np
+        np, _, m7f, m01, m0f, x1d = _numpy_tables()
+        matrix = np.ascontiguousarray(np.asarray(rows, dtype=np.uint8)).reshape(n, -1)
         m = len(packets)
         padded = (size + 7) & ~7
         lanes = padded >> 3
 
-        stack8 = self._scratch("fb.stack", m * padded, np.uint8).reshape(m, padded)
+        stack8 = self._scratch("stack", m * padded, np.uint8).reshape(m, padded)
         if padded != size:
             stack8[:, size:] = 0
         for index, packet in enumerate(packets):
@@ -501,19 +544,19 @@ class NumpyBackend(CodingBackend):
         stack64 = stack8.view(np.uint64)
 
         # Nibble product table: table[v, k] = v · packet_k, per byte lane.
-        table = self._scratch("fb.table", 16 * m * lanes, np.uint64).reshape(
+        table = self._scratch("table", 16 * m * lanes, np.uint64).reshape(
             16, m, lanes
         )
-        scratch = self._scratch("fb.xtime", m * lanes, np.uint64).reshape(m, lanes)
+        scratch = self._scratch("xtime", m * lanes, np.uint64).reshape(m, lanes)
         table[0] = 0
         table[1] = stack64
         for source, target in ((1, 2), (2, 4), (4, 8)):
             src = table[source]
             dst = table[target]
             np.right_shift(src, np.uint64(7), out=scratch)
-            np.bitwise_and(scratch, _M01, out=scratch)
-            np.multiply(scratch, _X1D, out=scratch)
-            np.bitwise_and(src, _M7F, out=dst)
+            np.bitwise_and(scratch, m01, out=scratch)
+            np.multiply(scratch, x1d, out=scratch)
+            np.bitwise_and(src, m7f, out=dst)
             np.left_shift(dst, np.uint64(1), out=dst)
             np.bitwise_xor(dst, scratch, out=dst)
         for a, b in (
@@ -525,11 +568,11 @@ class NumpyBackend(CodingBackend):
         # Accumulate: rows 0..n-1 gather by low nibble, n..2n-1 by high.
         low = matrix & 0x0F
         high = matrix >> 4
-        accumulator = self._scratch("fb.acc", 2 * n * lanes, np.uint64).reshape(
+        accumulator = self._scratch("acc", 2 * n * lanes, np.uint64).reshape(
             2 * n, lanes
         )
         accumulator[:] = 0
-        index = self._scratch("fb.idx", 2 * n, np.intp)
+        index = self._scratch("idx", 2 * n, np.intp)
         for k in range(m):
             index[:n] = low[:, k]
             index[n:] = high[:, k]
@@ -540,11 +583,11 @@ class NumpyBackend(CodingBackend):
         # into the low half.  All shifts stay inside their byte lane.
         low_acc = accumulator[:n]
         high_acc = accumulator[n:]
-        nibble = self._scratch("fb.nib", n * lanes, np.uint64).reshape(n, lanes)
-        spill = self._scratch("fb.spill", n * lanes, np.uint64).reshape(n, lanes)
+        nibble = self._scratch("nib", n * lanes, np.uint64).reshape(n, lanes)
+        spill = self._scratch("spill", n * lanes, np.uint64).reshape(n, lanes)
         np.right_shift(high_acc, np.uint64(4), out=nibble)
-        np.bitwise_and(nibble, _M0F, out=nibble)
-        np.bitwise_and(high_acc, _M0F, out=high_acc)
+        np.bitwise_and(nibble, m0f, out=nibble)
+        np.bitwise_and(high_acc, m0f, out=high_acc)
         np.left_shift(high_acc, np.uint64(4), out=high_acc)
         for shift in (4, 3, 2):
             np.left_shift(nibble, np.uint64(shift), out=spill)
@@ -560,16 +603,18 @@ class NumpyBackend(CodingBackend):
             return bytes(len(data))
         if scalar == 1:
             return _as_bytes(data)
-        np = self._np
-        return _MUL_MATRIX[scalar][np.frombuffer(data, dtype=np.uint8)].tobytes()
+        tables = _numpy_tables()
+        np = tables.np
+        return tables.mul[scalar][np.frombuffer(data, dtype=np.uint8)].tobytes()
 
     def mul_xor(self, acc: BytesLike, scalar: int, data: BytesLike) -> bytes:
         if scalar == 0:
             return _as_bytes(acc)
-        np = self._np
+        tables = _numpy_tables()
+        np = tables.np
         lifted = np.frombuffer(data, dtype=np.uint8)
         if scalar != 1:
-            lifted = _MUL_MATRIX[scalar][lifted]
+            lifted = tables.mul[scalar][lifted]
         return np.bitwise_xor(np.frombuffer(acc, dtype=np.uint8), lifted).tobytes()
 
 
@@ -584,19 +629,32 @@ def register_backend(backend: CodingBackend) -> CodingBackend:
     return backend
 
 
+def _lookup(name: str) -> Optional[CodingBackend]:
+    """The backend registered as *name*; ``native`` registers on first request.
+
+    Raises :class:`CodingBackendError` for ``native`` when the kernel
+    is unavailable.
+    """
+    backend = _REGISTRY.get(name)
+    if backend is None and name == NativeBackend.name:
+        backend = register_backend(NativeBackend())
+    return backend
+
+
 def available_backends() -> List[str]:
-    """Names of every registered backend, sorted."""
+    """Names of every usable backend, sorted (loads the native kernel)."""
+    try:
+        _lookup(NativeBackend.name)
+    except CodingBackendError:
+        pass
     return sorted(_REGISTRY)
 
 
 register_backend(BaselineBackend())
 register_backend(FusedBackend())
-
-if _np is not None:
+# Registered by presence only: numpy itself is imported at first use.
+if importlib.util.find_spec("numpy") is not None:
     register_backend(NumpyBackend())
-    _NUMPY_AVAILABLE = True
-else:  # pragma: no cover - depends on environment
-    _NUMPY_AVAILABLE = False
 
 
 # -- default selection -------------------------------------------------------
@@ -628,16 +686,23 @@ def _parity_self_check(candidate: CodingBackend) -> bool:
 
 
 def _auto_backend_name() -> str:
-    """Best available backend, decided once per process."""
+    """Best available backend, decided once per process.
+
+    ``native`` when the kernel loads and passes the parity self-check,
+    else ``numpy`` when it imports and passes, else ``fused`` — so a
+    host with a C compiler never imports numpy.
+    """
     global _AUTO_SELECTED
     if _AUTO_SELECTED is None:
         choice = "fused"
-        if _NUMPY_AVAILABLE:
+        for name in ("native", "numpy"):
             try:
-                if _parity_self_check(_REGISTRY["numpy"]):
-                    choice = "numpy"
-            except Exception:  # pragma: no cover - any failure means fused
-                choice = "fused"
+                candidate = _lookup(name)
+                if candidate is not None and _parity_self_check(candidate):
+                    choice = name
+                    break
+            except Exception:  # any failure (no kernel, no numpy) falls through
+                continue
         _AUTO_SELECTED = choice
     return _AUTO_SELECTED
 
@@ -661,8 +726,8 @@ def default_backend_name() -> str:
     """The name selected by ``REPRO_CODING_BACKEND``, or the best available.
 
     An explicit environment value wins unchanged.  Unset or ``auto``
-    resolves to ``numpy`` when numpy is importable and its block
-    kernel passes the parity self-check, else ``fused``.
+    resolves to ``native``, ``numpy`` or ``fused``, the first that is
+    available and passes the parity self-check.
     """
     name = os.environ.get(BACKEND_ENV, "").strip().lower()
     if name and name != "auto":
@@ -684,7 +749,7 @@ def get_backend(
     defaulted = name is None or name == "" or name == "auto"
     if defaulted:
         name = default_backend_name()
-    backend = _REGISTRY.get(name.strip().lower())
+    backend = _lookup(name.strip().lower())
     if backend is None:
         raise CodingBackendError(
             f"unknown coding backend {name!r}; available: {available_backends()}"

@@ -18,7 +18,8 @@ Bundle file format (version ``RPB1``, all integers big-endian)::
     offset 4   header_len   4 bytes   uint32
     offset 8   header       JSON (UTF-8): document_id, digest, m, n,
                             packet_size, original_size, systematic,
-                            measure, backend, content_profile,
+                            measure, backend (the writer's kernel,
+                            provenance only), content_profile,
                             frame_count, arena_bytes
     ...        arena        frame_count MSG_FRAME wire envelopes,
                             back to back (the zero-copy serving arena);
@@ -87,6 +88,10 @@ _CHECKSUM_BYTES = 32
 #: magic + header_len prefix.
 _PREFIX_BYTES = 8
 
+#: Position of the requested kernel name in a cooked-tier key
+#: (:meth:`~repro.prep.request.PrepRequest.cache_key`).
+_KEY_BACKEND = 6
+
 #: Subdirectory for checksum-rejected bundles awaiting inspection.
 QUARANTINE_DIR = "quarantine"
 
@@ -104,6 +109,12 @@ def key_digest(key: Tuple) -> str:
     so its ``repr`` is deterministic across processes and restarts.
     """
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+
+
+def _requested_backend(key: Tuple) -> Optional[str]:
+    """The kernel a cooked-tier *key* asks for; None is the reader's default."""
+    requested = key[_KEY_BACKEND] if len(key) > _KEY_BACKEND else ""
+    return str(requested) or None
 
 
 class DiskCookedStore:
@@ -257,7 +268,7 @@ class DiskCookedStore:
             # Empty or vanished file: treat as a torn write.
             self._reject(path)
             return None
-        prepared = self._parse(mapped, path)
+        prepared = self._parse(mapped, path, _requested_backend(key))
         if prepared is None:
             return None
         self.stats["hits"] += 1
@@ -268,7 +279,7 @@ class DiskCookedStore:
         return prepared
 
     def _parse(
-        self, mapped: mmap.mmap, path: Path
+        self, mapped: mmap.mmap, path: Path, backend: Optional[str]
     ) -> Optional[PreparedDocument]:
         window = memoryview(mapped)
         size = len(window)
@@ -291,7 +302,9 @@ class DiskCookedStore:
             return None
         try:
             header = json.loads(bytes(window[_PREFIX_BYTES:arena_start]))
-            prepared = self._rebuild(header, window[arena_start:arena_end])
+            prepared = self._rebuild(
+                header, window[arena_start:arena_end], backend
+            )
         except (ValueError, KeyError, TypeError):
             self._reject(path, window)
             return None
@@ -301,7 +314,7 @@ class DiskCookedStore:
 
     @staticmethod
     def _rebuild(
-        header: Dict[str, Any], arena: memoryview
+        header: Dict[str, Any], arena: memoryview, backend: Optional[str]
     ) -> PreparedDocument:
         """A PreparedDocument whose arena is the mapped bundle bytes.
 
@@ -309,6 +322,12 @@ class DiskCookedStore:
         the mapping to the same :class:`CookedDocument` constructor a
         fresh cook uses.  Raises ``ValueError`` on any structural
         inconsistency — the caller folds that into the quarantine path.
+
+        The codec runs on *backend*, the kernel the reader's key asks
+        for (None: the reader's default).  The header's ``backend`` is
+        the writer's resolved kernel, provenance only: every kernel
+        cooks the same bytes, and pinning the writer's would make the
+        reader load a kernel it may not have (or want).
         """
         m = int(header["m"])
         n = int(header["n"])
@@ -334,7 +353,6 @@ class DiskCookedStore:
             offset += total
         if offset != len(arena):
             raise ValueError("trailing bytes after the last envelope")
-        backend = str(header.get("backend") or "") or None
         codec_cls = (
             SystematicRSCodec if header.get("systematic", True) else RabinDispersal
         )

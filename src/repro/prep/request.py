@@ -101,8 +101,8 @@ class PrepRequest:
     gamma:
         Redundancy ratio γ = N/M (≥ 1).
     backend:
-        GF(2^8) kernel name (``"baseline"``/``"fused"``/``"numpy"``),
-        or ``None`` for the environment default.
+        GF(2^8) kernel name (``"baseline"``/``"fused"``/``"native"``/
+        ``"numpy"``), or ``None`` for the environment default.
     systematic:
         True for the paper's clear-text-prefix code.
     delivery:

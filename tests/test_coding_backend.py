@@ -8,6 +8,7 @@ var, explicit name, instance pass-through) and the bounded
 decode-matrix cache.
 """
 
+import importlib.util
 import itertools
 import random
 
@@ -156,19 +157,23 @@ class TestBlockKernelSurface:
             backend.matmul_into([[1, 2]], [b"ab", b"cd"], 2, bytearray(3))
 
     def test_native_and_fallback_engines_agree(self):
-        numpy_backend = pytest.importorskip("numpy") and get_backend("numpy")
-        fallback = backend_module.NumpyBackend(use_native=False)
-        assert not fallback.native
+        engines = [get_backend(name) for name in ("native",) if name in OTHERS]
+        if importlib.util.find_spec("numpy") is not None:
+            engines.append(backend_module.NumpyBackend())
+        if not engines:
+            pytest.skip("neither the native kernel nor numpy is available")
         rng = random.Random(23)
         for rows, m, size in [(1, 1, 1), (3, 2, 7), (9, 5, 65), (24, 16, 1024)]:
             matrix = _rows(rng, rows, m)
             stack = _packets(rng, m, size)
             expected = BASELINE.matmul(matrix, stack, size)
-            assert fallback.matmul(matrix, stack, size) == expected
-            assert numpy_backend.matmul(matrix, stack, size) == expected
+            for engine in engines:
+                assert engine.matmul(matrix, stack, size) == expected, engine
 
     def test_matmul_never_materializes_product_tensor(self):
-        pytest.importorskip("numpy")
+        names = [name for name in ("native", "numpy") if name in OTHERS]
+        if not names:
+            pytest.skip("neither the native kernel nor numpy is available")
         import tracemalloc
 
         rows, m, size = 96, 24, 16384
@@ -176,8 +181,8 @@ class TestBlockKernelSurface:
         rng = random.Random(99)
         matrix = _rows(rng, rows, m)
         stack = _packets(rng, m, size)
-        for use_native in (True, False):
-            backend = backend_module.NumpyBackend(use_native=use_native)
+        for name in names:
+            backend = get_backend(name)
             backend.matmul(matrix, stack, size)  # warm arenas + native load
             tracemalloc.start()
             try:
@@ -185,7 +190,7 @@ class TestBlockKernelSurface:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < tensor_bytes // 2, (use_native, peak)
+            assert peak < tensor_bytes // 2, (name, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +333,13 @@ class TestSelection:
         assert isinstance(get_backend(), FusedBackend)
 
     def test_auto_and_unset_pick_best_available(self, monkeypatch):
-        # Auto-selection prefers the numpy block kernel when numpy is
-        # importable (its parity self-check must pass), else fused.
-        expected = "numpy" if "numpy" in available_backends() else "fused"
+        # Auto-selection prefers the native kernel when it loads, then
+        # the numpy engine when numpy imports (each must pass the
+        # parity self-check), else fused.
+        names = available_backends()
+        expected = next(
+            name for name in ("native", "numpy", "fused") if name in names
+        )
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert default_backend_name() == expected
         monkeypatch.setenv(BACKEND_ENV, "auto")

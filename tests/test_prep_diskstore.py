@@ -7,13 +7,18 @@ frames without re-running the pipeline (``cooked_misses == 0``).
 """
 
 import hashlib
+import importlib.util
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding.backend import BACKEND_ENV, available_backends
 from repro.net.wire import MSG_FRAME, encode_message
 from repro.prep import PrepRequest
 from repro.prep.diskstore import BUNDLE_MAGIC, QUARANTINE_DIR, key_digest
@@ -332,3 +337,77 @@ class TestStoreMaintenance:
         store = service.disk_store
         assert store.clear() == 1
         assert store.info()["bundles"] == 0
+
+
+#: Loads the bundle under argv[1] for the document on stdin and
+#: REQUEST in a fresh interpreter, optionally with numpy made
+#: unimportable, and reports what the load did.
+_READER = """
+import hashlib, json, sys
+if sys.argv[2] == "block-numpy":
+    sys.modules["numpy"] = None
+from repro.prep import PrepRequest, PreparationService
+service = PreparationService(disk_path=sys.argv[1])
+service.add_document("doc", sys.stdin.read())
+prepared = service.prepare("doc", PrepRequest(query="mobile web", packet_size=64))
+print(json.dumps({
+    "sha256": hashlib.sha256(
+        b"".join(bytes(view) for view in prepared.wire_frames())
+    ).hexdigest(),
+    "disk_hits": service.stats["disk_hits"],
+    "cooked_misses": service.stats["cooked_misses"],
+    "kernel": prepared.cooked.codec.backend.name,
+    "numpy_imported": "numpy" in sys.modules,
+}))
+"""
+
+
+def load_in_fresh_process(root, mode, backend="auto"):
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    env[BACKEND_ENV] = backend
+    proc = subprocess.run(
+        [sys.executable, "-c", _READER, str(root), mode],
+        input=PAPER,
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=repo,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestWriterKernelIsProvenance:
+    """The header's ``backend`` records the writer's kernel; the reader
+    rebuilds the codec with the kernel its own key asks for."""
+
+    def _numpy_bundle(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        reference = wire_bytes(service.prepare("doc", REQUEST))
+        reseal(
+            sole_bundle(service.disk_store),
+            edit_header=lambda header: header.update(backend="numpy"),
+        )
+        return hashlib.sha256(reference).hexdigest()
+
+    def test_numpy_bundle_loads_with_numpy_blocked(self, tmp_path):
+        reference = self._numpy_bundle(tmp_path)
+        loaded = load_in_fresh_process(tmp_path, "block-numpy")
+        assert loaded["disk_hits"] == 1
+        assert loaded["cooked_misses"] == 0
+        assert loaded["sha256"] == reference
+        assert loaded["kernel"] != "numpy"
+
+    @pytest.mark.parametrize("backend", ["fused", "auto"])
+    def test_numpy_bundle_load_does_not_import_numpy(self, tmp_path, backend):
+        if importlib.util.find_spec("numpy") is None:
+            pytest.skip("numpy is not installed")
+        if backend == "auto" and "native" not in available_backends():
+            pytest.skip("the default falls back to numpy without the native kernel")
+        reference = self._numpy_bundle(tmp_path)
+        loaded = load_in_fresh_process(tmp_path, "plain", backend)
+        assert loaded["disk_hits"] == 1
+        assert loaded["sha256"] == reference
+        assert not loaded["numpy_imported"]
