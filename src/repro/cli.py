@@ -798,7 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cook every document with the default request "
                               "before accepting connections")
     p_serve.add_argument("--sc-budget-mb", type=int, default=64,
-                         help="byte budget for the SC cache tier (MiB)")
+                         help="byte budget for the SC cache tier (MiB): "
+                              "bounds the memory of the cached structural "
+                              "characteristics (unit trees, keyword counts, "
+                              "payloads); per-cook annotation is not kept")
     p_serve.add_argument("--cooked-budget-mb", type=int, default=256,
                          help="byte budget for the cooked cache tier (MiB)")
     p_serve.add_argument("--adaptive-gamma", action="store_true",

@@ -92,12 +92,16 @@ class OrganizationalUnit:
         return dict(self._aggregate())
 
     def _aggregate(self) -> Dict[str, int]:
-        """The cached subtree aggregate itself, for read-only use.
+        """The subtree aggregate itself, for read-only use.
 
         The content measures and the recursive aggregation read it on
         every unit of every cook; :meth:`counts` hands outside callers
-        a copy instead.
+        a copy instead.  A leaf's aggregate is its ``own_counts``; an
+        inner unit memoizes its sum until
+        :meth:`StructuralCharacteristic.release_annotations`.
         """
+        if not self.children:
+            return self.own_counts
         if self._aggregated is None:
             total = dict(self.own_counts)
             for child in self.children:
@@ -188,7 +192,8 @@ class StructuralCharacteristic:
 
     Instances are produced by :class:`repro.core.pipeline.SCPipeline`.
     The document-level occurrence vector and keyword weights live here;
-    content measures annotate each unit's ``content`` mapping.
+    content measures annotate each unit's ``content`` mapping, and
+    :meth:`release_annotations` drops what annotation derived.
     """
 
     def __init__(self, root: OrganizationalUnit, vector: OccurrenceVector) -> None:
@@ -238,6 +243,21 @@ class StructuralCharacteristic:
                 unit.own_content[name] = unit.content[name]
             else:
                 unit.own_content[name] = 0.0
+
+    def release_annotations(self) -> None:
+        """Drop the state annotation derives, keeping the tree's inputs.
+
+        Clears every unit's ``content``/``own_content`` measures and
+        inner aggregate memo, and the vector's weight memo.  What
+        remains is what the pipeline produced (units, ``own_counts``,
+        payloads, the occurrence vector), so the next annotation starts
+        from the same state whatever ran before it.
+        """
+        for unit in self.root.walk():
+            unit.content.clear()
+            unit.own_content.clear()
+            unit._aggregated = None
+        self.vector.clear_weight_memo()
 
     def content_table(self, name: str = "ic") -> List[tuple]:
         """(label, value) rows in document order — the paper's Table 1 shape."""

@@ -68,11 +68,12 @@ def _coerce_delivery(value: Any) -> DeliveryMode:
 
 _LOD_NAMES = frozenset(lod.name.lower() for lod in LOD)
 
-#: Content-measure keys a request may name ("auto" resolves per query);
-#: matches the measures :func:`repro.core.information.annotate_sc` emits.
-KNOWN_MEASURES = frozenset(
-    {"auto", "ic", "qic", "mqic", "proportional", "tfidf"}
-)
+#: Content-measure keys a request may name ("auto" resolves per query):
+#: the measures :func:`repro.core.information.annotate_sc` emits from a
+#: document and a query.  ``tfidf`` is not one of them, because it needs
+#: corpus statistics that no request carries.  ``qic`` and ``mqic``
+#: need a query with keywords; the cook raises ``ValueError`` without.
+KNOWN_MEASURES = frozenset({"auto", "ic", "qic", "mqic", "proportional"})
 
 
 def _normalize_query(query: str) -> str:
@@ -90,8 +91,12 @@ class PrepRequest:
         Level-of-detail name (``"paragraph"`` … ``"document"``),
         case-insensitive.
     measure:
-        Content-measure key ranking the units; ``"auto"`` resolves to
-        ``"mqic"`` when a query is present, ``"ic"`` otherwise.
+        Content-measure key ranking the units (one of
+        :data:`KNOWN_MEASURES`); ``"auto"`` resolves to ``"mqic"`` when
+        a query is present, ``"ic"`` otherwise.  ``"qic"``/``"mqic"``
+        with a query that has no keywords (empty, or only stop words)
+        make the cook raise ``ValueError``; ``"auto"`` then ranks by
+        ``"ic"``.
     query:
         Free-text query driving query-based measures.  Part of the
         cache key in normalized form (whitespace-collapsed,

@@ -116,13 +116,24 @@ class OccurrenceVector:
         self._weights[keyword] = value
         return value
 
+    def clear_weight_memo(self) -> None:
+        """Forget the memoized weights; :meth:`weight` recomputes them."""
+        self._weights.clear()
+
+    def _weight_table(self) -> Dict[str, float]:
+        """The weight memo, filled for every keyword in keyword order."""
+        if len(self._weights) != len(self._counts):
+            self._weights = {keyword: self.weight(keyword) for keyword in self._counts}
+        return self._weights
+
     def weights(self) -> Dict[str, float]:
         """All keyword weights as a fresh dict."""
-        return {keyword: self.weight(keyword) for keyword in self._counts}
+        return dict(self._weight_table())
 
     def weighted_total(self) -> float:
         """Σ_a |a| · ω_a — the normalizer of the IC definition."""
-        return sum(count * self.weight(keyword) for keyword, count in self._counts.items())
+        weights = self._weight_table()
+        return sum(count * weights[keyword] for keyword, count in self._counts.items())
 
     def __repr__(self) -> str:
         return (

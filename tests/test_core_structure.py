@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.information import annotate_sc
 from repro.core.lod import LOD
 from repro.core.structure import OrganizationalUnit, StructuralCharacteristic
 from repro.text.vector import OccurrenceVector
@@ -143,3 +144,25 @@ class TestStructuralCharacteristic:
         inner = sc.unit("1")
         assert leaf.own_content["m"] == 1.0   # leaves copy
         assert inner.own_content["m"] == 0.0  # inner units default to 0
+
+    def test_leaf_aggregate_is_own_counts(self):
+        sc = self.make_sc()
+        leaf = sc.unit("1.1.1")
+        assert leaf._aggregate() is leaf.own_counts
+        assert leaf.counts() == leaf.own_counts
+        assert leaf.counts() is not leaf.own_counts
+
+    def test_release_annotations_drops_derived_state(self):
+        sc = self.make_sc()
+        measures = annotate_sc(sc)
+        before = sc.content_table("ic")
+        assert sc.root._aggregated is not None
+        sc.release_annotations()
+        for unit in sc.root.walk():
+            assert unit.content == {} and unit.own_content == {}
+            assert unit._aggregated is None
+        assert sc.vector._weights == {}
+        assert sc.root.counts() == {"web": 3, "mobile": 4, "cache": 5}
+        # The tree's inputs are intact: annotating again gives the same values.
+        assert set(annotate_sc(sc)) == set(measures)
+        assert sc.content_table("ic") == before

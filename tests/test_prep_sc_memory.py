@@ -1,0 +1,225 @@
+"""What the SC tier keeps between cooks, and what a cook may depend on.
+
+The SC tier caches what the pipeline produced for a document: the unit
+tree, each unit's ``own_counts`` and payload, and the document vector.
+Measure annotation and scheduling are scratch that lasts one cook.
+These tests pin that the scratch is gone after ``prepare()``, that a
+cook's output does not depend on which cooks ran before it, that each
+request a cook cannot satisfy fails the same way on a fresh and on a
+used service, and that the tier's byte weight tracks the memory an
+entry really retains.
+"""
+
+import gc
+import hashlib
+import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from repro.core.pipeline import SCPipeline
+from repro.data import draft_paper_path
+from repro.prep import PrepRequest, PreparationService
+from repro.simulation.textgen import CorpusGenerator
+
+
+def corpus(count=6, seed=1):
+    """[(document id, xml, topic query)] of seeded corpus documents."""
+    generator = CorpusGenerator(seed=seed)
+    return [
+        (name, xml, generator.topic_query(topic))
+        for name, (xml, topic) in generator.corpus(count).items()
+    ]
+
+
+def fingerprint(prepared):
+    """Every output of a cook, as one comparable value."""
+    return (
+        hashlib.sha256(b"".join(prepared.wire_frames())).hexdigest(),
+        tuple(prepared.segments),
+        tuple(share.hex() for share in prepared.content_profile),
+    )
+
+
+def assert_released(sc):
+    for unit in sc.root.walk():
+        assert unit.content == {}, unit
+        assert unit.own_content == {}, unit
+        assert unit._aggregated is None, unit
+    assert sc.vector._weights == {}
+
+
+class TestCacheHygiene:
+    @pytest.mark.parametrize(
+        "request_kwargs",
+        [{}, {"query": "mobile caching"}, {"lod": "section", "measure": "proportional"}],
+    )
+    def test_cached_sc_holds_no_annotation_after_prepare(self, request_kwargs):
+        service = PreparationService()
+        document = service.add_path(draft_paper_path())
+        service.prepare(document, PrepRequest(**request_kwargs))
+        assert_released(service.sc_for(document))
+
+    def test_failed_cook_releases_too(self):
+        service = PreparationService()
+        document = service.add_path(draft_paper_path())
+        with pytest.raises(ValueError):
+            service.prepare(document, PrepRequest(measure="qic"))
+        assert_released(service.sc_for(document))
+
+
+class TestOrderIndependence:
+    def requests(self, documents):
+        plan = []
+        for name, _xml, query in documents:
+            plan.append((name, PrepRequest()))
+            plan.append((name, PrepRequest(query=query)))
+            plan.append((name, PrepRequest(query=query, measure="qic", lod="section")))
+            plan.append((name, PrepRequest(measure="ic", lod="document")))
+        return plan
+
+    def cook_all(self, documents, plan):
+        service = PreparationService()
+        for name, xml, _query in documents:
+            service.add_document(name, xml)
+        return {
+            (name, request): fingerprint(service.prepare(name, request))
+            for name, request in plan
+        }
+
+    def test_two_orders_cook_identical_bytes(self):
+        documents = corpus()
+        plan = self.requests(documents)
+        shuffled = list(plan)
+        random.Random(5).shuffle(shuffled)
+        forward = self.cook_all(documents, plan)
+        assert self.cook_all(documents, shuffled) == forward
+        assert self.cook_all(documents, list(reversed(plan))) == forward
+
+    def test_concurrent_cooks_match_sequential(self):
+        documents = corpus(count=2)
+        plan = self.requests(documents)
+        expected = self.cook_all(documents, plan)
+        service = PreparationService()
+        for name, xml, _query in documents:
+            service.add_document(name, xml)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                futures = [
+                    (key, pool.submit(service.prepare, *key)) for key in plan * 2
+                ]
+                got = [
+                    (key, fingerprint(future.result(timeout=60)))
+                    for key, future in futures
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [(key, expected[key]) for key, _future in futures]
+        for name, _xml, _query in documents:
+            assert_released(service.sc_for(name))
+
+
+def outcome(service, document, request_kwargs):
+    """("ok", fingerprint) or ("error", exception type) for one cook."""
+    try:
+        request = PrepRequest(**request_kwargs)
+        return ("ok", fingerprint(service.prepare(document, request)))
+    except ValueError:
+        return ("error", ValueError)
+
+
+class TestMeasureOutcomes:
+    """A cook's outcome never depends on the service's history.
+
+    ``qic``/``mqic`` need a query with keywords, at every LOD, and the
+    cook raises ``ValueError`` without one; ``auto`` then ranks by
+    ``ic``.  ``tfidf`` needs corpus statistics no request carries, so
+    ``PrepRequest`` rejects it.
+    """
+
+    CASES = [
+        ({"measure": "qic"}, "error"),
+        ({"measure": "qic", "lod": "document"}, "error"),
+        ({"measure": "mqic", "query": "the of and"}, "error"),
+        ({"measure": "qic", "query": "the of and", "lod": "section"}, "error"),
+        ({"measure": "tfidf"}, "error"),
+        ({"measure": "tfidf", "query": "mobile caching"}, "error"),
+        ({"query": "the of and"}, "ok"),
+        ({"measure": "qic", "query": "mobile caching"}, "ok"),
+    ]
+
+    @pytest.mark.parametrize("request_kwargs, expected", CASES)
+    def test_same_outcome_fresh_and_after_a_query_cook(self, request_kwargs, expected):
+        fresh = PreparationService()
+        document = fresh.add_path(draft_paper_path())
+        first = outcome(fresh, document, request_kwargs)
+
+        used = PreparationService()
+        used.add_path(draft_paper_path())
+        used.prepare(document, PrepRequest(query="weakly connected caching"))
+        entries = used.cache_info()["cooked"]["entries"]
+        second = outcome(used, document, request_kwargs)
+
+        assert first[0] == expected
+        assert second == first
+        if expected == "error":
+            assert used.cache_info()["cooked"]["entries"] == entries
+
+    def test_stop_word_query_ranks_by_ic(self):
+        service = PreparationService()
+        document = service.add_path(draft_paper_path())
+        stop_words = service.prepare(document, PrepRequest(query="the of and"))
+        static = service.prepare(document, PrepRequest(measure="ic"))
+        assert fingerprint(stop_words) == fingerprint(static)
+
+    def test_tfidf_rejected_on_the_wire(self):
+        with pytest.raises(ValueError, match="unknown measure"):
+            PrepRequest.from_wire({"measure": "tfidf"})
+
+
+class TestScWeight:
+    """The SC tier's weight is within 25% of the bytes an entry retains."""
+
+    TOLERANCE = 0.25
+
+    @staticmethod
+    def retained_and_weight(pipeline, source, query):
+        """(traced bytes, tier weight) of one document's SC after a cook."""
+        warm = PreparationService(pipeline=pipeline)
+        warm.add_document("doc", source)
+        warm.prepare("doc", PrepRequest(query=query))  # warm the shared lemmatizer
+        del warm
+        # A zero cooked budget keeps no cooked entry: what stays is the SC.
+        service = PreparationService(pipeline=pipeline, cooked_budget_bytes=0)
+        service.add_document("doc", source)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            service.prepare("doc", PrepRequest(query=query))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert service.cache_info()["cooked"]["entries"] == 0
+        return retained, service.cache_info()["sc"]["bytes"]
+
+    def test_bundled_paper(self):
+        source = Path(draft_paper_path()).read_text(encoding="utf-8")
+        retained, weight = self.retained_and_weight(SCPipeline(), source, "mobile caching")
+        assert abs(weight - retained) <= self.TOLERANCE * retained, (weight, retained)
+
+    def test_seeded_corpus_documents(self):
+        pipeline = SCPipeline()
+        for name, xml, query in corpus(count=20, seed=3):
+            retained, weight = self.retained_and_weight(pipeline, xml, query)
+            assert abs(weight - retained) <= self.TOLERANCE * retained, (
+                name,
+                weight,
+                retained,
+            )
