@@ -12,7 +12,7 @@ import pytest
 from conftest import emit
 
 from repro.coding.matrix import GFMatrix
-from repro.coding.rs import SystematicRSCodec, _generator_matrix
+from repro.coding.rs import SystematicRSCodec, _decode_rows, _generator_matrix
 from repro.coding.stream import IncrementalDecoder
 from repro.figures import format_table
 
@@ -33,12 +33,12 @@ def test_encode_scaling(benchmark, m):
 
 @pytest.mark.parametrize("m", [10, 40, 100])
 def test_batch_decode_worst_case(benchmark, m):
-    """All clear packets lost: full matrix inversion of an M×M system."""
+    """All clear packets lost: closed-form rows for every raw packet."""
     codec, raw, cooked = _setup(m, gamma=2.0)
     received = {i: cooked[i] for i in range(m, 2 * m)}
 
     def decode():
-        codec._decode_cache.clear()  # charge the inversion every time
+        _decode_rows.cache_clear()  # charge the row construction every time
         return codec.decode(received)
 
     result = benchmark(decode)

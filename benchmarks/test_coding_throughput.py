@@ -11,7 +11,11 @@ seeding the performance trajectory:
   same geometry (encode work is the N−M redundancy rows, decode
   recovers 8 erased clear packets);
 * **table2** shape — the simulation default (m=40, γ=1.5, 256-byte
-  packets).
+  packets);
+* **cold** decode — the bundled paper's systematic (m=33, n=50,
+  256-byte) geometry with 14 of its 33 clear packets lost, decoded
+  through ``reconstruct_payload`` with a new erasure pattern on every
+  call, the way the network client decodes.
 
 It also times a small Experiment #1 sweep serially and with two
 workers, recording wall-clock for the parallel-sweep trajectory (no
@@ -31,8 +35,14 @@ import time
 from conftest import emit
 
 from repro.coding.backend import available_backends, get_backend
-from repro.coding.rs import RabinDispersal, SystematicRSCodec
+from repro.coding.rs import (
+    DECODE_CACHE_MAX,
+    RabinDispersal,
+    SystematicRSCodec,
+    _decode_rows,
+)
 from repro.figures import format_table
+from repro.prep.reconstruct import reconstruct_payload
 from repro.simulation.experiments import experiment1
 from repro.simulation.parameters import Parameters
 
@@ -156,13 +166,14 @@ def _bench_backend(backend_name, min_seconds, min_reps):
 
         encode_s = _measure(lambda: codec.encode(raw), min_seconds, min_reps)
 
-        def decode_fresh():
-            # A fresh codec per call would rebuild the generator; the
-            # decode-matrix cache is the production fast path, so time
-            # the cached-inverse matmul (the per-packet hot loop).
+        def decode_warm():
+            # The same pattern every call: after the first, the rows
+            # come from the shared decode memo, so this times the
+            # matmul (the per-packet hot loop).  _bench_cold_decode
+            # times the network client's new-pattern-per-fetch case.
             codec.decode(received)
 
-        decode_s = _measure(decode_fresh, min_seconds, min_reps)
+        decode_s = _measure(decode_warm, min_seconds, min_reps)
         payload_mb = m * size / 1e6
         shapes[key] = {
             "m": m,
@@ -175,6 +186,51 @@ def _bench_backend(backend_name, min_seconds, min_reps):
             "decode_mb_per_s": payload_mb / decode_s,
         }
     return shapes
+
+
+#: The cold-decode geometry: (m, n, packet bytes, lost clear packets).
+COLD_SHAPE = (33, 50, 256, 14)
+
+
+def _bench_cold_decode(backend_name, min_seconds, min_reps):
+    """Seconds per decode when every call brings a new erasure pattern.
+
+    Cycles through more distinct patterns than the shared decode memo
+    holds, so every call misses it (asserted) and pays the row
+    construction as well as the matmul.
+    """
+    m, n, size, losses = COLD_SHAPE
+    raw = _random_packets(m, size)
+    cooked = SystematicRSCodec(m, n, backend=backend_name).encode(raw)
+    rng = random.Random(20260808)
+    patterns = set()
+    while len(patterns) <= DECODE_CACHE_MAX:
+        lost = set(rng.sample(range(m), losses))
+        patterns.add(tuple(i for i in range(n) if i not in lost))
+    intact_sets = [{i: cooked[i] for i in pattern} for pattern in sorted(patterns)]
+    document = b"".join(raw)
+    position = 0
+
+    def decode_cold():
+        nonlocal position
+        intact = intact_sets[position % len(intact_sets)]
+        position += 1
+        payload = reconstruct_payload(
+            m, n, len(document), intact, systematic=True, backend=backend_name
+        )
+        assert payload == document
+
+    _decode_rows.cache_clear()
+    decode_s = _measure(decode_cold, min_seconds, max(min_reps, len(intact_sets)))
+    assert _decode_rows.cache_info().hits == 0
+    return {
+        "m": m,
+        "n": n,
+        "packet_bytes": size,
+        "lost_clear_packets": losses,
+        "decode_seconds": decode_s,
+        "decode_mb_per_s": m * size / 1e6 / decode_s,
+    }
 
 
 def _sweep_walltime():
@@ -214,8 +270,10 @@ def test_coding_throughput():
     min_reps = 10 if _FULL else 3
 
     backends = {}
+    cold = {}
     for name in available_backends():
         backends[name] = _bench_backend(name, min_seconds, min_reps)
+        cold[name] = _bench_cold_decode(name, min_seconds, min_reps)
 
     # Headline ratio: combined dense encode+decode time, baseline/fused.
     dense_base = backends["baseline"]["dense_m16_n24_4k"]
@@ -232,6 +290,7 @@ def test_coding_throughput():
         "timing": "best_of_reps",
         "default_backend": get_backend().name,
         "backends": backends,
+        "cold_decode": cold,
         "fused_vs_baseline_dense": fused_speedup,
         "fused_speedup_floor": FUSED_SPEEDUP_FLOOR,
         "sweep": _sweep_walltime(),
@@ -274,6 +333,8 @@ def test_coding_throughput():
             rows.append(
                 (name, key, stats["encode_mb_per_s"], stats["decode_mb_per_s"])
             )
+    for name, stats in sorted(cold.items()):
+        rows.append((name, "cold_decode_m33_n50_256", "", stats["decode_mb_per_s"]))
     rows.append(("fused/baseline (dense)", f"{fused_speedup:.2f}x", "", ""))
     if native_available:
         rows.append(("native/fused (dense)", f"{native_vs_fused:.2f}x", "", ""))

@@ -72,7 +72,6 @@ def fleet_config(disk_root, **overrides):
         default_request=REQUEST,
         disk_root=str(disk_root),
         round_timeout=10.0,
-        slo_error_budget=ERROR_BUDGET,
     )
     kwargs.update(overrides)
     return WorkerConfig(**kwargs)

@@ -55,7 +55,7 @@ def test_net_loadgen_slo():
     async def go():
         store = DocumentStore()
         store.add(_prepared_document())
-        async with NetServer(store, slo_error_budget=ERROR_BUDGET) as server:
+        async with NetServer(store) as server:
             async with ChaosProxy(
                 server.host,
                 server.port,
@@ -152,7 +152,6 @@ def test_net_loadgen_slo_bursty_adaptive_row():
         store.add(_prepared_document(size=4096, packet_size=64))
         async with NetServer(
             store,
-            slo_error_budget=ERROR_BUDGET,
             adaptive_gamma=True,
             gamma_ceiling=3.0,
         ) as server:

@@ -256,9 +256,7 @@ class CarouselScheduler:
                 n=p.prepared.n,
                 packet_size=p.prepared.cooked.packet_size,
                 original_size=p.prepared.cooked.original_size,
-                systematic=bool(
-                    getattr(p.prepared.cooked.codec, "systematic", False)
-                ),
+                systematic=p.prepared.cooked.codec.systematic,
                 repeats=p.repeats,
                 profile=tuple(p.prepared.content_profile),
             )

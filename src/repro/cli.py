@@ -745,6 +745,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retransmission-round bound before giving up "
                             f"(default: {DEFAULT_MAX_ROUNDS})")
 
+    def add_stop_at_flag(p) -> None:
+        """The early-termination threshold: ``transfer`` and the clients."""
+        p.add_argument("--stop-at", type=float, default=None,
+                       help="relevance threshold F for early termination")
+
     p_xfer = sub.add_parser("transfer", help="simulate one document transfer")
     p_xfer.add_argument("path")
     add_document_flags(p_xfer)
@@ -753,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_xfer.add_argument("--bandwidth", type=float, default=19.2)
     p_xfer.add_argument("--seed", type=int, default=0)
     p_xfer.add_argument("--cache", action="store_true", help="enable the packet cache")
-    p_xfer.add_argument("--stop-at", type=float, default=None,
-                        help="relevance threshold F for early termination")
+    add_stop_at_flag(p_xfer)
     p_xfer.add_argument("--trace", default=None, metavar="PATH",
                         help="record a telemetry trace to PATH (JSON Lines)")
     p_xfer.add_argument("--chaos-model", default=None, metavar="SPEC",
@@ -846,8 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Client-side TransferSettings knobs (see _client_settings)."""
         p.add_argument("--no-cache", dest="cache", action="store_false",
                        help="disable the §4.2 packet cache (no resume)")
-        p.add_argument("--stop-at", type=float, default=None,
-                       help="relevance threshold F for early termination")
+        add_stop_at_flag(p)
         p.add_argument("--max-rounds", type=int, default=DEFAULT_MAX_ROUNDS)
         p.add_argument("--round-timeout", type=float,
                        default=DEFAULT_ROUND_TIMEOUT, metavar="SECONDS")

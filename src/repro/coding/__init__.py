@@ -33,6 +33,7 @@ from repro.coding.rs import (
     CodecError,
     RabinDispersal,
     SystematicRSCodec,
+    codec_for,
 )
 from repro.coding.stream import IncrementalDecoder
 from repro.coding.crc import crc16, crc32, verify_crc16, verify_crc32
@@ -69,6 +70,7 @@ __all__ = [
     "CodecError",
     "RabinDispersal",
     "SystematicRSCodec",
+    "codec_for",
     "MAX_COOKED",
     "IncrementalDecoder",
     "crc16",

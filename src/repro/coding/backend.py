@@ -3,7 +3,7 @@
 The erasure code's hot path is one primitive: the GF(2^8)
 matrix × packet-stack product (``matmul``) that cooks raw packets
 into redundancy packets and, on the receive side, multiplies the
-inverse decode matrix back onto the received stack.  Everything else
+decode rows back onto the received stack.  Everything else
 in :mod:`repro.coding.rs` is bookkeeping.  This module isolates that
 primitive behind a small backend interface so the kernel can be
 swapped without touching codec logic:

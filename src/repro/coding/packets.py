@@ -39,7 +39,7 @@ from collections.abc import Sequence
 from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
 from repro.coding.crc import crc16
-from repro.coding.rs import RabinDispersal, SystematicRSCodec
+from repro.coding.rs import codec_for
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 from repro.util.bitops import chunk_bytes, pad_to_multiple
@@ -175,8 +175,7 @@ class Packetizer:
             size = self.packet_size
             m = self.raw_packet_count(len(document))
             n = self.cooked_packet_count(m)
-            codec_cls = SystematicRSCodec if self.systematic else RabinDispersal
-            codec = codec_cls(m, n, backend=self.backend)
+            codec = codec_for(m, n, self.systematic, self.backend)
             stride = envelope_stride(size)
             arena = bytearray(n * stride)
             window = memoryview(arena)
@@ -355,20 +354,8 @@ class CookedDocument:
         return self._envelopes
 
     def reassemble(self, received: Dict[int, bytes]) -> bytes:
-        """Reconstruct the document from ≥ M intact cooked payloads.
-
-        Decodes through the codec's buffer-reuse path: the raw packets
-        land contiguously in one arena, so the document is a single
-        slice off the front rather than a ``b"".join`` over M packet
-        objects.
-        """
-        sizes = {len(payload) for payload in received.values()}
-        if len(sizes) == 1:
-            arena = bytearray(self.m * sizes.pop())
-            written = self.codec.decode_into(received, arena)
-            return bytes(memoryview(arena)[: min(written, self.original_size)])
-        raw = self.codec.decode(received)
-        return b"".join(raw)[: self.original_size]
+        """Reconstruct the document from ≥ M intact cooked payloads."""
+        return self.codec.reconstruct(received, self.original_size)
 
     def clear_prefix(self, received: Dict[int, bytes]) -> bytes:
         """Usable clear-text prefix before full reconstruction.
@@ -379,7 +366,7 @@ class CookedDocument:
         portion of the original information to be used once they are
         available").
         """
-        if not getattr(self.codec, "systematic", False):
+        if not self.codec.systematic:
             return b""
         parts: List[bytes] = []
         for index in range(self.m):

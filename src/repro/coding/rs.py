@@ -23,7 +23,10 @@ original.  Two variants are provided:
     of that product is the Lagrange basis over the points 1..M
     evaluated at the point i+1.  ``_generator_matrix`` writes the same
     matrix down in that closed form, with O(N·M) field operations
-    instead of an O(M³) inversion and product.
+    instead of an O(M³) inversion and product.  Decoding runs the same
+    interpolation the other way: a lost clear packet is the Lagrange
+    basis over the M received points evaluated at its own point, so
+    only the lost packets cost any field work (``_decode_rows``).
 
 Both codecs guarantee the *any-M-of-N* reconstruction property, which
 is verified by construction (every M-row submatrix of a Vandermonde
@@ -33,12 +36,11 @@ right-multiplying by a fixed invertible matrix preserves that).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache, reduce
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.coding.backend import CodingBackend, get_backend
-from repro.coding.gf256 import gf_div, gf_mul
+from repro.coding.gf256 import ORDER, _EXP, _LOG, gf_div, gf_mul
 from repro.coding.matrix import GFMatrix
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
@@ -46,9 +48,9 @@ from repro.util.validation import check_positive_int
 
 MAX_COOKED = 255  # GF(2^8) admits at most 255 distinct nonzero points
 
-#: Upper bound on cached decode matrices per codec.  Long sweeps with
-#: churning loss patterns would otherwise grow the cache without
-#: limit (each M×M inverse at M=40 is ~1600 ints).
+#: Upper bound on the shared decode-row memo (:func:`_decode_rows`).
+#: Long sweeps with churning loss patterns would otherwise grow it
+#: without limit (a full M×M inverse at M=40 is ~1600 ints).
 DECODE_CACHE_MAX = 256
 
 
@@ -91,34 +93,33 @@ def _encode_rows(m: int, n: int, systematic: bool) -> Tuple[Tuple[int, ...], ...
     )
 
 
-class _DecodeMatrixCache:
-    """LRU cache of decode-matrix inverses, keyed by chosen indices."""
+@lru_cache(maxsize=DECODE_CACHE_MAX)
+def _decode_rows(
+    m: int, n: int, systematic: bool, chosen: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """``(targets, rows)``: raw packet ``targets[k]`` is row *k* · *chosen*.
 
-    def __init__(self, capacity: int = DECODE_CACHE_MAX) -> None:
-        check_positive_int(capacity, "capacity")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[int, ...], GFMatrix]" = OrderedDict()
-
-    def get(self, key: Tuple[int, ...]) -> Optional[GFMatrix]:
-        inverse = self._entries.get(key)
-        if inverse is not None:
-            self._entries.move_to_end(key)
-        return inverse
-
-    def put(self, key: Tuple[int, ...], inverse: GFMatrix) -> None:
-        self._entries[key] = inverse
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Tuple[int, ...]) -> bool:
-        return key in self._entries
+    Shared by every codec of one shape, like :func:`_encode_rows`.
+    Rabin's dispersal inverts the chosen generator rows for all M raw
+    packets.  The systematic code needs rows only for the clear packets
+    missing from *chosen*: missing packet *t* is the Lagrange basis
+    over the chosen points evaluated at ``x_t`` (the generator's closed
+    form, read the other way), with the products summed as logarithms.
+    """
+    if not systematic:
+        inverse = _generator_matrix(m, n, False).submatrix(chosen).inverse()
+        return tuple(range(m)), tuple(tuple(inverse.row(i)) for i in range(m))
+    points = [index + 1 for index in chosen]
+    log_weights = [sum(_LOG[xc ^ xk] for xk in points if xk != xc) for xc in points]
+    targets = tuple(sorted(set(range(m)).difference(chosen)))
+    rows = []
+    for target in targets:
+        logs = [_LOG[(target + 1) ^ xk] for xk in points]
+        numerator = sum(logs)
+        rows.append(
+            tuple(_EXP[(numerator - a - b) % ORDER] for a, b in zip(logs, log_weights))
+        )
+    return targets, tuple(rows)
 
 
 class _VandermondeCodec:
@@ -144,7 +145,6 @@ class _VandermondeCodec:
         self.n = n
         self.backend = get_backend(backend)
         self.generator = _generator_matrix(m, n, self.systematic)
-        self._decode_cache = _DecodeMatrixCache()
 
     # -- encoding ----------------------------------------------------------
 
@@ -218,40 +218,50 @@ class _VandermondeCodec:
             if not 0 <= index < self.n:
                 raise CodecError(f"cooked packet index {index} out of range 0..{self.n - 1}")
 
-        indices = sorted(cooked)
-        if self.systematic:
-            clear = [i for i in indices if i < self.m]
-            redundant = [i for i in indices if i >= self.m]
-            chosen = (clear + redundant)[: self.m]
-        else:
-            chosen = indices[: self.m]
-        chosen.sort()
-
+        # The lowest indices: for the systematic code, every intact
+        # clear packet comes before any redundancy packet.
+        chosen = sorted(cooked)[: self.m]
         sizes = {len(cooked[i]) for i in chosen}
         if len(sizes) != 1:
             raise CodecError("cooked packets must all have the same length")
         return chosen, sizes.pop()
 
-    def _decode_rows(self, chosen: List[int]) -> Tuple[List[List[int]], bool]:
-        """The inverse-matrix rows for *chosen*, through the LRU cache."""
-        key = tuple(chosen)
-        inverse = self._decode_cache.get(key)
-        cached = inverse is not None
-        if inverse is None:
-            inverse = self.generator.submatrix(chosen).inverse()
-            self._decode_cache.put(key, inverse)
-        return [inverse.row(i) for i in range(self.m)], cached
+    def _decode(
+        self, cooked: Mapping[int, bytes], out: Optional[Union[bytearray, memoryview]]
+    ) -> Tuple[memoryview, int]:
+        """Write the M raw packets into *out* (a fresh buffer when None).
 
-    def _count_decode(self, cached: bool) -> None:
-        OBS.metrics.counter("rs.decodes").labels(
-            path="matrix", backend=self.backend.name
-        ).inc()
-        OBS.metrics.counter("rs.decode_matrix_cache").labels(
-            result="hit" if cached else "miss"
-        ).inc()
-        OBS.metrics.gauge(
-            "rs.decode_cache_entries", "cached decode-matrix inverses"
-        ).set(len(self._decode_cache))
+        The one decode body: intact clear packets of the systematic
+        code are copied verbatim, and only the :func:`_decode_rows`
+        targets go through the backend.  Returns the written view and
+        the packet size.
+        """
+        chosen, size = self._decode_plan(cooked)
+        total = self.m * size
+        view = memoryview(bytearray(total) if out is None else out)[:total]
+        targets, rows = _decode_rows(self.m, self.n, self.systematic, tuple(chosen))
+        if self.systematic:
+            for index in chosen[: self.m - len(targets)]:
+                view[index * size : (index + 1) * size] = cooked[index]
+        if rows:
+            with timed("rs.decode"):
+                stack = [cooked[index] for index in chosen]
+                first, last = targets[0], targets[-1]
+                if last - first + 1 == len(targets):  # one run: land in place
+                    slab = view[first * size : (last + 1) * size]
+                    self.backend.matmul_into(rows, stack, size, slab)
+                else:
+                    products = self.backend.matmul(rows, stack, size)
+                    for target, product in zip(targets, products):
+                        view[target * size : (target + 1) * size] = product
+        if OBS.enabled:
+            OBS.metrics.counter("rs.decodes").labels(
+                path="matrix" if rows else "clear", backend=self.backend.name
+            ).inc()
+            OBS.metrics.gauge(
+                "rs.decode_cache_entries", "cached decode-row sets (shared memo)"
+            ).set(_decode_rows.cache_info().currsize)
+        return view, size
 
     def decode(self, cooked: Mapping[int, bytes]) -> List[bytes]:
         """Reconstruct the M raw packets from any M intact cooked packets.
@@ -261,51 +271,22 @@ class _VandermondeCodec:
         is systematic, which avoids any matrix work for a loss-free
         prefix).
         """
-        chosen, size = self._decode_plan(cooked)
-
-        if self.systematic and chosen == list(range(self.m)):
-            if OBS.enabled:
-                OBS.metrics.counter("rs.decodes").labels(path="clear").inc()
-            return [bytes(cooked[i]) for i in chosen]
-
-        with timed("rs.decode"):
-            rows, cached = self._decode_rows(chosen)
-            stack = [cooked[index] for index in chosen]
-            raw = self.backend.matmul(rows, stack, size)
-        if OBS.enabled:
-            self._count_decode(cached)
-        return raw
+        view, size = self._decode(cooked, None)
+        return [view[i * size : (i + 1) * size].tobytes() for i in range(self.m)]
 
     def decode_into(
         self, cooked: Mapping[int, bytes], out: Union[bytearray, memoryview]
     ) -> int:
-        """Decode straight into a contiguous caller buffer.
+        """Decode into *out* (at least M·size bytes); returns bytes written."""
+        return len(self._decode(cooked, out)[0])
 
-        Writes the M raw packets back-to-back into *out* (which must
-        hold at least M·size bytes) and returns the number of bytes
-        written.  This is the buffer-reuse path: a vectorized backend
-        lands its product in *out* directly, so reconstructing a
-        document costs one pass instead of per-packet ``bytes``
-        objects plus a ``b"".join`` re-copy.
+    def reconstruct(self, intact: Mapping[int, bytes], original_size: int) -> bytes:
+        """The original document bytes from ≥ M intact cooked payloads.
+
+        Every receiver ends here, so all of them are byte-identical.
         """
-        chosen, size = self._decode_plan(cooked)
-        total = self.m * size
-        view = memoryview(out)[:total]
-
-        if self.systematic and chosen == list(range(self.m)):
-            for slot, index in enumerate(chosen):
-                view[slot * size : (slot + 1) * size] = cooked[index]
-            if OBS.enabled:
-                OBS.metrics.counter("rs.decodes").labels(path="clear").inc()
-            return total
-
-        with timed("rs.decode"):
-            rows, cached = self._decode_rows(chosen)
-            stack = [cooked[index] for index in chosen]
-            self.backend.matmul_into(rows, stack, size, view)
-        if OBS.enabled:
-            self._count_decode(cached)
-        return total
+        view, _size = self._decode(intact, None)
+        return view[:original_size].tobytes()
 
     def __repr__(self) -> str:
         kind = "systematic" if self.systematic else "non-systematic"
@@ -330,3 +311,9 @@ class SystematicRSCodec(_VandermondeCodec):
     def redundancy_indices(self) -> range:
         """Indices of the redundancy-bearing cooked packets."""
         return range(self.m, self.n)
+
+
+def codec_for(m: int, n: int, systematic: bool = True, backend=None) -> _VandermondeCodec:
+    """The codec of one geometry: systematic RS or Rabin's dispersal."""
+    codec_cls = SystematicRSCodec if systematic else RabinDispersal
+    return codec_cls(m, n, backend=backend)

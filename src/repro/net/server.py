@@ -66,7 +66,7 @@ from repro.net.wire import (
 from repro.obs.flight import DEFAULT_FLIGHT_EVENTS, FlightRecorder
 from repro.obs.live import TraceContext
 from repro.obs.runtime import OBS
-from repro.obs.slo import DEFAULT_ERROR_BUDGET, SLOTracker
+from repro.obs.slo import SLOTracker
 from repro.obs.trace import NET_CONN_CLOSE, NET_CONN_OPEN, NET_FLIGHT_DUMP, NET_ROUND_SERVED
 from repro.prep.prepare import PreparedDocument, WireFrames
 from repro.prep.request import DeliveryMode, PrepRequest
@@ -370,10 +370,6 @@ class NetServer:
         socket writes of at most this many bytes (at least one frame
         each, so ``1`` writes one frame per syscall — the bytes on the
         wire are identical either way).
-    slo_error_budget:
-        Error budget of the rolling SLO (see
-        :class:`~repro.obs.slo.SLOTracker`; window and latency target
-        are its defaults).
     flight_events:
         Ring capacity of each connection's flight recorder.
     adaptive_gamma:
@@ -414,7 +410,6 @@ class NetServer:
         round_timeout: float = DEFAULT_ROUND_TIMEOUT,
         send_queue_frames: int = 32,
         send_batch_bytes: int = SEND_BATCH_BYTES,
-        slo_error_budget: float = DEFAULT_ERROR_BUDGET,
         flight_events: int = DEFAULT_FLIGHT_EVENTS,
         adaptive_gamma: bool = False,
         gamma_floor: float = 1.0,
@@ -473,7 +468,7 @@ class NetServer:
         self._gamma_controllers: "OrderedDict[str, AdaptiveRedundancyController]" = (
             OrderedDict()
         )
-        self.slo = SLOTracker(error_budget=slo_error_budget)
+        self.slo = SLOTracker()
         #: Most recent abnormal-close flight dumps, newest last.
         self.flight_dumps: Deque[Dict[str, Any]] = deque(maxlen=FLIGHT_DUMPS_KEPT)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -793,7 +788,7 @@ class NetServer:
                     "n": prepared.n,
                     "packet_size": cooked.packet_size,
                     "original_size": cooked.original_size,
-                    "systematic": bool(getattr(cooked.codec, "systematic", False)),
+                    "systematic": cooked.codec.systematic,
                     "profile": list(prepared.content_profile),
                     "skip": sorted(skip),
                 },

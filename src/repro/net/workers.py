@@ -57,7 +57,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broadcast.scheduler import CarouselScheduler
 from repro.net.server import NetServer
-from repro.obs.slo import DEFAULT_ERROR_BUDGET
 from repro.prep.request import PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
 
@@ -97,7 +96,6 @@ class WorkerConfig:
     warmup: bool = False
     max_rounds: int = DEFAULT_MAX_ROUNDS
     round_timeout: float = DEFAULT_ROUND_TIMEOUT
-    slo_error_budget: float = DEFAULT_ERROR_BUDGET
     adaptive_gamma: bool = False
     gamma_floor: float = 1.0
     gamma_ceiling: float = 3.0
@@ -164,7 +162,6 @@ def build_server(
         config.port,
         max_rounds=config.max_rounds,
         round_timeout=config.round_timeout,
-        slo_error_budget=config.slo_error_budget,
         adaptive_gamma=config.adaptive_gamma,
         gamma_floor=config.gamma_floor,
         gamma_ceiling=config.gamma_ceiling,

@@ -75,7 +75,7 @@ from repro.coding.packets import (
     CookedDocument,
     envelope_stride,
 )
-from repro.coding.rs import RabinDispersal, SystematicRSCodec
+from repro.coding.rs import codec_for
 from repro.obs.runtime import OBS
 from repro.prep.prepare import PreparedDocument
 
@@ -200,11 +200,9 @@ class DiskCookedStore:
             "n": prepared.n,
             "packet_size": cooked.packet_size,
             "original_size": cooked.original_size,
-            "systematic": bool(getattr(cooked.codec, "systematic", False)),
+            "systematic": cooked.codec.systematic,
             "measure": prepared.measure,
-            "backend": getattr(
-                getattr(cooked.codec, "backend", None), "name", ""
-            ),
+            "backend": cooked.codec.backend.name,
             "content_profile": list(prepared.content_profile),
             "frame_count": prepared.n,
             "arena_bytes": len(arena),
@@ -353,13 +351,10 @@ class DiskCookedStore:
             offset += total
         if offset != len(arena):
             raise ValueError("trailing bytes after the last envelope")
-        codec_cls = (
-            SystematicRSCodec if header.get("systematic", True) else RabinDispersal
-        )
         cooked = CookedDocument(
             original_size=int(header["original_size"]),
             packet_size=int(header["packet_size"]),
-            codec=codec_cls(m, n, backend=backend),
+            codec=codec_for(m, n, bool(header.get("systematic", True)), backend),
             arena=arena,
         )
         return PreparedDocument(

@@ -2,12 +2,12 @@
 
 Every receiver — the unicast :class:`~repro.net.client.NetClient`, the
 broadcast :class:`~repro.broadcast.receiver.CarouselReceiver` — ends a
-transfer the same way: M intact cooked payloads go through the codec
-and the join is truncated to the original size.  This module is the
-one shared implementation, living in :mod:`repro.prep` because prep
-owns the cook and therefore its inverse (and because the layering DAG
-lets both ``repro.net`` and ``repro.broadcast`` import prep, while
-neither may import the other).
+transfer the same way: M intact cooked payloads go through the codec's
+``reconstruct``.  This module is the layering shim that names that
+step for the receivers, living in :mod:`repro.prep` because prep owns
+the cook and therefore its inverse (and because the layering DAG lets
+both ``repro.net`` and ``repro.broadcast`` import prep, while neither
+may import the other).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.coding.packets import Frame, decode_frame
-from repro.coding.rs import RabinDispersal, SystematicRSCodec
+from repro.coding.rs import codec_for
 
 __all__ = ["Frame", "parse_frame", "reconstruct_payload"]
 
@@ -41,7 +41,4 @@ def reconstruct_payload(
     the geometry and the intact set, so a carousel receiver holding any
     M packets reproduces exactly the unicast result.
     """
-    codec_cls = SystematicRSCodec if systematic else RabinDispersal
-    codec = codec_cls(m, n, backend=backend)
-    raw = codec.decode(intact)
-    return b"".join(raw)[:original_size]
+    return codec_for(m, n, systematic, backend).reconstruct(intact, original_size)

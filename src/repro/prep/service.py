@@ -144,14 +144,34 @@ def _sc_size(sc: StructuralCharacteristic) -> int:
     return payload + _SC_UNIT_BYTES * units + _SC_ENTRY_BYTES * entries
 
 
+#: Bytes a cooked entry holds besides its arena, profile and
+#: segments: the prepared and cooked document objects, the codec, the
+#: arena's views and the tier's LRU slot.
+_COOKED_ENTRY_BYTES = 1600
+#: Bytes per content-profile share (a list slot and its float).
+_PROFILE_ENTRY_BYTES = 32
+#: Bytes per scheduled segment beyond its label's characters: the
+#: named tuple and its list slot, the label's string header, the
+#: content float and the size int.
+_SEGMENT_BYTES = 184
+
+
 def _cooked_size(prepared: PreparedDocument) -> int:
     """Byte-budget weight of a cached cooked document.
 
     The bytes the entry actually holds: its envelope arena (the one
-    stored form of the cooked packets, frames and envelopes alike)
-    plus the content-profile floats.
+    stored form of the cooked packets, frames and envelopes alike),
+    the content-profile floats, and the scheduled segments with their
+    labels.  Sized with ``tracemalloc`` like :func:`_sc_size` and
+    checked in ``tests/test_prep_sc_memory.py``.
     """
-    return prepared.wire_bytes + 8 * len(prepared.content_profile)
+    segments = prepared.segments or ()
+    return (
+        _COOKED_ENTRY_BYTES
+        + prepared.wire_bytes
+        + _PROFILE_ENTRY_BYTES * len(prepared.content_profile)
+        + sum(_SEGMENT_BYTES + len(segment.label) for segment in segments)
+    )
 
 
 class PreparationService:
@@ -271,7 +291,7 @@ class PreparationService:
             previous = self._records.get(record.document_id)
             self._records[record.document_id] = record
         if previous is not None and previous.digest != record.digest:
-            self._drop_digest(previous.digest)
+            self._drop_digest(previous.digest, record.document_id)
         return record.digest
 
     def remove(self, document_id: str) -> None:
@@ -280,7 +300,7 @@ class PreparationService:
             record = self._records.pop(document_id, None)
         if record is None:
             raise UnknownDocumentError(document_id)
-        self._drop_digest(record.digest)
+        self._drop_digest(record.digest, document_id)
 
     def invalidate(self, document_id: str) -> int:
         """Force re-preparation of *document_id*; returns entries dropped.
@@ -303,13 +323,18 @@ class PreparationService:
             )
             with self._lock:
                 self._records[document_id] = fresh
-        return self._drop_digest(record.digest)
+        return self._drop_digest(record.digest, document_id)
 
-    def _drop_digest(self, digest: str) -> int:
-        """Drop cache entries for *digest* unless another doc shares it."""
+    def _drop_digest(self, digest: str, document_id: str) -> int:
+        """Drop *document_id*'s entries for *digest* unless another doc shares it.
+
+        The document's own record never counts as a sharer, so
+        invalidating it drops even unchanged content.
+        """
         with self._lock:
             shared = any(
-                record.digest == digest for record in self._records.values()
+                record.digest == digest and record.document_id != document_id
+                for record in self._records.values()
             )
         if shared:
             return 0

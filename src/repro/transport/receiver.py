@@ -25,7 +25,7 @@ class TransferReceiver:
     in the FIFO sequence numbers.
     """
 
-    def __init__(self, prepared: PreparedDocument, incremental: bool = False) -> None:
+    def __init__(self, prepared: PreparedDocument) -> None:
         self._prepared = prepared
         self.intact: Dict[int, bytes] = {}
         self.corrupted_seen = 0
@@ -36,16 +36,6 @@ class TransferReceiver:
         # a FIFO channel they occupy positions inside the next gap, so
         # they must not be double-counted as losses.
         self._corrupt_since_highest = 0
-        # Optional online Gaussian elimination: spreads the decode cost
-        # across arrivals so reconstruction at the M-th packet is a
-        # back-substitution instead of a full matrix inversion.  Both
-        # this and the batch reassemble() path run on the codec's
-        # GF(2^8) kernel backend (repro.coding.backend).
-        self._decoder = None
-        if incremental:
-            from repro.coding.stream import IncrementalDecoder
-
-            self._decoder = IncrementalDecoder(prepared.cooked.codec)
 
     # -- feeding ----------------------------------------------------------
 
@@ -106,8 +96,6 @@ class TransferReceiver:
         if sequence in self.intact:
             return
         self.intact[sequence] = payload
-        if self._decoder is not None:
-            self._decoder.add(sequence, payload)
         if sequence < self._prepared.m:
             self._content += self._prepared.content_profile[sequence]
 
@@ -144,8 +132,6 @@ class TransferReceiver:
 
     def reconstruct(self) -> bytes:
         """The full document; raises when fewer than M packets are held."""
-        if self._decoder is not None and self._decoder.complete:
-            return self._decoder.solve_document(self._prepared.cooked.original_size)
         return self._prepared.cooked.reassemble(self.intact)
 
     def clear_prefix(self) -> bytes:

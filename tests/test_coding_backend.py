@@ -31,7 +31,7 @@ from repro.coding.rs import (
     DECODE_CACHE_MAX,
     RabinDispersal,
     SystematicRSCodec,
-    _DecodeMatrixCache,
+    _decode_rows,
 )
 
 BASELINE = get_backend("baseline")
@@ -380,35 +380,25 @@ class TestSelection:
 
 
 # ---------------------------------------------------------------------------
-# Bounded decode-matrix cache
+# Bounded shared decode-row memo
 # ---------------------------------------------------------------------------
 
 class TestDecodeCache:
-    def test_lru_capacity_and_eviction_order(self):
-        cache = _DecodeMatrixCache(capacity=3)
-        for key in ((1,), (2,), (3,)):
-            cache.put(key, object())
-        cache.get((1,))  # refresh: (2,) is now the oldest
-        cache.put((4,), object())
-        assert len(cache) == 3
-        assert (2,) not in cache
-        assert (1,) in cache and (3,) in cache and (4,) in cache
-
     def test_codec_cache_stays_bounded_under_churn(self):
-        m, n = 2, 24  # C(24, 2) - 1 = 275 distinct loss patterns > cap
+        m, n = 2, 24  # C(24, 2) = 276 distinct chosen sets > cap
         codec = SystematicRSCodec(m, n, backend="fused")
         raw = _packets(random.Random(3), m, 8)
         cooked = codec.encode(raw)
+        _decode_rows.cache_clear()
         distinct = 0
         for subset in itertools.combinations(range(n), m):
-            if list(subset) == list(range(m)):
-                continue  # clear-text path never touches the cache
             distinct += 1
             assert codec.decode({i: cooked[i] for i in subset}) == raw
         assert distinct > DECODE_CACHE_MAX
-        assert len(codec._decode_cache) == DECODE_CACHE_MAX
+        assert _decode_rows.cache_info().currsize == DECODE_CACHE_MAX
 
     def test_cache_size_gauge_reported(self):
+        _decode_rows.cache_clear()
         obs.enable()
         try:
             codec = RabinDispersal(2, 5, backend="baseline")

@@ -3,16 +3,21 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.coding.backend import available_backends
+from repro.coding.gf256 import gf_mul
 from repro.coding.matrix import GFMatrix
 from repro.coding.rs import (
     MAX_COOKED,
     CodecError,
     RabinDispersal,
     SystematicRSCodec,
+    _decode_rows,
     _generator_matrix,
+    codec_for,
 )
+from repro.prep.reconstruct import reconstruct_payload
 
 
 def random_packets(rng: random.Random, m: int, size: int):
@@ -133,6 +138,90 @@ class TestAnyMofN:
         assert codec.decode({i: cooked[i] for i in range(6)}) == raw
 
 
+def reference_decode(codec, cooked, keep):
+    """Decode by the textbook route: invert the chosen generator rows."""
+    inverse = codec.generator.submatrix(keep).inverse()
+    size = len(cooked[keep[0]])
+    raw = []
+    for r in range(codec.m):
+        row = inverse.row(r)
+        out = bytearray(size)
+        for coefficient, index in zip(row, keep):
+            for b, byte in enumerate(cooked[index]):
+                out[b] ^= gf_mul(coefficient, byte)
+        raw.append(bytes(out))
+    return raw
+
+
+class TestDecodeMatchesInverse:
+    """Both codecs decode as the full-inverse reference does.
+
+    The systematic code solves only the missing clear packets through
+    the Lagrange closed form; Rabin's dispersal inverts the chosen
+    generator rows.  Either way the output must equal the textbook
+    decode of exactly M chosen packets, through ``decode`` and
+    ``decode_into`` alike, on every backend.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=1, max_value=24),
+        extra=st.integers(min_value=0, max_value=MAX_COOKED),
+        systematic=st.booleans(),
+        backend=st.sampled_from(available_backends()),
+    )
+    @example(seed=1, m=1, extra=MAX_COOKED - 1, systematic=True, backend="fused")
+    @example(seed=2, m=1, extra=MAX_COOKED - 1, systematic=False, backend="fused")
+    @example(seed=3, m=40, extra=MAX_COOKED - 40, systematic=True, backend="fused")
+    @example(seed=4, m=16, extra=MAX_COOKED - 16, systematic=False, backend="baseline")
+    def test_random_erasure_patterns(self, seed, m, extra, systematic, backend):
+        rng = random.Random(seed)
+        n = min(m + extra, MAX_COOKED)
+        codec = codec_for(m, n, systematic, backend)
+        raw = random_packets(rng, m, 5)
+        cooked = codec.encode(raw)
+        keep = sorted(rng.sample(range(n), m))
+        expected = reference_decode(codec, cooked, keep)
+        assert expected == raw
+        assert codec.decode({i: cooked[i] for i in keep}) == expected
+        out = bytearray(m * 5)
+        assert codec.decode_into({i: cooked[i] for i in keep}, out) == m * 5
+        assert bytes(out) == b"".join(expected)
+        # Extra intact packets change the chosen set, never the output.
+        more = keep + rng.sample(range(n), rng.randint(0, n - m))
+        assert codec.decode({i: cooked[i] for i in more}) == expected
+
+    def test_reconstruct_truncates_to_original_size(self):
+        codec = SystematicRSCodec(3, 6)
+        raw = random_packets(random.Random(8), 3, 8)
+        cooked = codec.encode(raw)
+        intact = {i: cooked[i] for i in (1, 4, 5)}
+        assert codec.reconstruct(intact, 20) == b"".join(raw)[:20]
+
+
+class TestSharedDecodeMemo:
+    """One memo serves every codec of a shape, fresh codecs included."""
+
+    def test_reconstruct_payload_misses_once_then_hits(self):
+        codec = SystematicRSCodec(6, 10)
+        raw = random_packets(random.Random(21), 6, 16)
+        cooked = codec.encode(raw)
+        intact = {i: cooked[i] for i in (0, 2, 3, 5, 7, 9)}
+        document = b"".join(raw)[:90]
+        _decode_rows.cache_clear()
+        for expected_hits in (0, 1):
+            assert reconstruct_payload(6, 10, 90, intact, systematic=True) == document
+            info = _decode_rows.cache_info()
+            assert (info.misses, info.hits) == (1, expected_hits)
+
+    def test_systematic_rows_cover_only_missing_clear_packets(self):
+        targets, rows = _decode_rows(6, 10, True, (0, 2, 3, 5, 7, 9))
+        assert targets == (1, 4)
+        assert len(rows) == 2 and all(len(row) == 6 for row in rows)
+        assert _decode_rows(6, 10, True, tuple(range(6))) == ((), ())
+
+
 class TestDecodeErrors:
     def test_too_few_packets(self):
         codec = SystematicRSCodec(4, 6)
@@ -188,9 +277,12 @@ class TestCorruptionSemantics:
         raw = random_packets(rng, 4, 8)
         cooked = codec.encode(raw)
         subset = {i: cooked[i] for i in range(4, 8)}
+        _decode_rows.cache_clear()
         codec.decode(subset)
-        assert len(codec._decode_cache) == 1
-        codec._decode_cache.clear()
-        assert len(codec._decode_cache) == 0
+        assert _decode_rows.cache_info().currsize == 1
+        _decode_rows.cache_clear()
+        assert _decode_rows.cache_info().currsize == 0
         assert codec.decode(subset) == raw
-        assert (4, 5, 6, 7) in codec._decode_cache
+        assert _decode_rows.cache_info().currsize == 1
+        codec.decode(subset)
+        assert _decode_rows.cache_info().hits == 1

@@ -6,8 +6,8 @@ Measure annotation and scheduling are scratch that lasts one cook.
 These tests pin that the scratch is gone after ``prepare()``, that a
 cook's output does not depend on which cooks ran before it, that each
 request a cook cannot satisfy fails the same way on a fresh and on a
-used service, and that the tier's byte weight tracks the memory an
-entry really retains.
+used service, and that the SC and cooked tiers' byte weights track
+the memory an entry really retains.
 """
 
 import gc
@@ -208,6 +208,50 @@ class TestScWeight:
             tracemalloc.stop()
         assert service.cache_info()["cooked"]["entries"] == 0
         return retained, service.cache_info()["sc"]["bytes"]
+
+    def test_bundled_paper(self):
+        source = Path(draft_paper_path()).read_text(encoding="utf-8")
+        retained, weight = self.retained_and_weight(SCPipeline(), source, "mobile caching")
+        assert abs(weight - retained) <= self.TOLERANCE * retained, (weight, retained)
+
+    def test_seeded_corpus_documents(self):
+        pipeline = SCPipeline()
+        for name, xml, query in corpus(count=20, seed=3):
+            retained, weight = self.retained_and_weight(pipeline, xml, query)
+            assert abs(weight - retained) <= self.TOLERANCE * retained, (
+                name,
+                weight,
+                retained,
+            )
+
+
+class TestCookedWeight:
+    """The cooked tier's weight is within 25% of the bytes an entry retains."""
+
+    TOLERANCE = 0.25
+
+    @staticmethod
+    def retained_and_weight(pipeline, source, query):
+        """(traced bytes, tier weight) of one document's cooked entry."""
+        warm = PreparationService(pipeline=pipeline)
+        warm.add_document("doc", source)
+        warm.prepare("doc", PrepRequest(query=query))  # warm the shared memos
+        del warm
+        # A zero SC budget keeps no SC, so the segment labels are held
+        # by the cooked entry alone.
+        service = PreparationService(pipeline=pipeline, sc_budget_bytes=0)
+        service.add_document("doc", source)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            service.prepare("doc", PrepRequest(query=query))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert service.cache_info()["sc"]["entries"] == 0
+        return retained, service.cache_info()["cooked"]["bytes"]
 
     def test_bundled_paper(self):
         source = Path(draft_paper_path()).read_text(encoding="utf-8")

@@ -183,6 +183,28 @@ class TestInvalidation:
         service.prepare(document_id)
         assert pipeline.runs == 2
 
+    def test_invalidate_in_memory_document_drops_its_tiers(self):
+        service, pipeline = make_service()
+        service.add_document("doc", PAPER)
+        service.prepare("doc")
+        assert service.invalidate("doc") > 0
+        before = dict(service.stats)
+        service.prepare("doc")
+        assert service.stats["sc_misses"] == before["sc_misses"] + 1
+        assert service.stats["cooked_misses"] == before["cooked_misses"] + 1
+        assert pipeline.runs == 2
+
+    def test_remove_keeps_entries_of_a_document_with_the_same_content(self):
+        service, pipeline = make_service()
+        service.add_document("doc", PAPER)
+        service.add_document("twin", PAPER)
+        service.prepare("doc")
+        service.remove("doc")
+        before = dict(service.stats)
+        service.prepare("twin")
+        assert service.stats["cooked_hits"] == before["cooked_hits"] + 1
+        assert pipeline.runs == 1
+
     def test_remove(self):
         service, _ = make_service()
         service.add_document("doc", PAPER)

@@ -1,4 +1,4 @@
-"""Focused tests for TransferReceiver, including incremental decoding."""
+"""Focused tests for TransferReceiver."""
 
 import random
 
@@ -157,37 +157,14 @@ class TestContentAccrual:
         assert len(missing) == prepared.m - 1
 
 
-class TestIncrementalMode:
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_reconstruction_equivalent(self, incremental):
+class TestReconstruct:
+    def test_reconstruction_from_random_m_of_n(self):
         prepared = prepare()
-        receiver = TransferReceiver(prepared, incremental=incremental)
+        receiver = TransferReceiver(prepared)
         rng = random.Random(0)
         order = rng.sample(range(prepared.n), prepared.m)
         for sequence in order:
             deliver(receiver, prepared, sequence)
-        assert receiver.can_reconstruct()
-        assert receiver.reconstruct() == DOCUMENT
-
-    def test_incremental_with_losses_and_duplicates(self):
-        prepared = prepare(gamma=2.0)
-        receiver = TransferReceiver(prepared, incremental=True)
-        rng = random.Random(1)
-        sequences = list(range(prepared.n)) + [0, 1, 2]
-        rng.shuffle(sequences)
-        for sequence in sequences:
-            deliver(receiver, prepared, sequence, corrupt=rng.random() < 0.3)
-            if receiver.can_reconstruct():
-                break
-        if receiver.can_reconstruct():
-            assert receiver.reconstruct() == DOCUMENT
-
-    def test_preload_feeds_decoder(self):
-        prepared = prepare()
-        receiver = TransferReceiver(prepared, incremental=True)
-        receiver.preload(
-            {i: prepared.cooked.cooked[i] for i in range(prepared.m)}
-        )
         assert receiver.can_reconstruct()
         assert receiver.reconstruct() == DOCUMENT
 
