@@ -14,8 +14,8 @@ seeding the performance trajectory:
   packets);
 * **cold** decode — the bundled paper's systematic (m=33, n=50,
   256-byte) geometry with 14 of its 33 clear packets lost, decoded
-  through ``reconstruct_payload`` with a new erasure pattern on every
-  call, the way the network client decodes.
+  through the codec's ``reconstruct`` with a new erasure pattern on
+  every call, the way the network client decodes.
 
 It also times a small Experiment #1 sweep serially and with two
 workers, recording wall-clock for the parallel-sweep trajectory (no
@@ -35,14 +35,15 @@ import time
 from conftest import emit
 
 from repro.coding.backend import available_backends, get_backend
+from repro.coding.gf256 import FIELD_SIZE, _mul_table
 from repro.coding.rs import (
     DECODE_CACHE_MAX,
     RabinDispersal,
     SystematicRSCodec,
     _decode_rows,
+    codec_for,
 )
 from repro.figures import format_table
-from repro.prep.reconstruct import reconstruct_payload
 from repro.simulation.experiments import experiment1
 from repro.simulation.parameters import Parameters
 
@@ -101,9 +102,10 @@ def _legacy_numpy_matmul(np, mul, rows, packets, size):
     """The pre-block-kernel numpy matmul, preserved as a reference.
 
     This is the products-tensor formulation the block kernel replaced
-    (broadcast gather into a rows x m x size uint8 tensor, then an
-    XOR reduce).  Timing it here, on the same host as the new kernel,
-    makes the NUMPY_SPEEDUP_FLOOR ratio machine-independent.
+    (broadcast gather from the full 256x256 product table *mul* into a
+    rows x m x size uint8 tensor, then an XOR reduce).  Timing it here,
+    on the same host as the new kernel, makes the NUMPY_SPEEDUP_FLOOR
+    ratio machine-independent.
     """
     stack = np.frombuffer(b"".join(packets), dtype=np.uint8).reshape(
         len(packets), size
@@ -128,8 +130,6 @@ def _bench_numpy_vs_legacy(min_seconds, min_reps):
     """
     import numpy as np
 
-    from repro.coding.backend import _numpy_tables
-
     backend = get_backend("numpy")
     m, n, size = 16, 24, 4096
     rng = random.Random(20260807)
@@ -137,7 +137,10 @@ def _bench_numpy_vs_legacy(min_seconds, min_reps):
     decode_rows = [[rng.randrange(256) for _ in range(m)] for _ in range(m)]
     packets = _random_packets(m, size)
 
-    mul = _numpy_tables().mul
+    mul = np.frombuffer(
+        b"".join([bytes(FIELD_SIZE)] + [_mul_table(c) for c in range(1, FIELD_SIZE)]),
+        dtype=np.uint8,
+    ).reshape(FIELD_SIZE, FIELD_SIZE)
     legacy = lambda rows: _legacy_numpy_matmul(np, mul, rows, packets, size)
     block = lambda rows: backend.matmul(rows, packets, size)
     for rows in (encode_rows, decode_rows):  # parity before timing
@@ -215,10 +218,9 @@ def _bench_cold_decode(backend_name, min_seconds, min_reps):
         nonlocal position
         intact = intact_sets[position % len(intact_sets)]
         position += 1
-        payload = reconstruct_payload(
-            m, n, len(document), intact, systematic=True, backend=backend_name
-        )
-        assert payload == document
+        # A codec per call, as reconstruct_payload builds one per decode.
+        codec = codec_for(m, n, True, backend_name)
+        assert codec.reconstruct(intact, len(document)) == document
 
     _decode_rows.cache_clear()
     decode_s = _measure(decode_cold, min_seconds, max(min_reps, len(intact_sets)))

@@ -68,8 +68,6 @@ class CarouselReceiver:
         Optional seeded :class:`ChannelModel` applied to every observed
         slot.  ``None`` observes a clean channel (the TCP subscription
         path — loss there is the chaos proxy's job).
-    backend:
-        GF(2^8) kernel for reconstruction.
     bridge:
         Optional :class:`TelemetryBridge` for protocol trace events.
     """
@@ -81,14 +79,12 @@ class CarouselReceiver:
         relevance_threshold: Optional[float] = None,
         max_cycles: int = DEFAULT_MAX_ROUNDS,
         channel: Optional[ChannelModel] = None,
-        backend: Optional[object] = None,
         bridge: Optional[TelemetryBridge] = None,
     ) -> None:
         self.document_id = document_id
         self.relevance_threshold = relevance_threshold
         self.max_cycles = max_cycles
         self.channel = channel
-        self.backend = backend
         self._bridge = bridge
         self._engine: Optional[TransferEngine] = None
         self._entry: Optional[CarouselEntry] = None
@@ -237,7 +233,6 @@ class CarouselReceiver:
             entry.original_size,
             self._intact,
             systematic=entry.systematic,
-            backend=self.backend,
         )
 
     # -- internals ---------------------------------------------------------

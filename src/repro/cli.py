@@ -118,15 +118,12 @@ def cmd_transfer(args) -> int:
             lod=args.lod,
             cache=bool(args.cache),
             stop_at=args.stop_at,
-            coding_backend=get_backend(args.coding_backend).name,
+            coding_backend=get_backend().name,
         )
     try:
-        backend = get_backend(args.coding_backend).name if args.coding_backend else None
         service = PreparationService()
         document_id = service.add_path(Path(args.path), html=args.html)
-        prepared = service.prepare(
-            document_id, _document_request(args).replace(backend=backend)
-        )
+        prepared = service.prepare(document_id, _document_request(args))
         if args.chaos_model:
             from repro.channel import parse_model_spec
 
@@ -763,13 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record a telemetry trace to PATH (JSON Lines)")
     p_xfer.add_argument("--chaos-model", default=None, metavar="SPEC",
                         help=CHAOS_MODEL_HELP)
-    p_xfer.add_argument(
-        "--coding-backend",
-        default=None,
-        metavar="NAME",
-        help="GF(2^8) kernel: baseline, fused, native, numpy, or auto "
-        "(default: $REPRO_CODING_BACKEND, else best available)",
-    )
     p_xfer.set_defaults(func=cmd_transfer)
 
     p_fig = sub.add_parser("figure", help="reproduce a paper table/figure")

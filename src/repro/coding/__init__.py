@@ -35,7 +35,6 @@ from repro.coding.rs import (
     SystematicRSCodec,
     codec_for,
 )
-from repro.coding.stream import IncrementalDecoder
 from repro.coding.crc import crc16, crc32, verify_crc16, verify_crc32
 from repro.coding.packets import (
     FRAME_OVERHEAD,
@@ -72,7 +71,6 @@ __all__ = [
     "SystematicRSCodec",
     "codec_for",
     "MAX_COOKED",
-    "IncrementalDecoder",
     "crc16",
     "crc32",
     "verify_crc16",

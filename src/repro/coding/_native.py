@@ -15,14 +15,17 @@ compiler the host has (``cc``/``gcc``/``clang``), loads it through
 field arithmetic before handing it out.  There is no build step, no
 new dependency, and no hard requirement: any failure — no compiler,
 compile error, load error, parity mismatch — makes :func:`load`
-return ``None`` and the caller falls back to the pure-numpy path.
+return ``None``, and the automatic kernel choice in
+:mod:`repro.coding.backend` falls back to the ``numpy`` engine when
+numpy imports, else to the pure-Python ``fused`` kernel.
 
 The nibble tables themselves are generated *here, in Python*, from
 :mod:`repro.coding.gf256`, so the field semantics live in exactly one
 place; the C side only moves bytes.
 
 Set ``REPRO_CODING_NATIVE=0`` to disable compilation entirely (the
-backend then always uses its pure-numpy fallback).
+automatic choice then takes the same ``numpy``-else-``fused``
+fallback).
 """
 
 from __future__ import annotations

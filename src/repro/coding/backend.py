@@ -32,8 +32,7 @@ swapped without touching codec logic:
     ``bytes``, the packets copied into a grow-only thread-local
     ``bytearray`` stack, the product written into a fresh
     ``bytearray`` or, for ``matmul_into``, straight into the caller's
-    buffer.  ``scale`` and ``mul_xor`` reuse the ``fused`` translate
-    tables.  Needs a C compiler, never numpy.
+    buffer.  Needs a C compiler, never numpy.
 
 ``numpy``
     The no-compiler block kernel: a pure numpy uint64-lane engine that
@@ -43,17 +42,19 @@ swapped without touching codec logic:
     is imported when this backend is first used, not when this module
     is imported.
 
-Selection: ``REPRO_CODING_BACKEND`` in the environment (also surfaced
-as ``--coding-backend`` on the CLI) is an explicit override.  Unset
-(or ``auto``) picks the best available backend, each candidate gated
-by a tiny parity self-check against ``baseline``: ``native`` when the
-kernel loads, else ``numpy`` when numpy imports, else ``fused``.  A
+Selection is a process setting, never a request parameter:
+``REPRO_CODING_BACKEND`` in the environment is an explicit override.
+Unset (or ``auto``) picks the best available backend, each candidate
+gated by a tiny parity self-check against ``baseline``: ``native`` when
+the kernel loads, else ``numpy`` when numpy imports, else ``fused``.  A
 serving process on a host with a C compiler therefore never imports
 numpy.  The choice is made once per process and logged once through
 :mod:`repro.obs` when telemetry is on.  All backends are
 byte-identical; the parity property suite
 (``tests/test_coding_backend.py``) enforces it across randomized
-(m, n, packet-size) grids.
+(m, n, packet-size) grids.  Only :func:`repro.coding.rs.codec_for`
+takes an explicit kernel, for those parity suites and the throughput
+benchmark.
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ import threading
 from functools import lru_cache
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.coding.gf256 import FIELD_SIZE, _mul_table, gf_mul_bytes
+from repro.coding.gf256 import _mul_table, gf_mul_bytes
 from repro.obs.runtime import OBS
 from repro.util.bitops import xor_bytes
 
 #: Environment variable naming the process-wide default backend.
 BACKEND_ENV = "REPRO_CODING_BACKEND"
 
-#: Bytes-like inputs accepted by scale/mul_xor/matmul packet stacks.
+#: Bytes-like inputs accepted in matmul packet stacks.
 BytesLike = Union[bytes, bytearray, memoryview]
 
 
@@ -88,21 +89,17 @@ def _as_bytes(data: BytesLike) -> bytes:
 class CodingBackend:
     """One GF(2^8) kernel implementation.
 
-    A backend provides three core operations, all pure functions over
-    bytes-like objects (never mutating their inputs):
+    A backend provides the two primitives the codec uses, both over
+    bytes-like packets (never mutating them):
 
     * ``matmul(rows, packets, size)`` — the R×K matrix × K-packet
       stack product; returns R byte strings of ``size`` bytes.
-    * ``scale(scalar, data)`` — scalar · data.
-    * ``mul_xor(acc, scalar, data)`` — acc ⊕ scalar · data, the
-      row-elimination step of the incremental decoder.
-
-    ``matmul_into(rows, packets, size, out)`` is the buffer-reuse
-    variant of ``matmul``: it writes the R rows contiguously into the
-    writable buffer *out* (``len(out) == R·size``) so a decode path
-    can land directly in its output arena.  The base implementation
-    copies ``matmul`` results; vectorized backends override it to
-    write in place.
+    * ``matmul_into(rows, packets, size, out)`` — the buffer-reuse
+      variant: it writes the R rows contiguously into the writable
+      buffer *out* (``len(out) == R·size``) so an encode or decode
+      lands directly in its output arena.  The base implementation
+      copies ``matmul`` results; vectorized backends override it to
+      write in place.
     """
 
     name = "abstract"
@@ -127,12 +124,6 @@ class CodingBackend:
             )
         for index, row in enumerate(self.matmul(rows, packets, size)):
             view[index * size : (index + 1) * size] = row
-
-    def scale(self, scalar: int, data: BytesLike) -> bytes:
-        raise NotImplementedError
-
-    def mul_xor(self, acc: BytesLike, scalar: int, data: BytesLike) -> bytes:
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
@@ -167,12 +158,6 @@ class BaselineBackend(CodingBackend):
         if OBS.enabled:
             _count_matmul(self.name, len(out), size)
         return out
-
-    def scale(self, scalar: int, data: BytesLike) -> bytes:
-        return gf_mul_bytes(scalar, _as_bytes(data))
-
-    def mul_xor(self, acc: BytesLike, scalar: int, data: BytesLike) -> bytes:
-        return xor_bytes(_as_bytes(acc), gf_mul_bytes(scalar, _as_bytes(data)))
 
 
 # -- fused kernel -----------------------------------------------------------
@@ -242,23 +227,21 @@ class FusedBackend(CodingBackend):
     def _matmul_nibble(
         rows: Sequence[Sequence[int]], packets: Sequence[BytesLike], size: int
     ) -> List[bytes]:
+        # Packet-outer: one packet's 32 tables are live at a time, so the
+        # working set is O((n + 32)·size), not O(32·m·size).  Freeing
+        # megabytes of tables at the heap top on every call made the
+        # allocator return and re-fault them, doubling the call's cost.
         m7f, m01 = _masks(size)
         from_bytes = int.from_bytes
-        low_tables: List[Tuple[int, ...]] = []
-        high_tables: List[Tuple[int, ...]] = []
-        for packet in packets:
-            x = from_bytes(packet, "little")
-            low = _nibble_ladder(x, m7f, m01)
-            high_tables.append(_nibble_ladder(_xtime(low[8], m7f, m01), m7f, m01))
-            low_tables.append(low)
-        out: List[bytes] = []
-        for row in rows:
-            acc = 0
-            for coefficient, low, high in zip(row, low_tables, high_tables):
+        accs = [0] * len(rows)
+        for k, packet in enumerate(packets):
+            low = _nibble_ladder(from_bytes(packet, "little"), m7f, m01)
+            high = _nibble_ladder(_xtime(low[8], m7f, m01), m7f, m01)
+            for r, row in enumerate(rows):
+                coefficient = row[k]
                 if coefficient:
-                    acc ^= low[coefficient & 15] ^ high[coefficient >> 4]
-            out.append(acc.to_bytes(size, "little"))
-        return out
+                    accs[r] ^= low[coefficient & 15] ^ high[coefficient >> 4]
+        return [acc.to_bytes(size, "little") for acc in accs]
 
     @staticmethod
     def _matmul_translate(
@@ -281,19 +264,6 @@ class FusedBackend(CodingBackend):
             out.append(acc.to_bytes(size, "little"))
         return out
 
-    def scale(self, scalar: int, data: BytesLike) -> bytes:
-        return gf_mul_bytes(scalar, _as_bytes(data))
-
-    def mul_xor(self, acc: BytesLike, scalar: int, data: BytesLike) -> bytes:
-        if scalar == 0:
-            return _as_bytes(acc)
-        if scalar != 1:
-            data = _as_bytes(data).translate(_mul_table(scalar))
-        size = len(acc)
-        return (
-            int.from_bytes(acc, "little") ^ int.from_bytes(data, "little")
-        ).to_bytes(size, "little")
-
 
 # -- native kernel ------------------------------------------------------------
 
@@ -307,9 +277,7 @@ class NativeBackend(CodingBackend):
     (``mmap`` slices of a disk-tier bundle) work as they are.
     ``matmul`` lands the product in a fresh ``bytearray``;
     ``matmul_into`` hands the caller's writable buffer to the kernel
-    directly.  ``scale`` and ``mul_xor`` are the ``fused`` translate-
-    table primitives: at packet sizes a foreign call costs more than
-    the work.
+    directly.
     """
 
     name = "native"
@@ -403,17 +371,12 @@ class NativeBackend(CodingBackend):
         if OBS.enabled:
             _count_matmul(self.name, n, size)
 
-    scale = FusedBackend.scale
-    mul_xor = FusedBackend.mul_xor
-
 
 # -- pure-numpy engine ---------------------------------------------------------
 
 
 class _NumpyTables(NamedTuple):
     np: Any
-    #: Full 256×256 product table: ``mul[a, b] == a·b`` in GF(2^8).
-    mul: Any
     #: uint64 lane masks and the reduction constant.
     m7f: Any
     m01: Any
@@ -426,16 +389,8 @@ def _numpy_tables() -> _NumpyTables:
     """numpy and the tables built from it, imported on first use."""
     import numpy as np
 
-    mul = np.frombuffer(
-        b"".join(
-            [bytes(FIELD_SIZE)]
-            + [_mul_table(scalar) for scalar in range(1, FIELD_SIZE)]
-        ),
-        dtype=np.uint8,
-    ).reshape(FIELD_SIZE, FIELD_SIZE)
     return _NumpyTables(
         np,
-        mul,
         np.uint64(0x7F7F7F7F7F7F7F7F),
         np.uint64(0x0101010101010101),
         np.uint64(0x0F0F0F0F0F0F0F0F),
@@ -530,7 +485,7 @@ class NumpyBackend(CodingBackend):
         accumulator — the n·m·size broadcast tensor of the old
         gather/reduce formulation never exists.
         """
-        np, _, m7f, m01, m0f, x1d = _numpy_tables()
+        np, m7f, m01, m0f, x1d = _numpy_tables()
         matrix = np.ascontiguousarray(np.asarray(rows, dtype=np.uint8)).reshape(n, -1)
         m = len(packets)
         padded = (size + 7) & ~7
@@ -596,27 +551,6 @@ class NumpyBackend(CodingBackend):
         np.bitwise_xor(low_acc, high_acc, out=low_acc)
         return low_acc.view(np.uint8).reshape(n, padded)[:, :size]
 
-    # -- scalar ops ----------------------------------------------------------
-
-    def scale(self, scalar: int, data: BytesLike) -> bytes:
-        if scalar == 0:
-            return bytes(len(data))
-        if scalar == 1:
-            return _as_bytes(data)
-        tables = _numpy_tables()
-        np = tables.np
-        return tables.mul[scalar][np.frombuffer(data, dtype=np.uint8)].tobytes()
-
-    def mul_xor(self, acc: BytesLike, scalar: int, data: BytesLike) -> bytes:
-        if scalar == 0:
-            return _as_bytes(acc)
-        tables = _numpy_tables()
-        np = tables.np
-        lifted = np.frombuffer(data, dtype=np.uint8)
-        if scalar != 1:
-            lifted = tables.mul[scalar][lifted]
-        return np.bitwise_xor(np.frombuffer(acc, dtype=np.uint8), lifted).tobytes()
-
 
 # -- registry ----------------------------------------------------------------
 
@@ -676,13 +610,7 @@ def _parity_self_check(candidate: CodingBackend) -> bool:
         bytes((k * 131 + j * 17 + 3) % 256 for j in range(17)) for k in range(3)
     ]
     reference = _REGISTRY["baseline"]
-    if candidate.matmul(rows, packets, 17) != reference.matmul(rows, packets, 17):
-        return False
-    if candidate.scale(79, packets[0]) != reference.scale(79, packets[0]):
-        return False
-    return candidate.mul_xor(packets[0], 200, packets[1]) == reference.mul_xor(
-        packets[0], 200, packets[1]
-    )
+    return candidate.matmul(rows, packets, 17) == reference.matmul(rows, packets, 17)
 
 
 def _auto_backend_name() -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from typing import Dict, Iterator, List, NamedTuple, Optional, Union
+from typing import Dict, Iterator, List, NamedTuple, Union
 
 from repro.coding.crc import crc16
 from repro.coding.rs import codec_for
@@ -65,6 +65,19 @@ _FRAME_START = _ENVELOPE_OVERHEAD
 _PAYLOAD_START = _ENVELOPE_OVERHEAD + 2
 
 BufferLike = Union[bytes, bytearray, memoryview]
+
+
+#: Hard ceiling on one wire envelope's length field (type + body), the
+#: bound :mod:`repro.net.wire` enforces on every message it reads or
+#: writes.  It also bounds what a garbled length prefix can make a
+#: peer allocate.
+MAX_MESSAGE_SIZE = 1 << 20
+
+#: Largest packet size whose frame still fits one envelope: the length
+#: field covers the type byte, the carousel's one-byte document tag,
+#: and the frame's seq + CRC.  A request for more would cook frames no
+#: client can read.
+MAX_PACKET_SIZE = MAX_MESSAGE_SIZE - (1 + 1 + FRAME_OVERHEAD)
 
 
 def envelope_stride(packet_size: int) -> int:
@@ -125,10 +138,6 @@ class Packetizer:
     systematic:
         True (default) for the paper's clear-text-prefix code; False
         for Rabin's original dispersal.
-    backend:
-        GF(2^8) kernel selection passed through to the codec — a
-        name, a backend instance, or None for the environment default
-        (see :mod:`repro.coding.backend`).
     """
 
     def __init__(
@@ -136,7 +145,6 @@ class Packetizer:
         packet_size: int = 256,
         redundancy_ratio: float = 1.5,
         systematic: bool = True,
-        backend: Optional[object] = None,
     ) -> None:
         check_positive_int(packet_size, "packet_size")
         if redundancy_ratio < 1.0:
@@ -144,7 +152,6 @@ class Packetizer:
         self.packet_size = packet_size
         self.redundancy_ratio = redundancy_ratio
         self.systematic = systematic
-        self.backend = backend
 
     def raw_packet_count(self, document_size: int) -> int:
         """M = ceil(s_D / s_p)."""
@@ -175,7 +182,7 @@ class Packetizer:
             size = self.packet_size
             m = self.raw_packet_count(len(document))
             n = self.cooked_packet_count(m)
-            codec = codec_for(m, n, self.systematic, self.backend)
+            codec = codec_for(m, n, self.systematic)
             stride = envelope_stride(size)
             arena = bytearray(n * stride)
             window = memoryview(arena)

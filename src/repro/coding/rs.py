@@ -172,33 +172,27 @@ class _VandermondeCodec:
 
         All raw packets must have equal length (pad beforehand).
         Cooked packet *i* is the GF(2^8) inner product of generator row
-        *i* with the raw packet column.
+        *i* with the raw packet column; for the systematic code the
+        first M are the raw packets verbatim, and :meth:`encode_into`
+        computes the rest.
         """
         size = self._packet_size(raw_packets)
-        with timed("rs.encode"):
-            rows = self.encode_rows()
-            if self.systematic:
-                # Clear-text fast path: the first M cooked packets are
-                # the raw packets verbatim; only the redundancy rows
-                # go through the kernel.
-                cooked = [bytes(packet) for packet in raw_packets]
-                if rows:
-                    cooked.extend(self.backend.matmul(rows, raw_packets, size))
-            else:
-                cooked = self.backend.matmul(rows, raw_packets, size)
-        if OBS.enabled:
-            OBS.metrics.counter("rs.encodes").labels(backend=self.backend.name).inc()
-        return cooked
+        clear = self.m if self.systematic else 0
+        out = memoryview(bytearray(self.n * size))
+        for index in range(clear):
+            out[index * size : (index + 1) * size] = raw_packets[index]
+        self.encode_into(raw_packets, out[clear * size :])
+        return [out[i * size : (i + 1) * size].tobytes() for i in range(self.n)]
 
     def encode_into(
         self, raw_packets: Sequence[bytes], out: Union[bytearray, memoryview]
     ) -> None:
         """Write the :meth:`encode_rows` packets back to back into *out*.
 
-        The buffer-reuse form of :meth:`encode` for a caller that lays
+        The kernel call behind :meth:`encode`, for a caller that lays
         the clear packets down itself: *out* must hold
         ``len(encode_rows()) · size`` bytes, and receives exactly the
-        last cooked packets :meth:`encode` would return.
+        last cooked packets :meth:`encode` returns.
         """
         size = self._packet_size(raw_packets)
         with timed("rs.encode"):

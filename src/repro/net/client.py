@@ -168,14 +168,12 @@ class _Unicast:
         *,
         relevance_threshold: Optional[float],
         max_rounds: int,
-        backend: Optional[object],
     ) -> None:
         self.document_id = document_id
         self.bridge = bridge
         self.cache = cache
         self.relevance_threshold = relevance_threshold
         self.max_rounds = max_rounds
-        self.backend = backend
         self.intact: Dict[int, bytes] = dict(cache.load(document_id))
         self.engine: Optional[TransferEngine] = None
         self.manifest: Optional[_Manifest] = None
@@ -243,7 +241,6 @@ class _Unicast:
                 manifest.original_size,
                 self.intact,
                 systematic=manifest.systematic,
-                backend=self.backend,
             )
             self.cache.discard(self.document_id)
             return payload, self.engine.content_received
@@ -363,11 +360,8 @@ class NetClient:
     request:
         Default :class:`repro.prep.PrepRequest` sent to the server
         with every fetch (LOD, measure, query, packet size, γ,
-        backend, delivery); ``None`` lets the server cook with its own
-        default.  :meth:`fetch` can override per call.
-    backend:
-        GF(2^8) kernel selection for client-side reconstruction (see
-        :mod:`repro.coding.backend`).
+        delivery); ``None`` lets the server cook with its own default.
+        :meth:`fetch` can override per call.
     """
 
     def __init__(
@@ -377,7 +371,6 @@ class NetClient:
         *,
         cache: Optional[PacketCache] = None,
         reconnect_delay: float = 0.05,
-        backend: Optional[object] = None,
         settings: Optional[TransferSettings] = None,
         request: Optional[PrepRequest] = None,
     ) -> None:
@@ -395,7 +388,6 @@ class NetClient:
         self.round_timeout = settings.round_timeout
         self.max_reconnects = settings.max_reconnects
         self.reconnect_delay = reconnect_delay
-        self.backend = backend
 
     async def fetch(
         self, document_id: str, request: Optional[PrepRequest] = None
@@ -403,7 +395,7 @@ class NetClient:
         """Download *document_id*; reconnect-and-resume on drops.
 
         *request* carries the per-fetch preparation parameters (LOD,
-        measure, query, packet size, γ, coding backend, delivery) to
+        measure, query, packet size, γ, delivery) to
         the server in the ``HELLO`` ``prep`` field; ``None`` falls
         back to the client default, then to the server default.  Its
         ``delivery`` (or ``settings.delivery``) picks unicast rounds
@@ -432,7 +424,6 @@ class NetClient:
                     document_id,
                     relevance_threshold=self.relevance_threshold,
                     max_cycles=self.max_rounds,
-                    backend=self.backend,
                     bridge=bridge,
                 )
             )
@@ -443,7 +434,6 @@ class NetClient:
                 self.cache,
                 relevance_threshold=self.relevance_threshold,
                 max_rounds=self.max_rounds,
-                backend=self.backend,
             )
         reconnects = 0
         verdict: Optional[Effect] = None

@@ -188,7 +188,6 @@ async def run_loadgen(
     *,
     clients: int = 50,
     use_cache: bool = True,
-    backend: Optional[object] = None,
     settings: Optional[TransferSettings] = None,
     request: Optional[PrepRequest] = None,
     error_budget: float = DEFAULT_ERROR_BUDGET,
@@ -210,7 +209,7 @@ async def run_loadgen(
         raise ValueError(f"clients must be >= 1, got {clients}")
     started = time.monotonic()
     results = await _fetch_all(
-        host, port, document_id, clients, use_cache, settings, request, backend
+        host, port, document_id, clients, use_cache, settings, request
     )
     elapsed = time.monotonic() - started
     report = summarize_results(
@@ -227,7 +226,6 @@ async def _fetch_all(
     use_cache: bool,
     settings: Optional[TransferSettings],
     request: Optional[PrepRequest],
-    backend: Optional[object] = None,
 ) -> List[Optional[NetFetchResult]]:
     """*clients* concurrent fetches; ``None`` for one that got no verdict."""
 
@@ -238,7 +236,6 @@ async def _fetch_all(
             cache=PacketCache() if use_cache else None,
             settings=settings,
             request=request,
-            backend=backend,
         )
         try:
             return await client.fetch(document_id)

@@ -48,10 +48,9 @@ import asyncio
 import json
 from typing import Any, Dict, Tuple
 
-#: Hard ceiling on one envelope (type + body).  Generous against the
-#: biggest legal frame (255 cooked packets never exceed this) while
-#: bounding what a garbled length prefix can make a peer allocate.
-MAX_MESSAGE_SIZE = 1 << 20
+# The envelope ceiling lives beside the frame layout it must hold: a
+# request's packet size is bounded by it (``MAX_PACKET_SIZE``).
+from repro.coding.packets import MAX_MESSAGE_SIZE
 
 #: Envelope overhead: the 4-byte length prefix plus the type byte.
 ENVELOPE_OVERHEAD = 5

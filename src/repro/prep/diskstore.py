@@ -88,10 +88,6 @@ _CHECKSUM_BYTES = 32
 #: magic + header_len prefix.
 _PREFIX_BYTES = 8
 
-#: Position of the requested kernel name in a cooked-tier key
-#: (:meth:`~repro.prep.request.PrepRequest.cache_key`).
-_KEY_BACKEND = 6
-
 #: Subdirectory for checksum-rejected bundles awaiting inspection.
 QUARANTINE_DIR = "quarantine"
 
@@ -105,16 +101,10 @@ def key_digest(key: Tuple) -> str:
     """Stable filename hash of a canonical cooked-tier cache key.
 
     The key is a flat tuple of primitives (digest, lod, measure,
-    query, packet size, gamma, backend, systematic, pipeline token),
+    query, packet size, gamma, systematic, delivery, pipeline token),
     so its ``repr`` is deterministic across processes and restarts.
     """
     return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-
-
-def _requested_backend(key: Tuple) -> Optional[str]:
-    """The kernel a cooked-tier *key* asks for; None is the reader's default."""
-    requested = key[_KEY_BACKEND] if len(key) > _KEY_BACKEND else ""
-    return str(requested) or None
 
 
 class DiskCookedStore:
@@ -266,7 +256,7 @@ class DiskCookedStore:
             # Empty or vanished file: treat as a torn write.
             self._reject(path)
             return None
-        prepared = self._parse(mapped, path, _requested_backend(key))
+        prepared = self._parse(mapped, path)
         if prepared is None:
             return None
         self.stats["hits"] += 1
@@ -276,9 +266,7 @@ class DiskCookedStore:
             ).inc()
         return prepared
 
-    def _parse(
-        self, mapped: mmap.mmap, path: Path, backend: Optional[str]
-    ) -> Optional[PreparedDocument]:
+    def _parse(self, mapped: mmap.mmap, path: Path) -> Optional[PreparedDocument]:
         window = memoryview(mapped)
         size = len(window)
         if size < _PREFIX_BYTES + _CHECKSUM_BYTES:
@@ -300,9 +288,7 @@ class DiskCookedStore:
             return None
         try:
             header = json.loads(bytes(window[_PREFIX_BYTES:arena_start]))
-            prepared = self._rebuild(
-                header, window[arena_start:arena_end], backend
-            )
+            prepared = self._rebuild(header, window[arena_start:arena_end])
         except (ValueError, KeyError, TypeError):
             self._reject(path, window)
             return None
@@ -311,9 +297,7 @@ class DiskCookedStore:
         return prepared
 
     @staticmethod
-    def _rebuild(
-        header: Dict[str, Any], arena: memoryview, backend: Optional[str]
-    ) -> PreparedDocument:
+    def _rebuild(header: Dict[str, Any], arena: memoryview) -> PreparedDocument:
         """A PreparedDocument whose arena is the mapped bundle bytes.
 
         Walks the envelopes once to check the structure, then hands
@@ -321,9 +305,8 @@ class DiskCookedStore:
         fresh cook uses.  Raises ``ValueError`` on any structural
         inconsistency — the caller folds that into the quarantine path.
 
-        The codec runs on *backend*, the kernel the reader's key asks
-        for (None: the reader's default).  The header's ``backend`` is
-        the writer's resolved kernel, provenance only: every kernel
+        The codec runs on the reader's process kernel.  The header's
+        ``backend`` is the writer's, provenance only: every kernel
         cooks the same bytes, and pinning the writer's would make the
         reader load a kernel it may not have (or want).
         """
@@ -354,7 +337,7 @@ class DiskCookedStore:
         cooked = CookedDocument(
             original_size=int(header["original_size"]),
             packet_size=int(header["packet_size"]),
-            codec=codec_for(m, n, bool(header.get("systematic", True)), backend),
+            codec=codec_for(m, n, bool(header.get("systematic", True))),
             arena=arena,
         )
         return PreparedDocument(

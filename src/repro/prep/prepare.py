@@ -101,20 +101,10 @@ class DocumentSender:
     ----------
     packetizer:
         Controls packet size, redundancy ratio γ, and codec choice.
-    backend:
-        GF(2^8) kernel used for cooking when no *packetizer* is
-        supplied (name, instance, or None for the environment
-        default; see :mod:`repro.coding.backend`).
     """
 
-    def __init__(
-        self,
-        packetizer: Optional[Packetizer] = None,
-        backend: Optional[object] = None,
-    ) -> None:
-        if packetizer is None:
-            packetizer = Packetizer(backend=backend)
-        self.packetizer = packetizer
+    def __init__(self, packetizer: Optional[Packetizer] = None) -> None:
+        self.packetizer = packetizer if packetizer is not None else Packetizer()
 
     def prepare(
         self, document_id: str, schedule: "TransmissionSchedule"
@@ -155,9 +145,7 @@ class DocumentSender:
 
     @staticmethod
     def _record_prepared(cooked: CookedDocument) -> None:
-        OBS.metrics.counter("sender.documents_prepared").labels(
-            backend=cooked.codec.backend.name
-        ).inc()
+        OBS.metrics.counter("sender.documents_prepared").inc()
         OBS.metrics.counter("sender.cooked_packets").inc(cooked.n)
         OBS.metrics.counter("sender.raw_packets").inc(cooked.m)
 

@@ -12,7 +12,7 @@ may import the other).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.coding.packets import Frame, decode_frame
 from repro.coding.rs import codec_for
@@ -32,7 +32,6 @@ def reconstruct_payload(
     intact: Dict[int, bytes],
     *,
     systematic: bool = True,
-    backend: Optional[object] = None,
 ) -> bytes:
     """Decode *intact* (sequence → payload) into the original bytes.
 
@@ -41,4 +40,4 @@ def reconstruct_payload(
     the geometry and the intact set, so a carousel receiver holding any
     M packets reproduces exactly the unicast result.
     """
-    return codec_for(m, n, systematic, backend).reconstruct(intact, original_size)
+    return codec_for(m, n, systematic).reconstruct(intact, original_size)

@@ -1,7 +1,7 @@
 """Frozen request objects for content preparation and transfer.
 
 Before this module existed the knobs of a fetch — LOD, query,
-packet size, redundancy ratio, coding backend, retransmission bounds —
+packet size, redundancy ratio, retransmission bounds —
 were threaded ad hoc as keyword arguments through ``cli.py``,
 ``transport/session.py``, ``net/client.py``, and
 ``prototype/client.py``, each with its own defaults and its own subset.
@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.coding.packets import MAX_PACKET_SIZE
 from repro.core.lod import LOD
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
 from repro.util.validation import check_positive_int
@@ -102,12 +103,11 @@ class PrepRequest:
         cache key in normalized form (whitespace-collapsed,
         case-folded).
     packet_size:
-        Raw payload bytes per packet (the paper's ``s_p``).
+        Raw payload bytes per packet (the paper's ``s_p``), at most
+        :data:`~repro.coding.packets.MAX_PACKET_SIZE` so that every
+        frame fits one wire envelope.
     gamma:
         Redundancy ratio γ = N/M (≥ 1).
-    backend:
-        GF(2^8) kernel name (``"baseline"``/``"fused"``/``"native"``/
-        ``"numpy"``), or ``None`` for the environment default.
     systematic:
         True for the paper's clear-text-prefix code.
     delivery:
@@ -120,7 +120,6 @@ class PrepRequest:
     query: str = ""
     packet_size: int = 256
     gamma: float = 1.5
-    backend: Optional[str] = None
     systematic: bool = True
     delivery: DeliveryMode = DeliveryMode.UNICAST
 
@@ -139,12 +138,13 @@ class PrepRequest:
                 f"choose from {sorted(KNOWN_MEASURES)}"
             )
         check_positive_int(self.packet_size, "packet_size")
+        if self.packet_size > MAX_PACKET_SIZE:
+            raise ValueError(
+                f"packet_size {self.packet_size} exceeds {MAX_PACKET_SIZE}, "
+                f"the largest whose frame fits one wire envelope"
+            )
         if self.gamma < 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError(
-                f"backend must be a kernel name or None, got {self.backend!r}"
-            )
 
     # -- canonical views ---------------------------------------------------
 
@@ -173,7 +173,6 @@ class PrepRequest:
             self.query_key,
             self.packet_size,
             self.gamma,
-            self.backend or "",
             self.systematic,
             self.delivery.value,
         )
@@ -194,8 +193,6 @@ class PrepRequest:
             "gamma": self.gamma,
             "systematic": self.systematic,
         }
-        if self.backend:
-            wire["backend"] = self.backend
         if self.delivery is not DeliveryMode.UNICAST:
             # Omitted when unicast so pre-DeliveryMode peers keep
             # parsing HELLO{prep} unchanged.
@@ -228,11 +225,6 @@ class PrepRequest:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"gamma must be a number, got {value!r}")
             kwargs["gamma"] = float(value)
-        if "backend" in fields_in:
-            value = fields_in["backend"]
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"backend must be a string, got {value!r}")
-            kwargs["backend"] = value or None
         if "systematic" in fields_in:
             value = fields_in["systematic"]
             if not isinstance(value, bool):

@@ -12,8 +12,8 @@ cache tiers:
   configuration token): pipeline output is query-independent, so one
   SC serves every request against the same bytes;
 * the **cooked tier**, keyed by the full canonical request tuple
-  ``(digest, lod, measure, query_key, packet_size, gamma, backend,
-  systematic)``: byte-identical requests share one encode.
+  ``(digest, lod, measure, query_key, packet_size, gamma, systematic,
+  delivery)``: byte-identical requests share one encode.
 
 Both tiers use byte-budget LRU eviction
 (:class:`~repro.prep.cache.ByteBudgetLRU`).  Concurrent misses for the
@@ -684,7 +684,6 @@ class PreparationService:
                         packet_size=request.packet_size,
                         redundancy_ratio=request.gamma,
                         systematic=request.systematic,
-                        backend=request.backend,
                     )
                 )
                 return sender.prepare(record.document_id, schedule)

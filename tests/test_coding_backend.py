@@ -1,7 +1,7 @@
 """Backend parity and selection for the GF(2^8) coding kernels.
 
 Every registered backend must be byte-identical to the pure-Python
-reference on the full coding surface: raw matmul, scalar primitives,
+reference on the full coding surface: raw matmul and matmul_into,
 cooked packets from both codecs, and any-M-of-N reconstruction across
 randomized geometry.  The suite also covers backend selection (env
 var, explicit name, instance pass-through) and the bounded
@@ -73,24 +73,15 @@ class TestKernelParity:
             matrix, stack, size
         )
 
-    @pytest.mark.parametrize("name", OTHERS)
-    def test_scalar_primitives_match_baseline(self, name):
-        backend = get_backend(name)
-        rng = random.Random(7)
-        for size in (1, 17, 300):
-            data = bytes(rng.randrange(256) for _ in range(size))
-            acc = bytes(rng.randrange(256) for _ in range(size))
-            for scalar in (0, 1, 2, 29, 128, 255):
-                assert backend.scale(scalar, data) == BASELINE.scale(scalar, data)
-                assert backend.mul_xor(acc, scalar, data) == BASELINE.mul_xor(
-                    acc, scalar, data
-                )
-
-    def test_baseline_scale_is_gf_mul(self):
-        data = bytes(range(256))
-        for scalar in (0, 1, 93, 255):
-            expected = bytes(gf_mul(scalar, value) for value in data)
-            assert BASELINE.scale(scalar, data) == expected
+    def test_baseline_matmul_is_the_field_inner_product(self):
+        rng = random.Random(5)
+        stack = _packets(rng, 3, 64)
+        for row in ([0, 0, 0], [1, 0, 0], [93, 1, 255], [2, 128, 29]):
+            expected = bytes(
+                gf_mul(row[0], a) ^ gf_mul(row[1], b) ^ gf_mul(row[2], c)
+                for a, b, c in zip(*stack)
+            )
+            assert BASELINE.matmul([row], stack, 64) == [expected]
 
     @given(
         rows=st.integers(min_value=1, max_value=12),
@@ -124,20 +115,6 @@ class TestBlockKernelSurface:
         assert backend.matmul(matrix, views, size) == BASELINE.matmul(
             matrix, stack, size
         )
-
-    @pytest.mark.parametrize("name", OTHERS)
-    def test_scalar_primitives_accept_memoryviews(self, name):
-        backend = get_backend(name)
-        rng = random.Random(11)
-        data = bytes(rng.randrange(256) for _ in range(41))
-        acc = bytes(rng.randrange(256) for _ in range(41))
-        for scalar in (0, 1, 2, 77, 255):
-            assert bytes(backend.scale(scalar, memoryview(data))) == BASELINE.scale(
-                scalar, data
-            )
-            assert bytes(
-                backend.mul_xor(memoryview(acc), scalar, memoryview(data))
-            ) == BASELINE.mul_xor(acc, scalar, data)
 
     @pytest.mark.parametrize("name", available_backends())
     @pytest.mark.parametrize("rows,m,size", [(1, 1, 1), (4, 3, 33), (24, 16, 4096)])

@@ -178,7 +178,6 @@ def unstarted_unicast():
         PacketCache(),
         relevance_threshold=None,
         max_rounds=4,
-        backend=None,
     )
     mode.connected()
     return mode

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.coding.packets import MAX_PACKET_SIZE, encode_frame
+from repro.net.wire import MSG_BCAST_FRAME, MSG_FRAME, encode_message
 from repro.prep.request import (
     KNOWN_MEASURES,
     DeliveryMode,
@@ -99,6 +101,31 @@ class TestPrepRequestKeysAndWire:
             PrepRequest.from_wire({"packet_size": "huge"})
         with pytest.raises(ValueError):
             PrepRequest.from_wire({"measure": "entropy"})
+
+    @pytest.mark.parametrize("kernel", ["numpy", "bogus", "native", "", None])
+    def test_from_wire_refuses_a_kernel(self, kernel):
+        """The GF(2^8) kernel is a process setting, not a request field."""
+        with pytest.raises(ValueError, match="unknown prep parameter"):
+            PrepRequest.from_wire({"lod": "paragraph", "backend": kernel})
+
+    def test_the_wire_form_names_no_kernel(self):
+        assert "backend" not in PrepRequest().to_wire()
+        assert len(PrepRequest().cache_key("d" * 64)) == 8
+
+
+class TestPacketSizeBound:
+    def test_largest_packet_size_frames_fit_one_envelope(self):
+        frame = encode_frame(0, bytes(MAX_PACKET_SIZE))
+        encode_message(MSG_FRAME, frame)
+        encode_message(MSG_BCAST_FRAME, b"\x00" + frame)  # carousel tag byte
+        assert PrepRequest(packet_size=MAX_PACKET_SIZE).packet_size == MAX_PACKET_SIZE
+
+    @pytest.mark.parametrize("size", [MAX_PACKET_SIZE + 1, 4194304, 2**31])
+    def test_oversized_packet_size_refused(self, size):
+        with pytest.raises(ValueError, match="packet_size"):
+            PrepRequest(packet_size=size)
+        with pytest.raises(ValueError, match="packet_size"):
+            PrepRequest.from_wire({"packet_size": size})
 
 
 class TestDeliveryMode:

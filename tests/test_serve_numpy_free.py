@@ -56,6 +56,34 @@ print(json.dumps({
 }))
 """
 
+#: A warmed server answers one HELLO whose prep names a kernel.
+_HOSTILE_HELLO = """
+import asyncio, json, sys
+from repro.data import draft_paper_path
+from repro.net.wire import MSG_HELLO, MESSAGE_NAMES, encode_json, read_message
+from repro.net.workers import WorkerConfig, build_server, build_worker_service
+
+config = WorkerConfig(paths=(str(draft_paper_path()),), warmup=True)
+service = build_worker_service(config)
+
+async def go():
+    async with build_server(config, service) as server:
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        prep = {"backend": "numpy"}
+        writer.write(encode_json(MSG_HELLO, {"doc": "draft_paper", "have": [], "prep": prep}))
+        await writer.drain()
+        msg_type, _ = await read_message(reader)
+        writer.close()
+        return MESSAGE_NAMES[msg_type], server.stats["errors"]
+
+reply, errors = asyncio.run(go())
+print(json.dumps({
+    "reply": reply,
+    "errors": errors,
+    "numpy_imported": "numpy" in sys.modules,
+}))
+"""
+
 _NATIVE_OFF = """
 import json
 from repro.coding.backend import default_backend_name, get_backend
@@ -75,6 +103,20 @@ def test_warmed_serve_stack_never_imports_numpy():
     report = run_fresh(_SERVE)
     assert report["backend"] == "native"
     assert report["cooked"] >= 1  # warm-up really encoded
+    assert not report["numpy_imported"]
+
+
+@pytest.mark.net
+def test_hello_naming_numpy_does_not_import_it():
+    """A HELLO whose prep asks for the numpy kernel is refused, and the
+    refusal leaves the serving process as numpy-free as it was."""
+    if _native.load() is None:
+        pytest.skip("the native GF(2^8) kernel is unavailable on this host")
+    if importlib.util.find_spec("numpy") is None:
+        pytest.skip("numpy is not installed, so nothing could import it")
+    report = run_fresh(_HOSTILE_HELLO)
+    assert report["reply"] == "error"
+    assert report["errors"] == 1
     assert not report["numpy_imported"]
 
 
