@@ -10,7 +10,8 @@ starts from a fresh service.  The median of the rounds is written to
 One more fresh round runs under ``tracemalloc`` and records the bytes
 the service still holds per document after both passes (both cache
 tiers and the shared lemmatizer); the test fails above a fixed
-ceiling, so per-cook scratch left on the cached SCs cannot creep back.
+ceiling, so neither per-cook scratch nor a heavier cached SC form can
+creep back.
 """
 
 import gc
@@ -31,8 +32,11 @@ DOCUMENTS = 50
 ROUNDS = 5
 #: Traced bytes per document the service may keep after both passes.
 #: With annotation left on the cached SCs it kept ~169 KiB per document;
-#: with annotation released after every cook, ~96 KiB (Python 3.11.7).
-RETAINED_CEILING_BYTES = 128 * 1024
+#: with annotation released after every cook, ~96 KiB; with the SC tier
+#: holding compact SCs, ~62.5 KiB (63 958 B, Python 3.11.7).  The
+#: ceiling keeps the old bound's ~1/3 headroom (128 KiB over ~96 KiB)
+#: for interpreter differences such as CI's Python 3.12.
+RETAINED_CEILING_BYTES = 84 * 1024
 
 
 def _corpus():

@@ -154,10 +154,21 @@ class Packetizer:
         self.systematic = systematic
 
     def raw_packet_count(self, document_size: int) -> int:
-        """M = ceil(s_D / s_p)."""
+        """M = ceil(s_D / s_p).
+
+        Raises ``ValueError`` when M exceeds 255: GF(2^8) has no code
+        with more packets, so the packet size is too small for the
+        document.
+        """
         if document_size <= 0:
             raise ValueError("document_size must be positive")
-        return -(-document_size // self.packet_size)
+        m = -(-document_size // self.packet_size)
+        if m > 255:
+            raise ValueError(
+                f"a {document_size}-byte document needs M={m} packets of "
+                f"{self.packet_size} bytes; GF(2^8) codes allow at most 255"
+            )
+        return m
 
     def cooked_packet_count(self, m: int) -> int:
         """N = ceil(γ·M), clamped to 255."""

@@ -23,21 +23,60 @@ Measures
 ``ProportionalIC`` / ``TfIdfIC``
     Alternative definitions (§6 "alternative ways of defining the
     information content would be explored").
+
+The arithmetic of every measure lives once, in
+:mod:`repro.core.compact`; the classes here apply it to an SC tree's
+dicts, and the preparation service applies it to a cached
+:class:`~repro.core.compact.CompactSC` through :func:`serve_measure`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Optional, Protocol
+from typing import Dict, Iterator, Mapping, Optional, Protocol, Tuple
 
+from repro.core.compact import (
+    KeywordTable,
+    Measure,
+    modified_query_measure,
+    proportional_measure,
+    query_measure,
+    query_scale,
+    static_measure,
+    tfidf_measure,
+)
 from repro.core.query import Query
 from repro.core.structure import OrganizationalUnit, StructuralCharacteristic
-from repro.text.vector import OccurrenceVector
 
 
 def _query_weights(query: Query) -> Dict[str, float]:
     """ω_a^Q for every querying word; absent words weigh 0 (§3.2)."""
     return {keyword: query.weight(keyword) for keyword in query.keywords()}
+
+
+def keyword_table(sc: StructuralCharacteristic) -> KeywordTable:
+    """The keyword table of an SC tree (vector order, then stragglers)."""
+    return KeywordTable(sc.vector, (unit.own_counts for unit in sc.root.walk()))
+
+
+def serve_measure(table: KeywordTable, name: str, query: Optional[Query] = None) -> Measure:
+    """The measure a request names, over a compact SC's keyword table.
+
+    ``qic`` and ``mqic`` need a query with keywords; without one they
+    raise ``ValueError``, as does an unknown name.
+    """
+    if name == "ic":
+        return static_measure(table)
+    if name == "proportional":
+        return proportional_measure(table)
+    if name in ("qic", "mqic"):
+        if query is None or query.is_empty:
+            raise ValueError(f"measure {name!r} needs a query with keywords")
+        if name == "qic":
+            return query_measure(table, _query_weights(query))
+        return modified_query_measure(
+            table, _query_weights(query), query.total_occurrences()
+        )
+    raise ValueError(f"unknown measure {name!r}")
 
 
 class ContentMeasure(Protocol):
@@ -51,104 +90,72 @@ class ContentMeasure(Protocol):
         ...
 
 
-class StaticIC:
+class _TreeMeasure:
+    """A :class:`~repro.core.compact.Measure` read off a tree's dicts.
+
+    The arithmetic is the compact measure's; this class only maps a
+    unit's keyword-keyed counts to ``(keyword id, count)`` pairs, in
+    the dicts' own order.
+    """
+
+    name = ""
+
+    def __init__(self, measure: Measure, table: KeywordTable) -> None:
+        self._measure = measure
+        self._index = table.index()
+
+    def _pairs(self, counts: Mapping[str, int]) -> Iterator[Tuple[int, int]]:
+        return zip(map(self._index.__getitem__, counts), counts.values())
+
+    def value(self, unit: OrganizationalUnit) -> float:
+        """Normalized content of the unit's subtree."""
+        return self._measure.value(self._pairs(unit._aggregate()))
+
+    def value_own(self, unit: OrganizationalUnit) -> float:
+        """Content of the unit's intrinsic text only (title words)."""
+        return self._measure.value(self._pairs(unit.own_counts))
+
+
+class StaticIC(_TreeMeasure):
     """The paper's information content p_i (§3.1)."""
 
     name = "ic"
 
     def __init__(self, sc: StructuralCharacteristic) -> None:
-        self._weights = sc.vector.weights()
-        self._denominator = sc.vector.weighted_total()
-
-    def _raw(self, counts: Mapping[str, int]) -> float:
-        weights = self._weights
-        return sum(
-            count * weights.get(keyword, 0.0) for keyword, count in counts.items()
-        )
-
-    def value(self, unit: OrganizationalUnit) -> float:
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit._aggregate()) / self._denominator
-
-    def value_own(self, unit: OrganizationalUnit) -> float:
-        """Content of the unit's intrinsic text only (title words)."""
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit.own_counts) / self._denominator
+        table = keyword_table(sc)
+        super().__init__(static_measure(table), table)
 
 
-class QueryIC:
+class QueryIC(_TreeMeasure):
     """Query-based information content q_i^Q (§3.2, product form)."""
 
     name = "qic"
 
     def __init__(self, sc: StructuralCharacteristic, query: Query) -> None:
-        self._weights = sc.vector.weights()
-        self._query_weights = _query_weights(query)
-        self._denominator = self._raw(dict(sc.vector.items()))
-
-    def _raw(self, counts: Mapping[str, int]) -> float:
-        weights, query_weights = self._weights, self._query_weights
-        total = 0.0
-        for keyword, count in counts.items():
-            query_weight = query_weights.get(keyword, 0.0)
-            if query_weight == 0.0:
-                continue
-            total += count * weights.get(keyword, 0.0) * query_weight
-        return total
-
-    def value(self, unit: OrganizationalUnit) -> float:
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit._aggregate()) / self._denominator
-
-    def value_own(self, unit: OrganizationalUnit) -> float:
-        """Content of the unit's intrinsic text only (title words)."""
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit.own_counts) / self._denominator
+        table = keyword_table(sc)
+        super().__init__(query_measure(table, _query_weights(query)), table)
 
 
-class ModifiedQueryIC:
+class ModifiedQueryIC(_TreeMeasure):
     """Modified query-based information content q̃_i^Q (§3.2, sum form)."""
 
     name = "mqic"
 
     def __init__(self, sc: StructuralCharacteristic, query: Query) -> None:
-        self._weights = sc.vector.weights()
-        self._query_weights = _query_weights(query)
+        table = keyword_table(sc)
         query_total = query.total_occurrences()
-        document_total = sc.vector.total
-        self._scale = document_total / query_total if query_total else 0.0
-        self._denominator = self._raw(dict(sc.vector.items()))
+        self._scale = query_scale(table, query_total)
+        super().__init__(
+            modified_query_measure(table, _query_weights(query), query_total), table
+        )
 
     @property
     def scale(self) -> float:
         """The λ scaling factor between document and query weights."""
         return self._scale
 
-    def _raw(self, counts: Mapping[str, int]) -> float:
-        weights, query_weights, scale = self._weights, self._query_weights, self._scale
-        return sum(
-            count
-            * (weights.get(keyword, 0.0) + scale * query_weights.get(keyword, 0.0))
-            for keyword, count in counts.items()
-        )
 
-    def value(self, unit: OrganizationalUnit) -> float:
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit._aggregate()) / self._denominator
-
-    def value_own(self, unit: OrganizationalUnit) -> float:
-        """Content of the unit's intrinsic text only (title words)."""
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit.own_counts) / self._denominator
-
-
-class ProportionalIC:
+class ProportionalIC(_TreeMeasure):
     """Occurrence-share measure: a unit's share of total keyword mass.
 
     The simplest alternative definition — every keyword occurrence
@@ -158,21 +165,11 @@ class ProportionalIC:
     name = "proportional"
 
     def __init__(self, sc: StructuralCharacteristic) -> None:
-        self._total = sc.vector.total
-
-    def value(self, unit: OrganizationalUnit) -> float:
-        if self._total == 0:
-            return 0.0
-        return sum(unit._aggregate().values()) / self._total
-
-    def value_own(self, unit: OrganizationalUnit) -> float:
-        """Content of the unit's intrinsic text only (title words)."""
-        if self._total == 0:
-            return 0.0
-        return sum(unit.own_counts.values()) / self._total
+        table = keyword_table(sc)
+        super().__init__(proportional_measure(table), table)
 
 
-class TfIdfIC:
+class TfIdfIC(_TreeMeasure):
     """tf–idf-weighted content measure against a background corpus.
 
     *document_frequency* maps a keyword to the number of corpus
@@ -191,27 +188,8 @@ class TfIdfIC:
     ) -> None:
         if corpus_size <= 0:
             raise ValueError("corpus_size must be positive")
-        self._df = dict(document_frequency)
-        self._n = corpus_size
-        self._denominator = self._raw(dict(sc.vector.items()))
-
-    def _idf(self, keyword: str) -> float:
-        df = max(1, self._df.get(keyword, 1))
-        return math.log((1 + self._n) / df) + 1.0
-
-    def _raw(self, counts: Mapping[str, int]) -> float:
-        return sum(count * self._idf(keyword) for keyword, count in counts.items())
-
-    def value(self, unit: OrganizationalUnit) -> float:
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit._aggregate()) / self._denominator
-
-    def value_own(self, unit: OrganizationalUnit) -> float:
-        """Content of the unit's intrinsic text only (title words)."""
-        if self._denominator == 0:
-            return 0.0
-        return self._raw(unit.own_counts) / self._denominator
+        table = keyword_table(sc)
+        super().__init__(tfidf_measure(table, document_frequency, corpus_size), table)
 
 
 def annotate_sc(

@@ -14,23 +14,11 @@ termination logic.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.core.compact import ScheduledSegment
 from repro.core.lod import LOD
 from repro.core.structure import OrganizationalUnit, StructuralCharacteristic
-
-
-class ScheduledSegment(NamedTuple):
-    """One contiguous stretch of the transmission stream.
-
-    ``content`` is the segment's share of the document's total content
-    measure; ``size`` its length in bytes.  Segments are emitted in
-    transmission order.
-    """
-
-    label: str
-    size: int
-    content: float
 
 
 class TransmissionSchedule:

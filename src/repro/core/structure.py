@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
+from repro.core.compact import CompactSC
 from repro.core.lod import LOD
 from repro.text.vector import OccurrenceVector
 
@@ -95,10 +96,9 @@ class OrganizationalUnit:
         """The subtree aggregate itself, for read-only use.
 
         The content measures and the recursive aggregation read it on
-        every unit of every cook; :meth:`counts` hands outside callers
+        every unit they annotate; :meth:`counts` hands outside callers
         a copy instead.  A leaf's aggregate is its ``own_counts``; an
-        inner unit memoizes its sum until
-        :meth:`StructuralCharacteristic.release_annotations`.
+        inner unit memoizes its sum until the tree below it changes.
         """
         if not self.children:
             return self.own_counts
@@ -191,9 +191,10 @@ class StructuralCharacteristic:
     """The SC of a document: a unit tree plus its keyword statistics.
 
     Instances are produced by :class:`repro.core.pipeline.SCPipeline`.
-    The document-level occurrence vector and keyword weights live here;
-    content measures annotate each unit's ``content`` mapping, and
-    :meth:`release_annotations` drops what annotation derived.
+    The document-level occurrence vector and keyword weights live here,
+    and content measures annotate each unit's ``content`` mapping.
+    :meth:`compact` freezes the tree into a :class:`CompactSC` and
+    :meth:`from_compact` rebuilds a fresh tree from one.
     """
 
     def __init__(self, root: OrganizationalUnit, vector: OccurrenceVector) -> None:
@@ -244,20 +245,32 @@ class StructuralCharacteristic:
             else:
                 unit.own_content[name] = 0.0
 
-    def release_annotations(self) -> None:
-        """Drop the state annotation derives, keeping the tree's inputs.
+    # -- the compact form ----------------------------------------------------
 
-        Clears every unit's ``content``/``own_content`` measures and
-        inner aggregate memo, and the vector's weight memo.  What
-        remains is what the pipeline produced (units, ``own_counts``,
-        payloads, the occurrence vector), so the next annotation starts
-        from the same state whatever ran before it.
-        """
-        for unit in self.root.walk():
-            unit.content.clear()
-            unit.own_content.clear()
-            unit._aggregated = None
-        self.vector.clear_weight_memo()
+    def compact(self) -> CompactSC:
+        """The tree as a frozen :class:`CompactSC`; the tree is only read."""
+        return CompactSC.from_tree(self.root, self.vector)
+
+    @classmethod
+    def from_compact(cls, compact: CompactSC) -> "StructuralCharacteristic":
+        """A fresh, unannotated tree equal to the one *compact* was made from."""
+        keywords = compact.table.keywords
+        units: List[OrganizationalUnit] = []
+        for position, label in enumerate(compact.labels):
+            unit = OrganizationalUnit(
+                lod=LOD(compact.lods[position]),
+                label=label,
+                title=compact.titles[position],
+                own_counts={keywords[key]: count for key, count in compact.own_pairs(position)},
+                payload=compact.own_payload(position),
+                virtual=bool(compact.virtual[position]),
+            )
+            units.append(unit)
+        for position, unit in enumerate(units):
+            for child in compact.children(position):
+                unit.children.append(units[child])
+                units[child].parent = unit
+        return cls(units[0], compact.table.vector())
 
     def content_table(self, name: str = "ic") -> List[tuple]:
         """(label, value) rows in document order — the paper's Table 1 shape."""

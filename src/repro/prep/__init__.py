@@ -10,8 +10,9 @@ cooked packets ready for the §4.2 transfer protocol":
   :class:`~repro.prep.prepare.PreparedDocument` — the schedule →
   packets step;
 * :class:`~repro.prep.service.PreparationService` — lazy pipeline +
-  annotate + schedule + cook behind SC-tier and cooked-tier byte-budget
-  LRU caches with single-flight miss deduplication.
+  measure + schedule + cook behind SC-tier (compact SCs) and
+  cooked-tier byte-budget LRU caches with single-flight miss
+  deduplication.
 
 Layering: prep sits above ``core``/``coding``/``obs`` and below
 ``transport``/``net``/``prototype`` — it never imports a transport.

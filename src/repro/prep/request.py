@@ -70,8 +70,8 @@ def _coerce_delivery(value: Any) -> DeliveryMode:
 _LOD_NAMES = frozenset(lod.name.lower() for lod in LOD)
 
 #: Content-measure keys a request may name ("auto" resolves per query):
-#: the measures :func:`repro.core.information.annotate_sc` emits from a
-#: document and a query.  ``tfidf`` is not one of them, because it needs
+#: the measures :func:`repro.core.information.serve_measure` builds from
+#: a document and a query.  ``tfidf`` is not one of them, because it needs
 #: corpus statistics that no request carries.  ``qic`` and ``mqic``
 #: need a query with keywords; the cook raises ``ValueError`` without.
 KNOWN_MEASURES = frozenset({"auto", "ic", "qic", "mqic", "proportional"})

@@ -4,13 +4,14 @@
 happens anywhere in the codebase.  Given a
 :class:`~repro.prep.request.PrepRequest` it lazily runs the paper's
 full server-side chain — parse → five-module SC pipeline (§3.3) →
-measure annotation → :class:`~repro.core.multires.TransmissionSchedule`
-→ :meth:`~repro.prep.prepare.DocumentSender.prepare` — behind two
-cache tiers:
+:class:`~repro.core.compact.CompactSC` → the requested measure and
+its ranked :class:`~repro.core.compact.CompactSchedule` →
+:meth:`~repro.prep.prepare.DocumentSender.prepare` — behind two cache
+tiers:
 
 * the **SC tier**, keyed by document content digest (plus the pipeline
   configuration token): pipeline output is query-independent, so one
-  SC serves every request against the same bytes;
+  frozen compact SC serves every request against the same bytes;
 * the **cooked tier**, keyed by the full canonical request tuple
   ``(digest, lod, measure, query_key, packet_size, gamma, systematic,
   delivery)``: byte-identical requests share one encode.
@@ -38,8 +39,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.coding.packets import Packetizer
-from repro.core.information import annotate_sc
-from repro.core.multires import TransmissionSchedule
+from repro.core.compact import CompactSC
+# ``annotate_sc`` is not called here: ``benchmarks/perf/layers.py``
+# wraps ``repro.prep.service.annotate_sc`` by name when it traces a
+# server, so the name stays importable from this module.
+from repro.core.information import annotate_sc, serve_measure  # noqa: F401
 from repro.core.pipeline import SCPipeline
 from repro.core.query import Query
 from repro.core.structure import StructuralCharacteristic
@@ -81,25 +85,6 @@ class _SourceRecord:
         self.digest = content_digest(source, html=html)
 
 
-class _ScEntry:
-    """Cached pipeline output plus the lock serializing annotation.
-
-    The entry holds what the pipeline produced: the unit tree, each
-    unit's ``own_counts`` and payload, and the document vector.
-    ``annotate_sc`` mutates the SC in place (it attaches per-query
-    measure values and aggregate memos to the units), so a cook holds
-    :attr:`lock` from annotation through packetization and then calls
-    :meth:`~repro.core.structure.StructuralCharacteristic.release_annotations`:
-    annotation is per-cook scratch, and no cook sees another's.
-    """
-
-    __slots__ = ("sc", "lock")
-
-    def __init__(self, sc: StructuralCharacteristic) -> None:
-        self.sc = sc
-        self.lock = threading.Lock()
-
-
 class _Flight:
     """One in-progress computation shared by concurrent requesters."""
 
@@ -118,30 +103,18 @@ def content_digest(source: str, *, html: bool = False) -> str:
     return hasher.hexdigest()
 
 
-#: Bytes a released SC holds per unit beyond its payload: the unit
-#: object and its attribute dict, label, child list, the two empty
-#: measure dicts, the ``own_counts`` dict and the payload's header.
-_SC_UNIT_BYTES = 480
-#: Bytes per keyword entry of a unit's ``own_counts`` or of the
-#: document's occurrence vector (one dict slot).
-_SC_ENTRY_BYTES = 32
+#: Bytes an SC-tier entry holds besides its compact SC's buffers: the
+#: ``CompactSC`` and ``KeywordTable`` objects, the tier key and its LRU
+#: slot (``tracemalloc``, 64-bit CPython 3.11).
+_SC_ENTRY_BYTES = 1050
 
 
-def _sc_size(sc: StructuralCharacteristic) -> int:
-    """Byte-budget weight of a cached SC: what a released SC holds.
-
-    Payload bytes plus a per-unit and a per-keyword-entry cost, sized
-    with ``tracemalloc`` on 64-bit CPython 3.11 and checked to within
-    25% of the traced bytes in ``tests/test_prep_sc_memory.py``.
+def _sc_size(sc: CompactSC) -> int:
+    """Byte-budget weight of a cached SC: its exact buffer bytes plus
+    one per-entry constant, checked against ``tracemalloc`` in
+    ``tests/test_prep_sc_memory.py``.
     """
-    units = 0
-    payload = 0
-    entries = len(sc.vector)
-    for unit in sc.root.walk():
-        units += 1
-        payload += len(unit.payload)
-        entries += len(unit.own_counts)
-    return payload + _SC_UNIT_BYTES * units + _SC_ENTRY_BYTES * entries
+    return sc.nbytes + _SC_ENTRY_BYTES
 
 
 #: Bytes a cooked entry holds besides its arena, profile and
@@ -418,12 +391,16 @@ class PreparationService:
         )
 
     def sc_for(self, document_id: str) -> StructuralCharacteristic:
-        """The (cached) pipeline output for a registered document."""
+        """A fresh SC tree rebuilt from the cached compact SC.
+
+        The tree is the caller's own: annotating or editing it never
+        touches the cache.
+        """
         with self._lock:
             record = self._records.get(document_id)
         if record is None:
             raise UnknownDocumentError(document_id)
-        return self._sc_entry(record).sc
+        return StructuralCharacteristic.from_compact(self._compact_sc(record))
 
     def seed_sc(self, document_id: str, sc: StructuralCharacteristic) -> bool:
         """Adopt an externally-built SC for a registered document.
@@ -431,8 +408,8 @@ class PreparationService:
         Lets callers that already ran the pipeline (the prototype's
         eager gateway) donate the result instead of paying a second
         run; a no-op (returns False) when the tier already holds one.
-        The donated object is shared, so subsequent annotation runs
-        under the service's per-entry lock like any cached SC.
+        The tier stores a compact copy, so the donor keeps its tree and
+        may go on annotating it.
         """
         with self._lock:
             record = self._records.get(document_id)
@@ -441,8 +418,8 @@ class PreparationService:
         key = (record.digest, self._pipeline_token())
         if self._sc_tier.peek(key) is not MISS:
             return False
-        entry = _ScEntry(sc)
-        evicted = self._sc_tier.put(key, entry, _sc_size(sc))
+        compact = sc.compact()
+        evicted = self._sc_tier.put(key, compact, _sc_size(compact))
         if evicted:
             self.stats["evictions"] += len(evicted)
         self._update_size_gauges()
@@ -619,14 +596,10 @@ class PreparationService:
                 "prep.cooked_bytes", "bytes held by the cooked cache tier"
             ).set(self._cooked_tier.bytes)
 
-    def _sc_entry(self, record: _SourceRecord) -> _ScEntry:
+    def _compact_sc(self, record: _SourceRecord) -> CompactSC:
         key = (record.digest, self._pipeline_token())
         return self._fetch(
-            self._sc_tier,
-            key,
-            "sc",
-            lambda: self._build_sc(record),
-            lambda entry: _sc_size(entry.sc),
+            self._sc_tier, key, "sc", lambda: self._build_sc(record), _sc_size
         )
 
     def _pipeline_token(self) -> Tuple:
@@ -635,7 +608,7 @@ class PreparationService:
             return token()
         return (type(self._pipeline).__qualname__,)
 
-    def _build_sc(self, record: _SourceRecord) -> _ScEntry:
+    def _build_sc(self, record: _SourceRecord) -> CompactSC:
         with timed("prep.parse"):
             if record.html:
                 from repro.htmlkit.extract import html_to_research_paper
@@ -643,52 +616,45 @@ class PreparationService:
                 document = html_to_research_paper(record.source)
             else:
                 document = parse_xml(record.source)
-        sc = self._pipeline.run(document)
-        return _ScEntry(sc)
+        return self._pipeline.run(document).compact()
 
     def _build_cooked(
         self, record: _SourceRecord, request: PrepRequest
     ) -> PreparedDocument:
-        entry = self._sc_entry(record)
-        # Annotation mutates the shared SC; the entry lock serializes
-        # every build over the same pipeline output, and the release
-        # leaves the cached SC as the pipeline built it.
-        with entry.lock:
-            try:
-                with timed("prep.annotate"):
-                    query: Optional[Query] = None
-                    if request.query.strip():
-                        extractor = KeywordExtractor(
-                            lemmatizer=self._pipeline.shared_lemmatizer
-                        )
-                        query = Query(request.query, extractor=extractor)
-                    measure = request.resolved_measure
-                    if measure in ("qic", "mqic") and (
-                        query is None or query.is_empty
-                    ):
-                        if request.measure != "auto":
-                            raise ValueError(
-                                f"measure {measure!r} needs a query with "
-                                f"keywords, got {request.query!r}"
-                            )
-                        # A query of pure stop words carries no keywords;
-                        # "auto" degrades to the static measure (matching
-                        # the pre-service CLI behaviour).
-                        measure = "ic"
-                    annotate_sc(entry.sc, query=query)
-                    schedule = TransmissionSchedule(
-                        entry.sc, lod=request.lod_level, measure=measure
-                    )
-                sender = DocumentSender(
-                    Packetizer(
-                        packet_size=request.packet_size,
-                        redundancy_ratio=request.gamma,
-                        systematic=request.systematic,
-                    )
+        sc = self._compact_sc(record)
+        packetizer = Packetizer(
+            packet_size=request.packet_size,
+            redundancy_ratio=request.gamma,
+            systematic=request.systematic,
+        )
+        if sc.payload_size:
+            # Refuses a packet size that needs more packets than the
+            # code has symbols, before any scoring or encoding.
+            packetizer.raw_packet_count(sc.payload_size)
+        # The cached SC is read-only: the measure's values and the
+        # ranking are this cook's own, so cooks need no lock.
+        with timed("prep.annotate"):
+            query: Optional[Query] = None
+            if request.query.strip():
+                extractor = KeywordExtractor(
+                    lemmatizer=self._pipeline.shared_lemmatizer
                 )
-                return sender.prepare(record.document_id, schedule)
-            finally:
-                entry.sc.release_annotations()
+                query = Query(request.query, extractor=extractor)
+            measure = request.resolved_measure
+            if measure in ("qic", "mqic") and (query is None or query.is_empty):
+                if request.measure != "auto":
+                    raise ValueError(
+                        f"measure {measure!r} needs a query with "
+                        f"keywords, got {request.query!r}"
+                    )
+                # A query of pure stop words carries no keywords;
+                # "auto" degrades to the static measure (matching
+                # the pre-service CLI behaviour).
+                measure = "ic"
+            schedule = sc.schedule(
+                request.lod_level, serve_measure(sc.table, measure, query)
+            )
+        return DocumentSender(packetizer).prepare(record.document_id, schedule)
 
     @staticmethod
     def _with_id(

@@ -94,6 +94,11 @@ class OccurrenceVector:
         return self._norm_value
 
     @property
+    def norm_kind(self) -> str:
+        """Which norm the weight formula uses (``infinity``, ``l1``, ``l2``)."""
+        return self._norm_kind
+
+    @property
     def total(self) -> int:
         """Total occurrences across all keywords (Σ|a|)."""
         return sum(self._counts.values())
@@ -115,10 +120,6 @@ class OccurrenceVector:
         value = 1.0 - math.log2(occurrences / self._norm_value)
         self._weights[keyword] = value
         return value
-
-    def clear_weight_memo(self) -> None:
-        """Forget the memoized weights; :meth:`weight` recomputes them."""
-        self._weights.clear()
 
     def _weight_table(self) -> Dict[str, float]:
         """The weight memo, filled for every keyword in keyword order."""

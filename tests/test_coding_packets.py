@@ -65,6 +65,15 @@ class TestPacketizer:
         assert packetizer.raw_packet_count(10241) == 41
         assert packetizer.raw_packet_count(1) == 1
 
+    def test_more_than_255_raw_packets_is_a_value_error(self):
+        """GF(2^8) has no code past 255 packets: the packet size is refused."""
+        packetizer = Packetizer(packet_size=8)
+        assert packetizer.raw_packet_count(8 * 255) == 255
+        with pytest.raises(ValueError, match="at most 255"):
+            packetizer.raw_packet_count(8 * 255 + 1)
+        with pytest.raises(ValueError, match="M=1038"):
+            packetizer.cook(bytes(8302))
+
     def test_cooked_count_gamma(self):
         """N = ⌈γ·M⌉ = 60 at Table 2 defaults."""
         packetizer = Packetizer(packet_size=256, redundancy_ratio=1.5)

@@ -152,17 +152,24 @@ class TestStructuralCharacteristic:
         assert leaf.counts() == leaf.own_counts
         assert leaf.counts() is not leaf.own_counts
 
-    def test_release_annotations_drops_derived_state(self):
+    def test_compact_round_trip_rebuilds_an_equal_unannotated_tree(self):
         sc = self.make_sc()
-        measures = annotate_sc(sc)
-        before = sc.content_table("ic")
-        assert sc.root._aggregated is not None
-        sc.release_annotations()
-        for unit in sc.root.walk():
-            assert unit.content == {} and unit.own_content == {}
-            assert unit._aggregated is None
-        assert sc.vector._weights == {}
-        assert sc.root.counts() == {"web": 3, "mobile": 4, "cache": 5}
-        # The tree's inputs are intact: annotating again gives the same values.
-        assert set(annotate_sc(sc)) == set(measures)
-        assert sc.content_table("ic") == before
+        annotate_sc(sc)
+        rebuilt = StructuralCharacteristic.from_compact(sc.compact())
+        pairs = list(zip(sc.root.walk(), rebuilt.root.walk()))
+        assert len(pairs) == sum(1 for _ in sc.root.walk())
+        for original, copy in pairs:
+            assert (copy.lod, copy.label, copy.title, copy.virtual) == (
+                original.lod,
+                original.label,
+                original.title,
+                original.virtual,
+            )
+            assert list(copy.own_counts.items()) == list(original.own_counts.items())
+            assert copy.payload == original.payload
+            assert [c.label for c in copy.children] == [c.label for c in original.children]
+            assert copy.content == {} and copy.own_content == {}
+        assert list(rebuilt.vector.items()) == list(sc.vector.items())
+        assert rebuilt.vector._weights == {}
+        # The compacted tree keeps its annotation.
+        assert sc.content_table("ic")

@@ -81,6 +81,24 @@ class TestLayeringLint:
         assert "repro.net.chaos imports repro.net.server (peer split" in violations[0]
         assert "repro.net.workers imports repro.net.loadgen (peer split" in violations[1]
 
+    def test_compact_sc_stays_below_the_tree(self, tmp_path):
+        # The compact SC may use the text substrate, never the rest of
+        # repro.core; the tree modules may import it.
+        pkg = tmp_path / "repro"
+        (pkg / "core").mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "core" / "__init__.py").write_text("")
+        (pkg / "core" / "compact.py").write_text(
+            "from repro.text.vector import OccurrenceVector\n"
+            "from repro.core.lod import LOD\n"
+        )
+        (pkg / "core" / "structure.py").write_text(
+            "from repro.core.compact import CompactSC\n"
+        )
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 1
+        assert "repro.core.compact imports repro.core.lod" in violations[0]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

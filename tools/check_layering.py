@@ -20,7 +20,10 @@ module under ``src/repro`` and fails the build when:
    into it, never the reverse;
 5. the client side of ``repro.net`` (``client``, ``loadgen``,
    ``chaos``) and the server side (``server``, ``workers``) never
-   import each other — the two peers share only ``repro.net.wire``.
+   import each other — the two peers share only ``repro.net.wire``;
+6. ``repro.core.compact`` (the cached SC form and the measure
+   arithmetic) imports only :mod:`repro.util`, :mod:`repro.text` and
+   :mod:`repro.obs`, so the SC tier never needs the unit tree.
 
 Usage::
 
@@ -189,6 +192,30 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
     ("repro.prep", ("repro.prototype", "repro.cli"), STORE_DIRECTION),
     *((module, SERVER_SIDE, PEERS) for module in CLIENT_SIDE),
     *((module, CLIENT_SIDE, PEERS) for module in SERVER_SIDE),
+    (
+        "repro.core.compact",
+        (
+            "repro.core",
+            "repro.channel",
+            "repro.protocol",
+            "repro.broadcast",
+            "repro.net",
+            "repro.transport",
+            "repro.simulation",
+            "repro.prototype",
+            "repro.coding",
+            "repro.cli",
+            "repro.figures",
+            "repro.xmlkit",
+            "repro.htmlkit",
+            "repro.search",
+            "repro.analysis",
+            "repro.data",
+            "repro.prep",
+        ),
+        "the compact SC is the bottom of repro.core: stdlib, repro.util, "
+        "repro.text and repro.obs only",
+    ),
     (
         "repro.prep.diskstore",
         (
