@@ -35,6 +35,7 @@ import math
 import sys
 from array import array
 from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.text.vector import OccurrenceVector
@@ -42,15 +43,18 @@ from repro.text.vector import OccurrenceVector
 #: Unsigned typecodes from narrowest to widest; each integer buffer
 #: takes the narrowest that holds its largest value.
 _TYPECODES = "BHILQ"
+_LIMITS = {code: 1 << (8 * array(code).itemsize) for code in _TYPECODES}
 
 
 def _packed(values: Sequence[int]) -> array:
     """*values* in the narrowest unsigned ``array`` that holds them."""
-    for code in _TYPECODES[:-1]:
-        try:
+    try:
+        return array("B", bytes(values))  # the common case, converted in C
+    except ValueError:
+        top = max(values)
+    for code in _TYPECODES[1:-1]:
+        if top < _LIMITS[code]:
             return array(code, values)
-        except OverflowError:
-            continue
     return array(_TYPECODES[-1], values)
 
 
@@ -82,21 +86,20 @@ class KeywordTable:
 
     def __init__(self, vector: OccurrenceVector, unit_counts: Iterable[Mapping[str, int]] = ()) -> None:
         keywords = list(vector)
-        known = set(keywords)
-        keywords += [
-            keyword
-            for keyword in dict.fromkeys(chain.from_iterable(unit_counts))
-            if keyword not in known
-        ]
+        seen = dict.fromkeys(chain.from_iterable(unit_counts))
+        missing = seen.keys() - set(keywords)
+        if missing:
+            keywords += [keyword for keyword in seen if keyword in missing]
         self.keywords: Tuple[str, ...] = tuple(keywords)
-        self.counts = _packed([count for _keyword, count in vector.items()])
         weights = vector.weights()
-        self.weights = array("d", [weights.get(keyword, 0.0) for keyword in keywords])
+        self.counts = _packed(list(map(itemgetter(1), vector.items())))
+        self.weights = array("d", map(weights.__getitem__, vector))
+        self.weights.extend([0.0] * len(missing))
         self.norm: str = vector.norm_kind
 
     def index(self) -> Dict[str, int]:
         """keyword → id, for callers that hold keyword-keyed counts."""
-        return {keyword: key for key, keyword in enumerate(self.keywords)}
+        return dict(zip(self.keywords, range(len(self.keywords))))
 
     def vector_pairs(self) -> Pairs:
         """The occurrence vector as ``(id, count)`` pairs, in vector order."""
@@ -247,14 +250,15 @@ def tfidf_measure(
 # -- the compact SC ----------------------------------------------------------
 
 
-def _flatten(runs: Sequence[Mapping[int, int]]) -> Tuple[array, array]:
-    """``(keyword id, count)`` runs as one interleaved buffer plus starts."""
-    keys = list(chain.from_iterable(runs))
+def _flatten(ids: Mapping[str, int], runs: Sequence[Mapping[str, int]]) -> Tuple[array, array]:
+    """Keyword-keyed *runs* as one interleaved ``(keyword id, count)``
+    buffer plus the start of each run."""
+    keys = list(map(ids.__getitem__, chain.from_iterable(runs)))
     flat = keys * 2
     flat[0::2] = keys
-    flat[1::2] = list(chain.from_iterable(map(dict.values, runs)))
-    starts = list(accumulate((2 * len(run) for run in runs), initial=0))
-    return _packed(flat), _packed(starts)
+    flat[1::2] = chain.from_iterable(map(dict.values, runs))
+    starts = list(accumulate(map(len, runs), initial=0))
+    return _packed(flat), _packed([2 * start for start in starts])
 
 
 def _pairs(runs: array, start: int, end: int) -> Iterator[Tuple[int, int]]:
@@ -285,44 +289,41 @@ class CompactSC:
         "aggregate_starts",
     )
 
-    def __init__(self, units: Sequence, table: KeywordTable, ends: Sequence[int]) -> None:
-        index = table.index()
+    def __init__(
+        self,
+        table: KeywordTable,
+        lods: bytes,
+        virtual: bytes,
+        ends: Sequence[int],
+        labels: Tuple[str, ...],
+        titles: Tuple[str, ...],
+        payloads: Sequence[bytes],
+        owns: Sequence[Mapping[str, int]],
+        aggregates: Sequence[Mapping[str, int]],
+    ) -> None:
         self.table = table
-        self.lods = bytes(int(unit.lod) for unit in units)
-        self.virtual = bytes(1 if unit.virtual else 0 for unit in units)
+        self.lods = lods
+        self.virtual = virtual
         self.ends = _packed(ends)
-        self.labels: Tuple[str, ...] = tuple(unit.label for unit in units)
-        self.titles: Tuple[str, ...] = tuple(unit.title for unit in units)
-        self.payload = b"".join(unit.payload for unit in units)
-        self.offsets = _packed(list(accumulate((len(unit.payload) for unit in units), initial=0)))
-        owns = [
-            {index[keyword]: count for keyword, count in unit.own_counts.items()}
-            for unit in units
-        ]
-        self.own, self.own_starts = _flatten(owns)
-        # Subtree aggregates, children before parents, each built the
-        # way the tree's ``_aggregate`` builds its dict: own counts
-        # first, then every child's aggregate in turn.  A leaf's
-        # aggregate is its own counts and is not stored twice.
-        totals: List[Dict[int, int]] = list(owns)
-        inner = [position for position in range(len(units)) if not self.is_leaf(position)]
-        for position in reversed(inner):
-            total = dict(owns[position])
-            for child in self.children(position):
-                for key, count in totals[child].items():
-                    total[key] = total.get(key, 0) + count
-            totals[position] = total
-        self.aggregate, self.aggregate_starts = _flatten(
-            [{} if self.is_leaf(position) else total for position, total in enumerate(totals)]
-        )
+        self.labels = labels
+        self.titles = titles
+        self.payload = b"".join(payloads)
+        self.offsets = _packed(list(accumulate(map(len, payloads), initial=0)))
+        ids = table.index()
+        self.own, self.own_starts = _flatten(ids, owns)
+        self.aggregate, self.aggregate_starts = _flatten(ids, aggregates)
 
     @classmethod
     def from_tree(cls, root, vector: OccurrenceVector) -> "CompactSC":
         """Compact the unit tree under *root* and its occurrence vector.
 
-        *root* is any unit tree with ``lod``, ``label``, ``title``,
-        ``own_counts``, ``payload``, ``virtual`` and ``children``.  The
-        tree is only read.
+        *root* is an :class:`~repro.core.structure.OrganizationalUnit`
+        tree: units with ``lod``, ``label``, ``title``, ``own_counts``,
+        ``payload``, ``virtual``, ``children`` and the subtree aggregate
+        ``_aggregate()``.  The tree is walked once, in preorder, and only
+        read; its aggregates keep the key order that measures sum in (own
+        keywords first, then each child's in turn).  A leaf's aggregate
+        is its own counts and is not stored twice.
         """
         units: List = []
         ends: List[int] = []
@@ -336,8 +337,22 @@ class CompactSC:
             ends[position] = len(units)
 
         visit(root)
-        table = KeywordTable(vector, (unit.own_counts for unit in units))
-        return cls(units, table, ends)
+
+        def field(name: str) -> Iterator:
+            return map(attrgetter(name), units)
+
+        return cls(
+            # The root's aggregate holds every unit's keywords.
+            KeywordTable(vector, [root._aggregate()]),
+            bytes(field("lod")),
+            bytes(field("virtual")),
+            ends,
+            tuple(field("label")),
+            tuple(field("title")),
+            list(field("payload")),
+            list(field("own_counts")),
+            [unit._aggregate() if unit.children else {} for unit in units],
+        )
 
     # -- structure -------------------------------------------------------
 

@@ -636,8 +636,10 @@ class PreparationService:
         with timed("prep.annotate"):
             query: Optional[Query] = None
             if request.query.strip():
+                # Query words come from clients: they read the pipeline's
+                # lemma memo but do not grow it.
                 extractor = KeywordExtractor(
-                    lemmatizer=self._pipeline.shared_lemmatizer
+                    lemmatizer=self._pipeline.shared_lemmatizer.reader()
                 )
                 query = Query(request.query, extractor=extractor)
             measure = request.resolved_measure

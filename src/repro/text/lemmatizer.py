@@ -9,7 +9,7 @@ occurrence counts of morphological variants — not linguistic accuracy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.text.stemmer import PorterStemmer
 
@@ -77,19 +77,60 @@ class Lemmatizer:
                 {k.lower(): v.lower() for k, v in extra_irregulars.items()}
             )
         self._stemmer = PorterStemmer()
-        self._cache: Dict[str, str] = {}
+        #: lowercase word -> (word, lemma): one shared pair per word, so
+        #: the pipeline's token lists reuse it instead of building one.
+        self._cache: Dict[str, Tuple[str, str]] = {}
 
     def lemma(self, word: str) -> str:
-        """Canonical form of a single word."""
-        lowered = word.lower()
-        cached = self._cache.get(lowered)
-        if cached is not None:
-            return cached
+        """Canonical form of a single word; remembers it for next time."""
+        return self._pair(word.lower())[1]
+
+    def _pair(self, lowered: str) -> Tuple[str, str]:
+        pair = self._cache.get(lowered)
+        if pair is None:
+            pair = self._cache[lowered] = (lowered, self._canonical(lowered))
+        return pair
+
+    def _canonical(self, lowered: str) -> str:
         irregular = self._irregulars.get(lowered)
-        result = self._stemmer.stem(irregular if irregular is not None else lowered)
-        self._cache[lowered] = result
-        return result
+        return self._stemmer.stem(irregular if irregular is not None else lowered)
+
+    def pairs(self, words: Iterable[str]) -> List[Tuple[str, str]]:
+        """``(word, lemma)`` for each word, in order.
+
+        Every word is looked up in the memo first, in C, and a known
+        lowercase word gets the memo's own pair; any other word goes
+        through :meth:`lemma` and gets a pair of its own.
+        """
+        words = list(words)
+        pairs = list(map(self._cache.get, words))
+        if not all(pairs):
+            lemma = self.lemma
+            pairs = [pair or (word, lemma(word)) for word, pair in zip(words, pairs)]
+        return pairs
 
     def lemmatize(self, words: Iterable[str]) -> List[str]:
         """Canonical forms of a token stream, preserving order."""
-        return [self.lemma(word) for word in words]
+        return [lemma for _word, lemma in self.pairs(words)]
+
+    def reader(self) -> "Lemmatizer":
+        """A lemmatizer with the same lemmas that never grows this memo.
+
+        It reads the memo this lemmatizer fills but adds nothing to it,
+        so words that come from outside (client queries) cost a stem
+        each time instead of a memo entry for the life of the process.
+        """
+        return _MemoReader(self)
+
+
+class _MemoReader(Lemmatizer):
+    """A :class:`Lemmatizer` view that reads its source's memo only."""
+
+    def __init__(self, source: Lemmatizer) -> None:
+        self._irregulars = source._irregulars
+        self._stemmer = source._stemmer
+        self._cache = source._cache
+
+    def _pair(self, lowered: str) -> Tuple[str, str]:
+        pair = self._cache.get(lowered)
+        return pair if pair is not None else (lowered, self._canonical(lowered))

@@ -40,13 +40,14 @@ class OccurrenceVector:
     def __init__(self, counts: Mapping[str, int], norm: str = "infinity") -> None:
         if norm not in _SUPPORTED_NORMS:
             raise ValueError(f"norm must be one of {_SUPPORTED_NORMS}, got {norm!r}")
-        clean: Dict[str, int] = {}
-        for keyword, count in counts.items():
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise TypeError(f"count for {keyword!r} must be int, got {count!r}")
-            if count <= 0:
-                raise ValueError(f"count for {keyword!r} must be > 0, got {count}")
-            clean[keyword] = count
+        clean: Dict[str, int] = dict(counts)
+        values = clean.values()
+        if set(map(type, values)) - {int} or min(values, default=1) <= 0:
+            for keyword, count in clean.items():
+                if not isinstance(count, int) or isinstance(count, bool):
+                    raise TypeError(f"count for {keyword!r} must be int, got {count!r}")
+                if count <= 0:
+                    raise ValueError(f"count for {keyword!r} must be > 0, got {count}")
         self._counts = clean
         self._norm_kind = norm
         self._norm_value = self._compute_norm()
@@ -122,9 +123,18 @@ class OccurrenceVector:
         return value
 
     def _weight_table(self) -> Dict[str, float]:
-        """The weight memo, filled for every keyword in keyword order."""
+        """The weight memo, filled for every keyword in keyword order.
+
+        Each entry is the expression :meth:`weight` evaluates, so the
+        memo holds the same bits whichever fills it.
+        """
         if len(self._weights) != len(self._counts):
-            self._weights = {keyword: self.weight(keyword) for keyword in self._counts}
+            # A weight depends on the count only: one log per distinct count.
+            norm, log2 = self._norm_value, math.log2
+            by_count = {count: 1.0 - log2(count / norm) for count in set(self._counts.values())}
+            self._weights = dict(
+                zip(self._counts, map(by_count.__getitem__, self._counts.values()))
+            )
         return self._weights
 
     def weights(self) -> Dict[str, float]:

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 from repro.xmlkit.dom import Comment, Document, Element, Text
 from repro.xmlkit.errors import XmlSyntaxError
-from repro.xmlkit.tokenizer import Token, XmlTokenizer
+from repro.xmlkit.tokenizer import XmlTokenizer
 
 
 def parse_xml(source: str) -> Document:
@@ -23,66 +23,54 @@ def parse_xml(source: str) -> Document:
     doctype: Optional[str] = None
     root: Optional[Element] = None
     stack: List[Element] = []
+    # The open element; the parser links the nodes it builds itself,
+    # which need no ``Element.append`` type check.
+    parent: Optional[Element] = None
 
-    for token in XmlTokenizer(source).tokens():
-        if token.kind == "pi":
-            continue  # processing instructions carry no document content
-        if token.kind == "doctype":
-            if root is not None or stack:
-                raise XmlSyntaxError(
-                    "doctype declaration must precede the root element",
-                    token.line,
-                    token.column,
-                )
-            doctype = token.value
-            continue
-        if token.kind == "comment":
-            comment = Comment(token.value)
-            if stack:
-                stack[-1].append(comment)
-            else:
-                prolog.append(comment)
-            continue
-        if token.kind == "text":
-            if stack:
-                if token.value:
-                    stack[-1].append(Text(token.value))
-            elif token.value.strip():
-                raise XmlSyntaxError(
-                    "character data outside the root element",
-                    token.line,
-                    token.column,
-                )
-            continue
-        if token.kind == "start":
-            element = Element(token.value, token.attrs)
-            if stack:
-                stack[-1].append(element)
+    for kind, value, attrs, self_closing, line, column in XmlTokenizer(source).token_tuples():
+        if kind == "text":
+            if parent is not None:
+                if value:
+                    text = Text(value)
+                    text.parent = parent
+                    parent.children.append(text)
+            elif value.strip():
+                raise XmlSyntaxError("character data outside the root element", line, column)
+        elif kind == "start":
+            element = Element(value, attrs)
+            if parent is not None:
+                element.parent = parent
+                parent.children.append(element)
             elif root is None:
                 root = element
             else:
-                raise XmlSyntaxError(
-                    f"second root element <{token.value}>", token.line, token.column
-                )
-            if not token.self_closing:
+                raise XmlSyntaxError(f"second root element <{value}>", line, column)
+            if not self_closing:
                 stack.append(element)
-            continue
-        if token.kind == "end":
-            if not stack:
+                parent = element
+        elif kind == "end":
+            if parent is None:
+                raise XmlSyntaxError(f"unexpected end tag </{value}>", line, column)
+            if parent.tag != value:
                 raise XmlSyntaxError(
-                    f"unexpected end tag </{token.value}>", token.line, token.column
+                    f"end tag </{value}> does not match open <{parent.tag}>", line, column
                 )
-            open_element = stack.pop()
-            if open_element.tag != token.value:
+            stack.pop()
+            parent = stack[-1] if stack else None
+        elif kind == "comment":
+            comment = Comment(value)
+            if parent is not None:
+                comment.parent = parent
+                parent.children.append(comment)
+            else:
+                prolog.append(comment)
+        elif kind == "doctype":
+            if root is not None:
                 raise XmlSyntaxError(
-                    f"end tag </{token.value}> does not match open <{open_element.tag}>",
-                    token.line,
-                    token.column,
+                    "doctype declaration must precede the root element", line, column
                 )
-            continue
-        raise XmlSyntaxError(  # pragma: no cover - tokenizer emits no other kinds
-            f"unexpected token kind {token.kind!r}", token.line, token.column
-        )
+            doctype = value
+        # "pi": processing instructions carry no document content
 
     if stack:
         raise XmlSyntaxError(f"unclosed element <{stack[-1].tag}>", 0, 0)

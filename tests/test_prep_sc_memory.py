@@ -1,13 +1,15 @@
 """What the SC tier keeps between cooks, and what a cook may depend on.
 
-The SC tier caches what the pipeline produced for a document: the unit
-tree, each unit's ``own_counts`` and payload, and the document vector.
-Measure annotation and scheduling are scratch that lasts one cook.
-These tests pin that the scratch is gone after ``prepare()``, that a
-cook's output does not depend on which cooks ran before it, that each
-request a cook cannot satisfy fails the same way on a fresh and on a
-used service, and that the SC and cooked tiers' byte weights track
-the memory an entry really retains.
+The SC tier caches one frozen ``CompactSC`` per document: the units in
+preorder, their payload, own keyword counts and subtree aggregates, and
+the keyword table.  A cook reads it and writes nothing back; the
+measure's values and the ranking last one cook.  These tests pin that
+the tier holds the same object with the same bytes after every kind of
+cook, a failed one included, that a cook's output does not depend on
+which cooks ran before it, that each request a cook cannot satisfy
+fails the same way on a fresh and on a used service, and that the SC
+and cooked tiers' byte weights track the memory an entry really
+retains.
 """
 
 import gc
@@ -23,7 +25,9 @@ import pytest
 from repro.core.pipeline import SCPipeline
 from repro.data import draft_paper_path
 from repro.prep import PrepRequest, PreparationService
+from repro.prep.cache import MISS
 from repro.simulation.textgen import CorpusGenerator
+from repro.xmlkit.parser import parse_xml
 
 
 def corpus(count=6, seed=1):
@@ -44,12 +48,52 @@ def fingerprint(prepared):
     )
 
 
-def assert_released(sc):
-    for unit in sc.root.walk():
-        assert unit.content == {}, unit
-        assert unit.own_content == {}, unit
-        assert unit._aggregated is None, unit
-    assert sc.vector._weights == {}
+def cached_compact(service, document):
+    """The CompactSC the SC tier holds for *document*, read without a hit."""
+    compact = service._sc_tier.peek((service.digest(document), service._pipeline_token()))
+    assert compact is not MISS
+    return compact
+
+
+def compact_digest(compact):
+    """sha256 over every buffer and string of a CompactSC."""
+    digest = hashlib.sha256()
+    table = compact.table
+    for field in (
+        compact.lods,
+        compact.virtual,
+        compact.payload,
+        compact.ends,
+        compact.offsets,
+        compact.own,
+        compact.own_starts,
+        compact.aggregate,
+        compact.aggregate_starts,
+        table.counts,
+        table.weights,
+        "\x00".join(compact.labels + compact.titles + table.keywords).encode(),
+    ):
+        digest.update(bytes(field))
+    return digest.hexdigest()
+
+
+def assert_untouched(service, document, cook):
+    """Run *cook* and check the SC tier still holds the same, unchanged SC."""
+    before = cached_compact(service, document)
+    digest = compact_digest(before)
+    cook()
+    after = cached_compact(service, document)
+    assert after is before
+    assert compact_digest(after) == digest
+
+
+def warm_service():
+    """A service whose SC tier holds the paper, and whose cooked tier
+    holds none of the requests below (each of them cooks)."""
+    service = PreparationService()
+    document = service.add_path(draft_paper_path())
+    service.prepare(document, PrepRequest(packet_size=128))
+    return service, document
 
 
 class TestCacheHygiene:
@@ -58,17 +102,20 @@ class TestCacheHygiene:
         [{}, {"query": "mobile caching"}, {"lod": "section", "measure": "proportional"}],
     )
     def test_cached_sc_holds_no_annotation_after_prepare(self, request_kwargs):
-        service = PreparationService()
-        document = service.add_path(draft_paper_path())
-        service.prepare(document, PrepRequest(**request_kwargs))
-        assert_released(service.sc_for(document))
+        """The tier's compact SC is the same object, with the same bytes."""
+        service, document = warm_service()
+        assert_untouched(
+            service, document, lambda: service.prepare(document, PrepRequest(**request_kwargs))
+        )
 
     def test_failed_cook_releases_too(self):
-        service = PreparationService()
-        document = service.add_path(draft_paper_path())
-        with pytest.raises(ValueError):
-            service.prepare(document, PrepRequest(measure="qic"))
-        assert_released(service.sc_for(document))
+        service, document = warm_service()
+
+        def failing_cook():
+            with pytest.raises(ValueError):
+                service.prepare(document, PrepRequest(measure="qic"))
+
+        assert_untouched(service, document, failing_cook)
 
 
 class TestOrderIndependence:
@@ -120,8 +167,9 @@ class TestOrderIndependence:
         finally:
             sys.setswitchinterval(interval)
         assert got == [(key, expected[key]) for key, _future in futures]
-        for name, _xml, _query in documents:
-            assert_released(service.sc_for(name))
+        for name, xml, _query in documents:
+            fresh = SCPipeline().run(parse_xml(xml)).compact()
+            assert compact_digest(cached_compact(service, name)) == compact_digest(fresh)
 
 
 def outcome(service, document, request_kwargs):

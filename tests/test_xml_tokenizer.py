@@ -75,6 +75,48 @@ class TestEntities:
         assert token.attrs == {"title": "a&b"}
 
 
+class TestCharacterReferenceRange:
+    """A character reference must name an XML 1.0 ``Char``."""
+
+    OUT_OF_RANGE = pytest.mark.parametrize(
+        "reference",
+        [
+            "&#99999999999;",  # past U+10FFFF; chr() used to raise OverflowError
+            "&#x110000;",  # one past U+10FFFF; chr() used to raise ValueError
+            "&#" + "9" * 5000 + ";",  # past int()'s digit limit
+            "&#xD800;",  # a surrogate: used to pass and break the UTF-8 cook
+            "&#0;",  # NUL: used to pass and break the UTF-8 cook
+            "&#x1;",
+            "&#xFFFE;",
+        ],
+        ids=["overflow", "past-max", "5000-digits", "surrogate", "nul", "control", "fffe"],
+    )
+
+    @OUT_OF_RANGE
+    def test_strict_text_raises_at_the_reference(self, reference):
+        with pytest.raises(XmlSyntaxError, match="not an XML character") as caught:
+            tokenize_xml(f"<a>\n  ok {reference}</a>")
+        assert (caught.value.line, caught.value.column) == (2, 6)
+
+    @OUT_OF_RANGE
+    def test_strict_attribute_raises_at_the_reference(self, reference):
+        with pytest.raises(XmlSyntaxError, match="not an XML character") as caught:
+            tokenize_xml(f'<a\n  x="ab{reference}"/>')
+        assert (caught.value.line, caught.value.column) == (2, 8)
+
+    @OUT_OF_RANGE
+    def test_lenient_keeps_the_reference_verbatim(self, reference):
+        assert resolve_entities(f"a{reference}b", strict=False) == f"a{reference}b"
+
+    def test_every_char_range_edge_resolves(self):
+        edges = [0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000, 0x10FFFF]
+        text = "".join(f"&#{code};&#x{code:X};&#x{code:x};" for code in edges)
+        assert resolve_entities(text) == "".join(chr(code) * 3 for code in edges)
+
+    def test_leading_zeros_do_not_count_against_the_range(self):
+        assert resolve_entities("&#" + "0" * 5000 + "65;&#x0000000041;") == "AA"
+
+
 class TestErrors:
     def test_unterminated_comment(self):
         with pytest.raises(XmlSyntaxError, match="comment"):
