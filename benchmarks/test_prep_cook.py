@@ -7,6 +7,12 @@ annotation, scheduling, the content profile and encoding.  Each round
 starts from a fresh service.  The median of the rounds is written to
 ``benchmarks/results/prep_cook.txt`` with the host it ran on.
 
+The same file records where the warm-up's time goes: each document is
+taken through the warm-up's steps one at a time (``parse_xml``, the
+five pipeline stages, ``compact()``) with a fresh pipeline, and then the
+cook of every document from its cached SC.  Each stage's median over
+the rounds is written as ``stage_ms <stage> <ms for all documents>``.
+
 One more fresh round runs under ``tracemalloc`` and records the bytes
 the service still holds per document after both passes (both cache
 tiers and the shared lemmatizer); the test fails above a fixed
@@ -25,8 +31,10 @@ import pytest
 
 from conftest import emit
 
+from repro.core.pipeline import SCPipeline
 from repro.prep import PrepRequest, PreparationService
 from repro.simulation.textgen import CorpusGenerator
+from repro.xmlkit.parser import parse_xml
 
 DOCUMENTS = 50
 ROUNDS = 5
@@ -37,6 +45,8 @@ ROUNDS = 5
 #: ceiling keeps the old bound's ~1/3 headroom (128 KiB over ~96 KiB)
 #: for interpreter differences such as CI's Python 3.12.
 RETAINED_CEILING_BYTES = 84 * 1024
+#: The warm-up's steps, in order, as ``stage_ms`` reports them.
+STAGES = ("parse", "recognize", "lemmatize", "filter", "extract", "generate", "compact", "cook")
 
 
 def _corpus():
@@ -76,6 +86,43 @@ def _cook_round(corpus):
     return warmup, query_pass
 
 
+def _stage_round(corpus):
+    """Seconds per warm-up step over *corpus*, with a fresh pipeline."""
+    pipeline = SCPipeline()
+    service = PreparationService(pipeline=pipeline)
+    steps = (
+        ("parse", parse_xml),
+        ("recognize", pipeline.recognizer.recognize),
+        ("lemmatize", pipeline.lemmatizer.process),
+        ("filter", pipeline.word_filter.process),
+        ("extract", pipeline.extractor.process),
+        ("generate", pipeline.generator.process),
+    )
+    seconds = dict.fromkeys(STAGES, 0.0)
+    for name, xml, _query in corpus:
+        service.add_document(name, xml)
+        value = xml
+        for stage, step in steps:
+            start = time.perf_counter()
+            value = step(value)
+            seconds[stage] += time.perf_counter() - start
+        start = time.perf_counter()
+        value.compact()
+        seconds["compact"] += time.perf_counter() - start
+        service.seed_sc(name, value)
+    start = time.perf_counter()
+    assert service.warmup() == len(corpus)
+    seconds["cook"] = time.perf_counter() - start
+    assert service.stats["cooked_misses"] == len(corpus)
+    return seconds
+
+
+def stage_split(corpus, rounds=ROUNDS):
+    """Median milliseconds per warm-up step over *rounds* fresh rounds."""
+    split = [_stage_round(corpus) for _ in range(rounds)]
+    return {stage: 1000 * statistics.median(r[stage] for r in split) for stage in STAGES}
+
+
 def _retained_per_document(corpus):
     """Traced bytes a fresh service keeps per document after both passes."""
     service = _fresh_service(corpus)
@@ -99,6 +146,7 @@ def test_prep_cook(benchmark):
     )
     warmup = statistics.median(seconds for seconds, _ in rounds)
     query_pass = statistics.median(seconds for _, seconds in rounds)
+    split = stage_split(corpus)
     retained = _retained_per_document(corpus)
     emit(
         "prep_cook",
@@ -110,6 +158,8 @@ def test_prep_cook(benchmark):
                 f"warmup_ms_per_cook {1000 * warmup / DOCUMENTS:.3f}",
                 f"query_pass_seconds {query_pass:.6f}",
                 f"query_ms_per_cook {1000 * query_pass / DOCUMENTS:.3f}",
+                *(f"stage_ms {stage} {split[stage]:.1f}" for stage in STAGES),
+                f"stage_ms sc_build {sum(split[stage] for stage in STAGES[:-1]):.1f}",
                 f"retained_bytes_per_document {retained}",
                 f"retained_ceiling_bytes_per_document {RETAINED_CEILING_BYTES}",
             ]
