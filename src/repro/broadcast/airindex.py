@@ -7,7 +7,8 @@ cycle — tells them everything they need:
 
 * which documents are on air, each with its erasure-code geometry
   (M, N, packet size, original size, systematic flag) and the
-  content profile driving early termination;
+  content profile driving early termination (in the MANIFEST's wire
+  form, :func:`~repro.prep.prepare.encode_profile`);
 * the **layout**: the ordered ``(tag, frames)`` segments of one cycle,
   i.e. the document → slot map, so a receiver can predict when its
   packets recur;
@@ -31,6 +32,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.prep.prepare import decode_profile, encode_profile
 
 #: Wire message types, duplicated from :mod:`repro.net.wire`
 #: (MSG_AIR_INDEX / MSG_BCAST_FRAME); parity pinned by test_net_wire.
@@ -93,7 +96,7 @@ class CarouselEntry:
             "repeats": self.repeats,
         }
         if self.profile:
-            wire["profile"] = list(self.profile)
+            wire["profile"] = encode_profile(self.profile)
         return wire
 
     @classmethod
@@ -103,22 +106,20 @@ class CarouselEntry:
         doc = fields_in.get("doc")
         if not isinstance(doc, str) or not doc:
             raise ValueError(f"air index entry doc must be a string, got {doc!r}")
-        profile_field = fields_in.get("profile", [])
-        if not isinstance(profile_field, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in profile_field
-        ):
-            raise ValueError("air index entry profile must be a list of numbers")
+        m = _check_int(fields_in, "m", 1)
+        profile = (
+            decode_profile(fields_in["profile"], m) if "profile" in fields_in else ()
+        )
         return cls(
             document_id=doc,
             tag=_check_int(fields_in, "tag"),
-            m=_check_int(fields_in, "m", 1),
+            m=m,
             n=_check_int(fields_in, "n", 1),
             packet_size=_check_int(fields_in, "packet_size", 1),
             original_size=_check_int(fields_in, "original_size", 1),
             systematic=bool(fields_in.get("systematic", True)),
             repeats=_check_int({"repeats": fields_in.get("repeats", 1)}, "repeats", 1),
-            profile=tuple(float(v) for v in profile_field),
+            profile=profile,
         )
 
 

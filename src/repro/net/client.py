@@ -28,8 +28,9 @@ like a browser reload.  A carousel subscription keeps its receiver's
 intact set across redials.
 
 The server is not trusted: a ``ROUND_END`` whose ``sent`` is not an
-int in ``0..n`` and a malformed air index are :class:`WireError`, so
-one message can make at most ``n`` frame events.
+int in ``0..n``, a malformed air index and a manifest whose content
+profile does not decode to ``m`` finite shares are :class:`WireError`,
+so one message can make at most ``n`` frame events.
 
 Each fetch mints a :class:`~repro.obs.live.TraceContext` and sends it
 in every ``HELLO``, so the server's ``net_*`` trace events and the
@@ -46,6 +47,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.broadcast import AirIndex, CarouselReceiver
 from repro.coding.packets import decode_frame
+from repro.prep.prepare import decode_profile
 from repro.prep.reconstruct import reconstruct_payload
 from repro.net.wire import (
     MSG_AIR_INDEX,
@@ -108,7 +110,7 @@ class _Manifest(NamedTuple):
     packet_size: int
     original_size: int
     systematic: bool
-    profile: Optional[List[float]]
+    profile: Optional[Tuple[float, ...]]
 
 
 def _status(verdict: Effect) -> str:
@@ -129,16 +131,11 @@ def _parse_manifest(
         raise WireError(f"malformed manifest: {exc}") from None
     if not (1 <= m <= n):
         raise WireError(f"malformed manifest geometry m={m}, n={n}")
-    profile_field = fields.get("profile")
-    profile: Optional[List[float]] = None
-    if (
-        isinstance(profile_field, list)
-        and len(profile_field) == m
-        and all(isinstance(v, (int, float)) for v in profile_field)
-    ):
+    profile: Optional[Tuple[float, ...]] = None
+    if "profile" in fields:
         try:
-            profile = [float(v) for v in profile_field]
-        except OverflowError as exc:
+            profile = decode_profile(fields["profile"], m)
+        except ValueError as exc:
             raise WireError(f"malformed manifest: {exc}") from None
     if relevance_threshold is not None and profile is None:
         raise WireError("manifest carries no usable content profile")

@@ -71,6 +71,7 @@ from repro.obs.trace import NET_CONN_CLOSE, NET_CONN_OPEN, NET_FLIGHT_DUMP, NET_
 from repro.prep.prepare import PreparedDocument, WireFrames
 from repro.prep.request import DeliveryMode, PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT, TransferEngine
+from repro.util.validation import DocumentError
 
 #: Connection outcomes that trigger a flight-recorder dump: the closes
 #: where post-mortem evidence matters (the peer vanished, a wait timed
@@ -276,6 +277,30 @@ def _parse_have(have: object, n: int) -> Set[int]:
     if not isinstance(have, list):
         raise WireError(f"have must be a list, got {type(have).__name__}")
     return {s for s in have if type(s) is int and 0 <= s < n}
+
+
+def encode_manifest(
+    document_id: str, prepared: PreparedDocument, skip: Set[int]
+) -> bytes:
+    """The ``MANIFEST`` envelope opening every unicast connection.
+
+    Only ``skip`` differs per fetch; the content profile goes out as
+    the wire string the prepared document encoded once, at cook time.
+    """
+    cooked = prepared.cooked
+    return encode_json(
+        MSG_MANIFEST,
+        {
+            "doc": document_id,
+            "m": prepared.m,
+            "n": prepared.n,
+            "packet_size": cooked.packet_size,
+            "original_size": cooked.original_size,
+            "systematic": cooked.codec.systematic,
+            "profile": prepared.profile_wire,
+            "skip": sorted(skip),
+        },
+    )
 
 
 class _ConnState:
@@ -764,6 +789,13 @@ class NetServer:
                 sender, state, "bad_request",
                 f"bad prep parameters: {exc}", detail=str(exc),
             )
+        except DocumentError as exc:
+            # The registered source does not parse (malformed markup).
+            return await self._refuse(
+                sender, state, "bad_document",
+                f"document {document_id!r} cannot be prepared: {exc}",
+                detail=str(exc),
+            )
         skip = {sequence for sequence in have if sequence < prepared.n}
 
         # Per-connection engine: the server never sees frame outcomes
@@ -778,22 +810,7 @@ class NetServer:
         )
         engine.start()
 
-        cooked = prepared.cooked
-        await sender.send(
-            encode_json(
-                MSG_MANIFEST,
-                {
-                    "doc": document_id,
-                    "m": prepared.m,
-                    "n": prepared.n,
-                    "packet_size": cooked.packet_size,
-                    "original_size": cooked.original_size,
-                    "systematic": cooked.codec.systematic,
-                    "profile": list(prepared.content_profile),
-                    "skip": sorted(skip),
-                },
-            )
-        )
+        await sender.send(encode_manifest(document_id, prepared, skip))
         state.flight.record("manifest", m=prepared.m, n=prepared.n, skip=len(skip))
 
         controller: Optional[AdaptiveRedundancyController] = None

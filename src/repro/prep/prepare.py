@@ -12,12 +12,16 @@ packetizer (§4.1): the scheduled byte stream is split into M raw
 packets, cooked into N ≥ M packets, and framed for the wire.  It also
 derives the *content profile* — how much information content each
 clear-text packet carries — which drives the client's early
-termination decision.
+termination decision — and its one wire form, :func:`encode_profile`
+and :func:`decode_profile`, shared by the MANIFEST and the air index.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+import binascii
+import math
+import struct
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.coding.packets import ArenaSlices, CookedDocument, Packetizer, WireFrames
 
@@ -29,6 +33,43 @@ from repro.obs.timing import timed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → prep)
     from repro.core.multires import ScheduledSegment, TransmissionSchedule
+
+
+def encode_profile(profile: Sequence[float]) -> str:
+    """The wire form of a content profile: base64 of packed binary64.
+
+    Each share is one little-endian IEEE-754 double, so the receiver
+    gets back the very same floats, bit for bit, in about 10.7 ASCII
+    characters per share where JSON's decimal floats take about 20.
+    """
+    packed = struct.pack(f"<{len(profile)}d", *profile)
+    return binascii.b2a_base64(packed, newline=False).decode("ascii")
+
+
+def decode_profile(text: object, m: int) -> Tuple[float, ...]:
+    """The *m* shares of a profile's wire form; strict.
+
+    Raises ``ValueError`` unless *text* is a string spelling exactly
+    what :func:`encode_profile` writes for ``8·m`` bytes of finite
+    doubles: no characters outside the base64 alphabet, no stray
+    padding bits, no NaN and no infinity.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"profile must be a base64 string, got {type(text).__name__}")
+    try:
+        packed = binascii.a2b_base64(text)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"profile is not base64: {exc}") from None
+    # a2b_base64 skips characters outside the alphabet and ignores
+    # padding bits; only the one canonical spelling is accepted.
+    if binascii.b2a_base64(packed, newline=False).decode("ascii") != text:
+        raise ValueError("profile is not canonical base64")
+    if len(packed) != 8 * m:
+        raise ValueError(f"profile carries {len(packed)} bytes, expected 8·m = {8 * m}")
+    shares = struct.unpack(f"<{m}d", packed)
+    if not all(map(math.isfinite, shares)):
+        raise ValueError("profile carries a non-finite share")
+    return shares
 
 
 class PreparedDocument:
@@ -54,6 +95,9 @@ class PreparedDocument:
         #: content carried by clear-text packet i (length M, sums to
         #: the document's total content, 1.0 for a complete measure).
         self.content_profile = content_profile
+        #: the profile's wire form (:func:`encode_profile`), encoded
+        #: once here so no fetch or air index formats it again.
+        self.profile_wire = encode_profile(content_profile)
         #: content measure that ranked the schedule ("" when unscheduled).
         self.measure = measure
         #: scheduled segments in transmission order (None when cooked

@@ -33,7 +33,9 @@ stage timers) flows through :mod:`repro.obs` when enabled; the plain
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import sys
 import threading
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -134,15 +136,16 @@ def _cooked_size(prepared: PreparedDocument) -> int:
 
     The bytes the entry actually holds: its envelope arena (the one
     stored form of the cooked packets, frames and envelopes alike),
-    the content-profile floats, and the scheduled segments with their
-    labels.  Sized with ``tracemalloc`` like :func:`_sc_size` and
-    checked in ``tests/test_prep_sc_memory.py``.
+    the content-profile floats and their wire string, and the
+    scheduled segments with their labels.  Sized with ``tracemalloc``
+    like :func:`_sc_size` and checked in ``tests/test_prep_sc_memory.py``.
     """
     segments = prepared.segments or ()
     return (
         _COOKED_ENTRY_BYTES
         + prepared.wire_bytes
         + _PROFILE_ENTRY_BYTES * len(prepared.content_profile)
+        + sys.getsizeof(prepared.profile_wire)
         + sum(_SEGMENT_BYTES + len(segment.label) for segment in segments)
     )
 
@@ -665,13 +668,8 @@ class PreparationService:
         """Re-label a digest-shared entry for an aliased document id."""
         if prepared.document_id == document_id:
             return prepared
-        alias = PreparedDocument(
-            document_id,
-            prepared.cooked,
-            prepared.content_profile,
-            measure=prepared.measure,
-            segments=prepared.segments,
-        )
+        alias = copy.copy(prepared)  # shares the arena and the profile's wire form
+        alias.document_id = document_id
         return alias
 
     # -- introspection -----------------------------------------------------

@@ -67,10 +67,14 @@ class SearchEngine:
     # -- querying ----------------------------------------------------------------
 
     def parse_query(self, text: str) -> Query:
-        """Parse *text* with the corpus pipeline's lemmatizer."""
+        """Parse *text* with the corpus pipeline's lemmatizer.
+
+        Query words read the lemmatizer's memo but never add to it, so
+        client queries cannot grow it without bound.
+        """
         from repro.text.keywords import KeywordExtractor
 
-        extractor = KeywordExtractor(lemmatizer=self._pipeline.shared_lemmatizer)
+        extractor = KeywordExtractor(lemmatizer=self._pipeline.shared_lemmatizer.reader())
         return Query(text, extractor=extractor)
 
     def search_boolean(self, text: str, limit: int = 10) -> List[SearchHit]:
@@ -85,7 +89,7 @@ class SearchEngine:
         universe = set(self._scs)
         matches = evaluate_boolean(
             text, self._index, universe,
-            lemmatizer=self._pipeline.shared_lemmatizer,
+            lemmatizer=self._pipeline.shared_lemmatizer.reader(),
         )
         if not matches:
             return []

@@ -11,6 +11,15 @@ import math
 from typing import Any
 
 
+class DocumentError(Exception):
+    """A document's source cannot be read (malformed markup).
+
+    The XML toolkit's errors derive from it, so a layer that must not
+    import the toolkit (the socket server) can still tell a document
+    that does not parse from a request that is bad.
+    """
+
+
 def check_probability(value: float, name: str = "probability") -> float:
     """Validate that *value* is a probability in ``[0, 1]``.
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from repro.util.validation import DocumentError
 
-class XmlError(Exception):
+
+class XmlError(DocumentError):
     """Base class for all XML toolkit errors."""
 
 

@@ -11,7 +11,9 @@ are fed arbitrary envelopes, redials included, and must:
 * reply only with well-formed ``NEXT_ROUND`` envelopes.
 """
 
+import base64
 import contextlib
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.broadcast import AirIndex, CarouselEntry, CarouselReceiver
 from repro.coding.packets import encode_frame
 from repro.net.client import _Carousel, _Unicast
+from repro.prep.prepare import encode_profile
 from repro.net.wire import (
     MESSAGE_NAMES,
     MSG_AIR_INDEX,
@@ -46,7 +49,7 @@ MANIFEST = {
     "packet_size": PACKET_SIZE,
     "original_size": M * PACKET_SIZE - 5,
     "systematic": True,
-    "profile": [0.25] * M,
+    "profile": encode_profile([0.25] * M),
     "skip": [],
 }
 ENTRY = CarouselEntry(
@@ -80,10 +83,22 @@ scalars = st.one_of(
     st.none(),
 )
 values = st.one_of(scalars, st.lists(scalars, max_size=3))
+#: Profile wire forms: base64 of 8·m bytes and of lengths around it
+#: (NaN and infinities among the doubles), arbitrary text and values.
+profiles = st.one_of(
+    values,
+    st.binary(min_size=8 * M - 1, max_size=8 * M + 1).map(
+        lambda raw: base64.b64encode(raw).decode("ascii")
+    ),
+    st.lists(st.floats(), min_size=M, max_size=M).map(encode_profile),
+    st.text(max_size=12),
+)
 entries = st.lists(
     st.one_of(
         scalars,
-        st.fixed_dictionaries({}, optional={"m": values, "n": values}).map(
+        st.fixed_dictionaries(
+            {}, optional={"m": values, "n": values, "profile": profiles}
+        ).map(
             lambda over: {**ENTRY.to_wire(), **over}
         ),
     ),
@@ -92,10 +107,10 @@ entries = st.lists(
 #: The fields each JSON message type is read for.
 TARGETS = {
     MSG_ROUND_END: ("sent", "round"),
-    MSG_MANIFEST: ("m", "n"),
+    MSG_MANIFEST: ("m", "n", "profile"),
     MSG_AIR_INDEX: ("schedule", "entries"),
 }
-FIELDS = ("sent", "round", "m", "n", "schedule", "entries")
+FIELDS = ("sent", "round", "m", "n", "profile", "schedule", "entries")
 frames = st.builds(
     encode_frame,
     st.integers(0, N + 1),
@@ -131,7 +146,8 @@ def envelopes(draw, usual):
         fields["sent"] = draw(st.integers(0, N))
     if hostile:
         for key in draw(st.sets(st.sampled_from(TARGETS.get(msg_type, FIELDS)), min_size=1)):
-            fields[key] = draw(st.one_of(integers, entries if key == "entries" else values))
+            special = {"entries": entries, "profile": profiles}.get(key, values)
+            fields[key] = draw(st.one_of(integers, special))
     return msg_type, encode_json(msg_type, fields)[5:]
 
 
@@ -252,16 +268,58 @@ def test_round_end_sent_in_range_is_accepted():
     assert mode.engine.lost_seen == N - 1
 
 
+def b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+#: A present profile that is not m finite doubles in canonical base64.
+MALFORMED_PROFILES = pytest.mark.parametrize(
+    "profile",
+    [
+        [0.25] * M,
+        [1e308] * M + [2**1100],
+        None,
+        8,
+        "not base64!",
+        b64(bytes(8 * M - 2)).rstrip("="),
+        b64(bytes(8 * M))[:-1] + "?",
+        b64(bytes(12)) + " " + b64(bytes(8 * M - 12)),
+        " " + b64(bytes(8 * M)),
+        b64(bytes(8 * M)) + "\n",
+        "é" * 44,
+        b64(bytes(8 * M - 1)),
+        b64(bytes(8 * M + 1)),
+        b64(bytes(8 * M))[:-4] + "AAB=",
+        encode_profile([0.25] * (M - 1) + [float("nan")]),
+        encode_profile([0.25] * (M - 1) + [float("inf")]),
+        encode_profile([float("-inf")] + [0.25] * (M - 1)),
+    ],
+    ids=[
+        "list", "list-overflow", "null", "number", "bad-base64", "unpadded", "bad-char",
+        "inner-space", "leading-space", "trailing-newline", "non-ascii", "8m-1-bytes",
+        "8m+1-bytes", "stray-padding-bits", "nan", "inf", "minus-inf",
+    ],
+)
+
+
 @pytest.mark.parametrize(
     "fields",
     [
         {**AIR_INDEX.to_wire(), "schedule": "bogus"},
         {**AIR_INDEX.to_wire(), "entries": [5]},
-        {**AIR_INDEX.to_wire(), "entries": [{**ENTRY.to_wire(), "profile": [1e308] * M + [2**1100]}]},
     ],
-    ids=["schedule", "entry", "profile-overflow"],
+    ids=["schedule", "entry"],
 )
 def test_malformed_air_index_is_a_wire_error(fields):
+    mode = _Carousel(CarouselReceiver("doc"))
+    with pytest.raises(WireError, match="malformed air index"):
+        mode.on_message(MSG_AIR_INDEX, encode_json(MSG_AIR_INDEX, fields)[5:])
+    assert not mode.started
+
+
+@MALFORMED_PROFILES
+def test_malformed_air_index_profile_is_a_wire_error(profile):
+    fields = {**AIR_INDEX.to_wire(), "entries": [{**ENTRY.to_wire(), "profile": profile}]}
     mode = _Carousel(CarouselReceiver("doc"))
     with pytest.raises(WireError, match="malformed air index"):
         mode.on_message(MSG_AIR_INDEX, encode_json(MSG_AIR_INDEX, fields)[5:])
@@ -271,7 +329,9 @@ def test_malformed_air_index_is_a_wire_error(fields):
 def test_air_index_that_cannot_sync_leaves_the_receiver_unsynced():
     # Relevance termination needs a profile; without one the index is
     # refused and the fetch still counts as never started.
-    fields = {**AIR_INDEX.to_wire(), "entries": [{**ENTRY.to_wire(), "profile": []}]}
+    entry = dataclasses.replace(ENTRY, profile=()).to_wire()
+    assert "profile" not in entry
+    fields = {**AIR_INDEX.to_wire(), "entries": [entry]}
     mode = _Carousel(CarouselReceiver("doc", relevance_threshold=0.5))
     with pytest.raises(WireError, match="malformed air index"):
         mode.on_message(MSG_AIR_INDEX, encode_json(MSG_AIR_INDEX, fields)[5:])
@@ -292,11 +352,28 @@ def test_a_frame_of_the_wrong_length_is_corrupt():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"m": float("inf")}, {"n": "eight"}, {"m": 0}, {"profile": [2**1100] * M}],
-    ids=["infinite", "text", "geometry", "profile-overflow"],
+    [{"m": float("inf")}, {"n": "eight"}, {"m": 0}],
+    ids=["infinite", "text", "geometry"],
 )
 def test_malformed_manifest_is_a_wire_error(fields):
     mode = unstarted_unicast()
     with pytest.raises(WireError, match="malformed manifest"):
         mode.on_message(MSG_MANIFEST, encode_json(MSG_MANIFEST, {**MANIFEST, **fields})[5:])
     assert not mode.started
+
+
+@MALFORMED_PROFILES
+def test_malformed_manifest_profile_is_a_wire_error(profile):
+    mode = unstarted_unicast()
+    with pytest.raises(WireError, match="malformed manifest"):
+        mode.on_message(
+            MSG_MANIFEST, encode_json(MSG_MANIFEST, {**MANIFEST, "profile": profile})[5:]
+        )
+    assert not mode.started
+
+
+def test_manifest_without_a_profile_starts_without_one():
+    fields = {key: value for key, value in MANIFEST.items() if key != "profile"}
+    mode = unstarted_unicast()
+    assert mode.on_message(MSG_MANIFEST, encode_json(MSG_MANIFEST, fields)[5:]) == (None, None)
+    assert mode.manifest.profile is None

@@ -6,7 +6,9 @@ for a packet size whose frames cannot fit one wire envelope.  Each
 such ``HELLO`` gets one ``ERROR`` (``bad_request``), counts once in
 ``stats["errors"]`` and leaves the cooked tier untouched.  A packet
 size too small for the document (more than 255 packets) is refused the
-same way once the cook knows the document's size.  Marked ``net``.
+same way once the cook knows the document's size, and a registered
+document whose source does not parse gets ``bad_document``.  Marked
+``net``.
 """
 
 import asyncio
@@ -32,11 +34,11 @@ HOSTILE = [
 ]
 
 
-async def hello(server, prep):
+async def hello(server, prep, doc="doc"):
     """Send one HELLO carrying *prep*; return the first reply."""
     reader, writer = await asyncio.open_connection(server.host, server.port)
     try:
-        writer.write(encode_json(MSG_HELLO, {"doc": "doc", "have": [], "prep": prep}))
+        writer.write(encode_json(MSG_HELLO, {"doc": doc, "have": [], "prep": prep}))
         await writer.drain()
         return await read_message(reader)
     finally:
@@ -88,6 +90,28 @@ def test_packet_size_too_small_for_the_document_is_a_bad_request():
             assert "bad prep parameters" in message and "at most 255" in message
             assert server.stats["errors"] == errors + 1
             assert service.cache_info()["cooked"]["entries"] == entries
+            again = await NetClient(server.host, server.port).fetch("doc")
+            assert again.payload == warm.payload
+        await assert_no_leaked_tasks()
+
+    asyncio.run(go())
+
+
+def test_document_that_does_not_parse_is_a_bad_document():
+    """A character reference outside XML ``Char`` fails the parse."""
+    service, _ = make_service()
+    service.add_document("doc", PAPER)
+    service.add_document("broken", "<paper><title>T &#0; x</title></paper>")
+
+    async def go():
+        async with NetServer(service) as server:
+            warm = await NetClient(server.host, server.port).fetch("doc")
+            errors = server.stats["errors"]
+            msg_type, body = await hello(server, {}, doc="broken")
+            assert msg_type == MSG_ERROR
+            message = decode_json(body)["message"]
+            assert "cannot be prepared" in message and "not an XML character" in message
+            assert server.stats["errors"] == errors + 1
             again = await NetClient(server.host, server.port).fetch("doc")
             assert again.payload == warm.payload
         await assert_no_leaked_tasks()

@@ -14,7 +14,7 @@ import pytest
 
 import repro.obs as obs
 from repro.net import NetClient, NetServer, WireError, run_loadgen
-from repro.prep import PrepRequest, PreparationService
+from repro.prep import PrepRequest, PreparationService, TransferSettings
 
 from tests.netutil import assert_no_leaked_tasks
 from tests.test_prep_service import OTHER, PAPER, make_service
@@ -200,3 +200,28 @@ class TestCrossWorkerParity:
                 process.pid == pid and process.is_alive()
                 for process in pool._processes
             )
+
+
+class TestProfileOnTheWire:
+    def test_early_stop_content_is_the_in_process_prefix_sum(self):
+        """The profile arrives bit for bit: ``content_received`` is exact."""
+        service, _ = make_store()
+        request = PrepRequest(packet_size=64)
+        prepared = service.prepare("doc", request)
+        settings = TransferSettings(relevance_threshold=0.4)
+
+        async def go():
+            async with NetServer(service) as server:
+                client = NetClient(server.host, server.port, settings=settings)
+                result = await client.fetch("doc", request)
+            await assert_no_leaked_tasks()
+            return result
+
+        result = asyncio.run(go())
+        assert result.status == "early_stop"
+        assert 0 < result.frames_received < prepared.m
+        expected = 0.0
+        for share in prepared.content_profile[: result.frames_received]:
+            expected += share
+        assert result.content_received == expected
+        assert expected >= 0.4 > expected - prepared.content_profile[result.frames_received - 1]

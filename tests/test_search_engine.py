@@ -1,6 +1,12 @@
 """Tests for the search engine and query-time QIC annotation."""
 
+import random
+import string
+
+from repro.core.query import Query
 from repro.search.engine import SearchEngine
+from repro.text.keywords import KeywordExtractor
+from repro.text.lemmatizer import Lemmatizer
 from repro.xmlkit.parser import parse_xml
 
 
@@ -95,3 +101,37 @@ class TestQicAnnotation:
         engine = build_engine()
         query = engine.parse_query("browsing browsers")
         assert len(query.keywords()) == 2
+
+
+class TestQueryWordsLeaveTheMemo:
+    """Client query words read the corpus lemmatizer's memo, never grow it."""
+
+    @staticmethod
+    def random_words(rng, count):
+        return [
+            "".join(rng.choices(string.ascii_lowercase, k=rng.randint(3, 12)))
+            for _ in range(count)
+        ]
+
+    def test_random_searches_leave_the_memo_alone(self):
+        engine = build_engine()
+        memo = engine._pipeline.shared_lemmatizer._cache
+        entries = len(memo)
+        rng = random.Random(7)
+        for _ in range(10):
+            words = self.random_words(rng, 1000)
+            engine.search(" ".join(words))
+            engine.search_boolean(" OR ".join(words[:50]))
+            assert len(memo) == entries
+
+    def test_query_keywords_match_a_memoizing_lemmatizer(self):
+        engine = build_engine()
+        rng = random.Random(8)
+        words = self.random_words(rng, 200) + ["browsing", "browsers", "caching", "cached"]
+        text = " ".join(words)
+        fresh = Query(text, extractor=KeywordExtractor(lemmatizer=Lemmatizer()))
+        query = engine.parse_query(text)
+        assert {term: query.count(term) for term in query.keywords()} == {
+            term: fresh.count(term) for term in fresh.keywords()
+        }
+        assert engine._score(query) == engine._score(fresh) != {}
