@@ -1,5 +1,8 @@
 """Tests for the five-stage SC generation pipeline."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.core.lod import LOD
@@ -11,6 +14,8 @@ from repro.core.pipeline import (
     WordFilterStage,
     build_sc,
 )
+from repro.data import draft_paper_path
+from repro.simulation.textgen import CorpusGenerator
 from repro.xmlkit.parser import parse_xml
 
 XML = """<paper>
@@ -160,3 +165,39 @@ class TestFullPipeline:
         assert sc.unit("0") is not None       # abstract = section 0
         assert sc.unit("3.1") is not None     # real subsections in §3
         assert sc.unit("1.0.1") is not None   # virtual subsection paragraphs
+
+
+class TestTreePinned:
+    """The SC tree that ``run()`` hands to tree consumers, bit for bit.
+
+    The CLI's ``sc`` and ``schedule`` commands, the figures, Table 1,
+    search and the prototype all read this tree.  One digest covers,
+    per unit in ``walk()`` order, the LOD, label, title, virtual flag,
+    payload, own counts and subtree counts, then the occurrence vector,
+    of the bundled paper and 20 ``CorpusGenerator`` documents.  It was
+    recorded before the pipeline stopped building the tree eagerly.
+    """
+
+    DIGEST = "a9114bb788d67295108336f3b38483eea194c49901a7a19a92306924d95fd9f9"
+
+    @staticmethod
+    def fields(sc):
+        for unit in sc.root.walk():
+            yield (
+                f"{int(unit.lod)}\x00{unit.label}\x00{unit.title}\x00{int(unit.virtual)}"
+            ).encode()
+            yield unit.payload
+            yield repr(list(unit.own_counts.items())).encode()
+            yield repr(list(unit.counts().items())).encode()
+        yield repr(list(sc.vector.items())).encode()
+
+    def test_tree_fields(self):
+        pipeline = SCPipeline()
+        sources = [Path(draft_paper_path()).read_text(encoding="utf-8")]
+        sources += [xml for xml, _topic in CorpusGenerator(seed=1).corpus(20).values()]
+        digest = hashlib.sha256()
+        for source in sources:
+            for field in self.fields(pipeline.run(parse_xml(source))):
+                digest.update(len(field).to_bytes(8, "big"))
+                digest.update(field)
+        assert digest.hexdigest() == self.DIGEST
