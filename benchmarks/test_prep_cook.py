@@ -8,10 +8,12 @@ starts from a fresh service.  The median of the rounds is written to
 ``benchmarks/results/prep_cook.txt`` with the host it ran on.
 
 The same file records where the warm-up's time goes: each document is
-taken through the warm-up's steps one at a time (``parse_xml``, the
-five pipeline stages, ``compact()``) with a fresh pipeline, and then the
-cook of every document from its cached SC.  Each stage's median over
-the rounds is written as ``stage_ms <stage> <ms for all documents>``.
+taken through the warm-up's steps one at a time (``parse_xml`` and the
+five pipeline stages, the last of which emits the compact SC) with a
+fresh pipeline, and then the cook of every document from its cached SC.
+Each stage's median over the rounds is written as
+``stage_ms <stage> <ms for all documents>``, and the median number of
+cyclic-collector runs in a round as ``gc_collections``.
 
 One more fresh round runs under ``tracemalloc`` and records the bytes
 the service still holds per document after both passes (both cache
@@ -32,6 +34,7 @@ import pytest
 from conftest import emit
 
 from repro.core.pipeline import SCPipeline
+from repro.core.structure import StructuralCharacteristic
 from repro.prep import PrepRequest, PreparationService
 from repro.simulation.textgen import CorpusGenerator
 from repro.xmlkit.parser import parse_xml
@@ -46,15 +49,19 @@ ROUNDS = 5
 #: for interpreter differences such as CI's Python 3.12.
 RETAINED_CEILING_BYTES = 84 * 1024
 #: The warm-up's steps, in order, as ``stage_ms`` reports them.
-STAGES = ("parse", "recognize", "lemmatize", "filter", "extract", "generate", "compact", "cook")
+STAGES = ("parse", "recognize", "lemmatize", "filter", "extract", "generate", "cook")
 
 
-def _corpus():
+def _corpus(count):
     generator = CorpusGenerator(seed=1)
     return [
         (name, xml, generator.topic_query(topic))
-        for name, (xml, topic) in generator.corpus(DOCUMENTS).items()
+        for name, (xml, topic) in generator.corpus(count).items()
     ]
+
+
+def _gc_collections():
+    return sum(generation["collections"] for generation in gc.get_stats())
 
 
 def _fresh_service(corpus):
@@ -87,7 +94,8 @@ def _cook_round(corpus):
 
 
 def _stage_round(corpus):
-    """Seconds per warm-up step over *corpus*, with a fresh pipeline."""
+    """Seconds per warm-up step over *corpus*, with a fresh pipeline,
+    and the collector runs during the round as ``gc_collections``."""
     pipeline = SCPipeline()
     service = PreparationService(pipeline=pipeline)
     steps = (
@@ -99,6 +107,7 @@ def _stage_round(corpus):
         ("generate", pipeline.generator.process),
     )
     seconds = dict.fromkeys(STAGES, 0.0)
+    collections = _gc_collections()
     for name, xml, _query in corpus:
         service.add_document(name, xml)
         value = xml
@@ -106,21 +115,22 @@ def _stage_round(corpus):
             start = time.perf_counter()
             value = step(value)
             seconds[stage] += time.perf_counter() - start
-        start = time.perf_counter()
-        value.compact()
-        seconds["compact"] += time.perf_counter() - start
-        service.seed_sc(name, value)
+        service.seed_sc(name, StructuralCharacteristic.from_compact(value))
     start = time.perf_counter()
     assert service.warmup() == len(corpus)
     seconds["cook"] = time.perf_counter() - start
+    seconds["gc_collections"] = _gc_collections() - collections
     assert service.stats["cooked_misses"] == len(corpus)
     return seconds
 
 
 def stage_split(corpus, rounds=ROUNDS):
-    """Median milliseconds per warm-up step over *rounds* fresh rounds."""
+    """Median milliseconds per warm-up step over *rounds* fresh rounds,
+    and the median ``gc_collections`` of a round."""
     split = [_stage_round(corpus) for _ in range(rounds)]
-    return {stage: 1000 * statistics.median(r[stage] for r in split) for stage in STAGES}
+    result = {stage: 1000 * statistics.median(r[stage] for r in split) for stage in STAGES}
+    result["gc_collections"] = statistics.median(r["gc_collections"] for r in split)
+    return result
 
 
 def _retained_per_document(corpus):
@@ -140,7 +150,7 @@ def _retained_per_document(corpus):
 
 
 def test_prep_cook(benchmark):
-    corpus = _corpus()
+    corpus = _corpus(DOCUMENTS)
     rounds = benchmark.pedantic(
         lambda: [_cook_round(corpus) for _ in range(ROUNDS)], rounds=1, iterations=1
     )
@@ -160,6 +170,7 @@ def test_prep_cook(benchmark):
                 f"query_ms_per_cook {1000 * query_pass / DOCUMENTS:.3f}",
                 *(f"stage_ms {stage} {split[stage]:.1f}" for stage in STAGES),
                 f"stage_ms sc_build {sum(split[stage] for stage in STAGES[:-1]):.1f}",
+                f"gc_collections {split['gc_collections']:g}",
                 f"retained_bytes_per_document {retained}",
                 f"retained_ceiling_bytes_per_document {RETAINED_CEILING_BYTES}",
             ]

@@ -14,9 +14,14 @@ index for one document, frozen after construction:
   occurrence-vector order, with their counts and weights;
 * each unit's own keyword counts and each inner unit's subtree
   aggregate as ``(keyword id, count)`` runs in ``array`` buffers.
-  Aggregate runs keep the key order the tree's dict aggregation
-  produces (own keywords first, then each child's in turn), so a
+  :class:`CompactSC` sums the aggregates itself, in reverse preorder,
+  with :func:`add_counts` (own keywords first, then each child's in
+  turn): the key order the tree's dict aggregation produces, so a
   measure sums its terms in exactly the tree's order.
+
+The pipeline's last stage fills a :class:`CompactSC` from its unit
+tree; :meth:`CompactSC.from_tree` compacts an ``OrganizationalUnit``
+tree with the same constructor and reads none of its aggregates.
 
 This module also holds the one implementation of each content measure's
 arithmetic (§3.1–3.2): a measure maps ``(keyword id, count)`` pairs to
@@ -36,7 +41,7 @@ import sys
 from array import array
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.text.vector import OccurrenceVector
 
@@ -250,6 +255,35 @@ def tfidf_measure(
 # -- the compact SC ----------------------------------------------------------
 
 
+def add_counts(total: Dict[str, int], counts: Mapping[str, int]) -> None:
+    """Add *counts* into *total*; keywords new to *total* go last, in order.
+
+    This is the one way keyword counts are summed, so every sum over a
+    subtree or a document has the same key order and values.
+    """
+    if total.keys().isdisjoint(counts):
+        total.update(counts)  # all keys new: appended in order, in C
+        return
+    get = total.get
+    for keyword, count in counts.items():
+        total[keyword] = get(keyword, 0) + count
+
+
+def subtree_ends(units: Sequence) -> List[int]:
+    """Where each unit's subtree ends, for *units* in preorder.
+
+    Units list their ``children``.  A subtree ends after its last
+    child's; filled in reverse preorder, one hop per child.
+    """
+    ends = list(range(1, len(units) + 1))
+    for position in reversed(range(len(units))):
+        end = position + 1
+        for _child in units[position].children:
+            end = ends[end]
+        ends[position] = end
+    return ends
+
+
 def _flatten(ids: Mapping[str, int], runs: Sequence[Mapping[str, int]]) -> Tuple[array, array]:
     """Keyword-keyed *runs* as one interleaved ``(keyword id, count)``
     buffer plus the start of each run."""
@@ -261,6 +295,28 @@ def _flatten(ids: Mapping[str, int], runs: Sequence[Mapping[str, int]]) -> Tuple
     return _packed(flat), _packed([2 * start for start in starts])
 
 
+def _aggregates(owns: Sequence[Mapping[str, int]], ends: Sequence[int]) -> List[Mapping[str, int]]:
+    """Each inner unit's subtree aggregate, and an empty one per leaf.
+
+    A leaf's aggregate is its own counts, not stored twice.  Units are
+    summed in reverse preorder, so children before their parent: own
+    counts first, then each child's in turn.
+    """
+    aggregates: List[Mapping[str, int]] = [{}] * len(owns)
+    for position in reversed(range(len(owns))):
+        child = position + 1
+        end = ends[position]
+        if child == end:
+            continue
+        total = dict(owns[position])
+        while child < end:
+            child_end = ends[child]
+            add_counts(total, aggregates[child] if child_end > child + 1 else owns[child])
+            child = child_end
+        aggregates[position] = total
+    return aggregates
+
+
 def _pairs(runs: array, start: int, end: int) -> Iterator[Tuple[int, int]]:
     chunk = runs[start:end]
     return zip(chunk[0::2], chunk[1::2])
@@ -269,9 +325,10 @@ def _pairs(runs: array, start: int, end: int) -> Iterator[Tuple[int, int]]:
 class CompactSC:
     """One document's SC as flat, read-only arrays (see the module doc).
 
-    Build it with :meth:`from_tree` from an SC tree's root and vector;
+    Build it from a unit tree's preorder, or with :meth:`from_tree` from
+    an SC tree's root and vector;
     :meth:`repro.core.structure.StructuralCharacteristic.from_compact`
-    turns it back into a fresh tree.
+    turns it back into a tree.
     """
 
     __slots__ = (
@@ -291,25 +348,33 @@ class CompactSC:
 
     def __init__(
         self,
-        table: KeywordTable,
-        lods: bytes,
-        virtual: bytes,
+        units: Sequence,
         ends: Sequence[int],
-        labels: Tuple[str, ...],
-        titles: Tuple[str, ...],
         payloads: Sequence[bytes],
         owns: Sequence[Mapping[str, int]],
-        aggregates: Sequence[Mapping[str, int]],
+        vector: Optional[OccurrenceVector] = None,
     ) -> None:
-        self.table = table
-        self.lods = lods
-        self.virtual = virtual
+        """Compact *units*, in preorder with their :func:`subtree_ends`.
+
+        Units have ``lod``, ``label``, ``title`` and ``virtual``, and are
+        only read; *payloads* and *owns* are their own bytes and counts.
+        Without a *vector*, the document's is the root's aggregate, or
+        the placeholder ``{"_": 1}`` when no unit has a keyword.
+        """
+        aggregates = _aggregates(owns, ends)
+        # The root's aggregate holds every unit's keywords.
+        total = aggregates[0] if len(owns) > 1 else owns[0]
+        if vector is None:
+            vector = OccurrenceVector(total or {"_": 1})
+        self.table = KeywordTable(vector, [total])
+        self.lods = bytes(map(attrgetter("lod"), units))
+        self.virtual = bytes(map(attrgetter("virtual"), units))
         self.ends = _packed(ends)
-        self.labels = labels
-        self.titles = titles
+        self.labels: Tuple[str, ...] = tuple(map(attrgetter("label"), units))
+        self.titles: Tuple[str, ...] = tuple(map(attrgetter("title"), units))
         self.payload = b"".join(payloads)
         self.offsets = _packed(list(accumulate(map(len, payloads), initial=0)))
-        ids = table.index()
+        ids = self.table.index()
         self.own, self.own_starts = _flatten(ids, owns)
         self.aggregate, self.aggregate_starts = _flatten(ids, aggregates)
 
@@ -319,40 +384,12 @@ class CompactSC:
 
         *root* is an :class:`~repro.core.structure.OrganizationalUnit`
         tree: units with ``lod``, ``label``, ``title``, ``own_counts``,
-        ``payload``, ``virtual``, ``children`` and the subtree aggregate
-        ``_aggregate()``.  The tree is walked once, in preorder, and only
-        read; its aggregates keep the key order that measures sum in (own
-        keywords first, then each child's in turn).  A leaf's aggregate
-        is its own counts and is not stored twice.
+        ``payload``, ``virtual`` and ``children``; it is only read.
         """
-        units: List = []
-        ends: List[int] = []
-
-        def visit(unit) -> None:
-            position = len(units)
-            units.append(unit)
-            ends.append(0)
-            for child in unit.children:
-                visit(child)
-            ends[position] = len(units)
-
-        visit(root)
-
-        def field(name: str) -> Iterator:
-            return map(attrgetter(name), units)
-
-        return cls(
-            # The root's aggregate holds every unit's keywords.
-            KeywordTable(vector, [root._aggregate()]),
-            bytes(field("lod")),
-            bytes(field("virtual")),
-            ends,
-            tuple(field("label")),
-            tuple(field("title")),
-            list(field("payload")),
-            list(field("own_counts")),
-            [unit._aggregate() if unit.children else {} for unit in units],
-        )
+        units = list(root.walk())
+        payloads = list(map(attrgetter("payload"), units))
+        owns = list(map(attrgetter("own_counts"), units))
+        return cls(units, subtree_ends(units), payloads, owns, vector)
 
     # -- structure -------------------------------------------------------
 

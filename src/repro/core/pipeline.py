@@ -7,6 +7,11 @@ operating "in a pipelined fashion".  Each module is an explicit class
 so individual stages can be swapped (e.g. a different lemmatizer) and
 tested in isolation; :class:`SCPipeline` wires the default chain and
 :func:`build_sc` is the one-call convenience entry point.
+
+Stages 1–4 annotate one :class:`RecognizedUnit` tree; stage 5 walks it
+once and emits the SC's compact form (:class:`~repro.core.compact.CompactSC`).
+:meth:`SCPipeline.run` wraps that in a ``StructuralCharacteristic``,
+which builds a unit tree only for a caller that reads one.
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.compact import CompactSC, subtree_ends
 from repro.core.lod import LOD
-from repro.core.structure import OrganizationalUnit, StructuralCharacteristic, add_counts
+from repro.core.structure import StructuralCharacteristic
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 from repro.text.lemmatizer import Lemmatizer
 from repro.text.stopwords import DEFAULT_STOPWORDS
 from repro.text.tokens import tokenize
-from repro.text.vector import OccurrenceVector
 from repro.xmlkit.dom import Document, Element, Text
 
 
@@ -62,6 +67,14 @@ class RecognizedUnit:
             stack.extend(reversed(unit.children))
 
 
+#: The element tag and LOD of the parts one LOD finer than each part.
+_FINER_PART = {
+    LOD.SECTION: ("subsection", LOD.SUBSECTION),
+    LOD.SUBSECTION: ("subsubsection", LOD.SUBSUBSECTION),
+    LOD.SUBSUBSECTION: (None, LOD.PARAGRAPH),
+}
+
+
 class DocumentRecognizer:
     """Stage 1: convert an XML document into a plain-text unit tree.
 
@@ -84,80 +97,39 @@ class DocumentRecognizer:
         section_index = 0
         for child in paper.child_elements():
             if child.tag == "abstract":
-                root.children.append(self._recognize_section(child, label="0", title="Abstract"))
+                root.children.append(self._recognize_part(child, LOD.SECTION, "0", "Abstract"))
             elif child.tag == "section":
                 section_index += 1
                 root.children.append(
-                    self._recognize_section(child, label=str(section_index))
+                    self._recognize_part(child, LOD.SECTION, str(section_index))
                 )
         return root
 
-    def _recognize_section(
-        self, element: Element, label: str, title: Optional[str] = None
+    def _recognize_part(
+        self, element: Element, lod: LOD, label: str, title: Optional[str] = None
     ) -> RecognizedUnit:
+        """A (sub)(sub)section: its title, finer parts and paragraphs."""
         if title is None:
             title = self._child_text(element, "title")
-        unit = RecognizedUnit(LOD.SECTION, label=label, title=title, text=title)
+        unit = RecognizedUnit(lod, label=label, title=title, text=title)
         unit.emphasized.extend(tokenize(title))
-
-        loose_paragraphs: List[RecognizedUnit] = []
-        subsection_index = 0
-        for child in element.child_elements():
-            if child.tag == "paragraph":
-                loose_paragraphs.append(self._recognize_paragraph(child, label="?"))
-            elif child.tag == "subsection":
-                subsection_index += 1
-                unit.children.append(
-                    self._recognize_subsection(child, label=f"{label}.{subsection_index}")
-                )
-
-        if loose_paragraphs:
-            virtual = RecognizedUnit(
-                LOD.SUBSECTION, label=f"{label}.0", virtual=True
-            )
-            for index, paragraph in enumerate(loose_paragraphs, start=1):
-                paragraph.label = f"{virtual.label}.{index}"
-                virtual.children.append(paragraph)
-            unit.children.insert(0, virtual)
-        return unit
-
-    def _recognize_subsection(self, element: Element, label: str) -> RecognizedUnit:
-        title = self._child_text(element, "title")
-        unit = RecognizedUnit(LOD.SUBSECTION, label=label, title=title, text=title)
-        unit.emphasized.extend(tokenize(title))
-
+        finer, finer_lod = _FINER_PART[lod]
         loose: List[RecognizedUnit] = []
-        sub_index = 0
         for child in element.child_elements():
             if child.tag == "paragraph":
                 loose.append(self._recognize_paragraph(child, label="?"))
-            elif child.tag == "subsubsection":
-                sub_index += 1
-                unit.children.append(
-                    self._recognize_subsubsection(child, label=f"{label}.{sub_index}")
-                )
-        if unit.children and loose:
-            # Mixed content: group loose paragraphs under a virtual
-            # subsubsection, mirroring the section-level rule.
-            virtual = RecognizedUnit(LOD.SUBSUBSECTION, label=f"{label}.0", virtual=True)
-            for index, paragraph in enumerate(loose, start=1):
-                paragraph.label = f"{virtual.label}.{index}"
-                virtual.children.append(paragraph)
-            unit.children.insert(0, virtual)
-        else:
-            for index, paragraph in enumerate(loose, start=1):
-                paragraph.label = f"{label}.{index}"
-                unit.children.append(paragraph)
-        return unit
-
-    def _recognize_subsubsection(self, element: Element, label: str) -> RecognizedUnit:
-        title = self._child_text(element, "title")
-        unit = RecognizedUnit(LOD.SUBSUBSECTION, label=label, title=title, text=title)
-        unit.emphasized.extend(tokenize(title))
-        for index, child in enumerate(
-            (c for c in element.child_elements() if c.tag == "paragraph"), start=1
-        ):
-            unit.children.append(self._recognize_paragraph(child, label=f"{label}.{index}"))
+            elif child.tag == finer:
+                child_label = f"{label}.{len(unit.children) + 1}"
+                unit.children.append(self._recognize_part(child, finer_lod, child_label))
+        holder = unit
+        if loose and (unit.children or lod is LOD.SECTION):
+            # A section's loose paragraphs, and a subsection's beside
+            # subsubsections, go under a virtual unit one LOD finer.
+            holder = RecognizedUnit(finer_lod, label=f"{label}.0", virtual=True)
+            unit.children.insert(0, holder)
+        for index, paragraph in enumerate(loose, start=1):
+            paragraph.label = f"{holder.label}.{index}"
+            holder.children.append(paragraph)
         return unit
 
     def _recognize_paragraph(self, element: Element, label: str) -> RecognizedUnit:
@@ -270,28 +242,17 @@ class KeywordExtractorStage:
 
 
 class SCGeneratorStage:
-    """Stage 5: emit the :class:`StructuralCharacteristic`."""
+    """Stage 5: emit the SC as a :class:`~repro.core.compact.CompactSC`.
 
-    def process(self, root: RecognizedUnit) -> StructuralCharacteristic:
-        unit_root = self._convert(root)
-        totals: Dict[str, int] = {}
-        for recognized in root.walk():
-            add_counts(totals, recognized.counts)
-        vector = OccurrenceVector(dict(totals)) if totals else OccurrenceVector({"_": 1})
-        return StructuralCharacteristic(unit_root, vector)
+    Each unit's text is its payload and its counts its own counts; the
+    occurrence vector is their sum, the root's aggregate.  No unit
+    objects are built.
+    """
 
-    def _convert(self, recognized: RecognizedUnit) -> OrganizationalUnit:
-        unit = OrganizationalUnit(
-            lod=recognized.lod,
-            label=recognized.label,
-            title=recognized.title,
-            own_counts=recognized.counts,
-            payload=recognized.text.encode("utf-8"),
-            virtual=recognized.virtual,
-        )
-        for child in recognized.children:
-            unit.add_child(self._convert(child))
-        return unit
+    def process(self, root: RecognizedUnit) -> CompactSC:
+        units = list(root.walk())
+        payloads = [unit.text.encode("utf-8") for unit in units]
+        return CompactSC(units, subtree_ends(units), payloads, [unit.counts for unit in units])
 
 
 class SCPipeline:
@@ -312,7 +273,7 @@ class SCPipeline:
         self.generator = generator or SCGeneratorStage()
 
     def run(self, document: Document) -> StructuralCharacteristic:
-        """Execute all five stages on *document*."""
+        """Execute all five stages on *document*; the SC holds stage 5's output."""
         with timed("pipeline.run"):
             with timed("pipeline.recognize"):
                 recognized = self.recognizer.recognize(document)
@@ -323,10 +284,10 @@ class SCPipeline:
             with timed("pipeline.extract"):
                 recognized = self.extractor.process(recognized)
             with timed("pipeline.generate"):
-                sc = self.generator.process(recognized)
+                compact = self.generator.process(recognized)
         if OBS.enabled:
             OBS.metrics.counter("pipeline.documents", "documents run through the SC pipeline").inc()
-        return sc
+        return StructuralCharacteristic.from_compact(compact)
 
     @property
     def shared_lemmatizer(self) -> Lemmatizer:

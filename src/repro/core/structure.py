@@ -10,29 +10,20 @@ Paragraphs that do not belong to any subsection are grouped under a
 *virtual* unit at the intermediate level, exactly as the paper does
 for its Table 1 ("paragraphs not belonging to any subsection are
 grouped under a virtual subsection").
+
+The pipeline emits the compact form (:class:`~repro.core.compact.CompactSC`).
+A :class:`StructuralCharacteristic` made from one builds its unit tree
+when ``root`` is first read; ``compact()`` returns the held object until
+then, and compacts the tree afresh after, so edits to it are honoured.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
-from repro.core.compact import CompactSC
+from repro.core.compact import CompactSC, add_counts
 from repro.core.lod import LOD
 from repro.text.vector import OccurrenceVector
-
-
-def add_counts(total: Dict[str, int], counts: Mapping[str, int]) -> None:
-    """Add *counts* into *total*; keywords new to *total* go last, in order.
-
-    This is the one way keyword counts are summed, so every sum over a
-    subtree or a document has the same key order and values.
-    """
-    if total.keys().isdisjoint(counts):
-        total.update(counts)  # all keys new: appended in order, in C
-        return
-    get = total.get
-    for keyword, count in counts.items():
-        total[keyword] = get(keyword, 0) + count
 
 
 class OrganizationalUnit:
@@ -206,15 +197,39 @@ class StructuralCharacteristic:
     Instances are produced by :class:`repro.core.pipeline.SCPipeline`.
     The document-level occurrence vector and keyword weights live here,
     and content measures annotate each unit's ``content`` mapping.
-    :meth:`compact` freezes the tree into a :class:`CompactSC` and
-    :meth:`from_compact` rebuilds a fresh tree from one.
+    :meth:`compact` gives the frozen :class:`CompactSC` and
+    :meth:`from_compact` makes an SC whose tree is built from one on
+    first use (see the module doc).
     """
 
     def __init__(self, root: OrganizationalUnit, vector: OccurrenceVector) -> None:
         if root.lod is not LOD.DOCUMENT:
             raise ValueError("SC root must be a DOCUMENT-level unit")
-        self.root = root
-        self.vector = vector
+        self._root: Optional[OrganizationalUnit] = root
+        self._vector: Optional[OccurrenceVector] = vector
+        self._compact: Optional[CompactSC] = None
+
+    @classmethod
+    def from_compact(cls, compact: CompactSC) -> "StructuralCharacteristic":
+        """An SC of *compact*; its fresh, unannotated tree is built on first use."""
+        sc = cls.__new__(cls)
+        sc._root = sc._vector = None
+        sc._compact = compact
+        return sc
+
+    @property
+    def root(self) -> OrganizationalUnit:
+        if self._root is None:
+            # The tree replaces the compact form, which compact() remakes.
+            self._vector = self.vector
+            self._root, self._compact = _tree(self._compact), None
+        return self._root
+
+    @property
+    def vector(self) -> OccurrenceVector:
+        if self._vector is None:
+            self._vector = self._compact.table.vector()
+        return self._vector
 
     # -- lookups ---------------------------------------------------------
 
@@ -261,29 +276,10 @@ class StructuralCharacteristic:
     # -- the compact form ----------------------------------------------------
 
     def compact(self) -> CompactSC:
-        """The tree as a frozen :class:`CompactSC`; the tree is only read."""
-        return CompactSC.from_tree(self.root, self.vector)
-
-    @classmethod
-    def from_compact(cls, compact: CompactSC) -> "StructuralCharacteristic":
-        """A fresh, unannotated tree equal to the one *compact* was made from."""
-        keywords = compact.table.keywords
-        units: List[OrganizationalUnit] = []
-        for position, label in enumerate(compact.labels):
-            unit = OrganizationalUnit(
-                lod=LOD(compact.lods[position]),
-                label=label,
-                title=compact.titles[position],
-                own_counts={keywords[key]: count for key, count in compact.own_pairs(position)},
-                payload=compact.own_payload(position),
-                virtual=bool(compact.virtual[position]),
-            )
-            units.append(unit)
-        for position, unit in enumerate(units):
-            for child in compact.children(position):
-                unit.children.append(units[child])
-                units[child].parent = unit
-        return cls(units[0], compact.table.vector())
+        """The SC as a frozen :class:`CompactSC` (see the module doc)."""
+        if self._root is None:
+            return self._compact
+        return CompactSC.from_tree(self._root, self.vector)
 
     def content_table(self, name: str = "ic") -> List[tuple]:
         """(label, value) rows in document order — the paper's Table 1 shape."""
@@ -296,3 +292,24 @@ class StructuralCharacteristic:
     def __repr__(self) -> str:
         units = sum(1 for _ in self.root.walk())
         return f"StructuralCharacteristic({units} units, {self.size_bytes()} bytes)"
+
+
+def _tree(compact: CompactSC) -> OrganizationalUnit:
+    """A fresh, unannotated unit tree equal to the one *compact* holds."""
+    keywords = compact.table.keywords
+    units = [
+        OrganizationalUnit(
+            lod=LOD(compact.lods[position]),
+            label=label,
+            title=compact.titles[position],
+            own_counts={keywords[key]: count for key, count in compact.own_pairs(position)},
+            payload=compact.own_payload(position),
+            virtual=bool(compact.virtual[position]),
+        )
+        for position, label in enumerate(compact.labels)
+    ]
+    for position, unit in enumerate(units):
+        for child in compact.children(position):
+            unit.children.append(units[child])
+            units[child].parent = unit
+    return units[0]

@@ -197,7 +197,6 @@ def _absorb_leading_paragraphs(paper: Element) -> None:
             if isinstance(child, Element) and child.tag in ("title", "author"):
                 insert_at = index + 1
         paper.children.insert(insert_at, abstract)
-        abstract.parent = paper
 
 
 def _normalize(text: str) -> str:

@@ -4,6 +4,8 @@ Three node kinds suffice for the paper's document class: elements,
 text, and comments.  Elements own an ordered child list and an
 attribute dict; navigation helpers (``find``, ``find_all``, ``walk``)
 cover everything the structural-characteristic generator needs.
+Navigation runs downward only: a node holds no link to its parent, so
+a document is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ Node = Union["Element", "Text", "Comment"]
 class Text:
     """A run of character data."""
 
-    __slots__ = ("data", "parent")
+    __slots__ = ("data",)
 
     def __init__(self, data: str) -> None:
         self.data = data
-        self.parent: Optional["Element"] = None
 
     def __repr__(self) -> str:
         preview = self.data if len(self.data) <= 30 else self.data[:27] + "..."
@@ -30,11 +31,10 @@ class Text:
 class Comment:
     """An XML comment; preserved so serialization round-trips."""
 
-    __slots__ = ("data", "parent")
+    __slots__ = ("data",)
 
     def __init__(self, data: str) -> None:
         self.data = data
-        self.parent: Optional["Element"] = None
 
     def __repr__(self) -> str:
         return f"Comment({self.data!r})"
@@ -43,7 +43,7 @@ class Comment:
 class Element:
     """An XML element with a tag, attributes, and ordered children."""
 
-    __slots__ = ("tag", "attributes", "children", "parent")
+    __slots__ = ("tag", "attributes", "children")
 
     def __init__(
         self,
@@ -56,17 +56,15 @@ class Element:
         self.tag = tag
         self.attributes: Dict[str, str] = dict(attributes or {})
         self.children: List[Node] = []
-        self.parent: Optional["Element"] = None
         for child in children or []:
             self.append(child)
 
     # -- construction ----------------------------------------------------
 
     def append(self, child: Node) -> Node:
-        """Append *child* and set its parent pointer; returns the child."""
+        """Append *child*; returns the child."""
         if not isinstance(child, (Element, Text, Comment)):
             raise TypeError(f"cannot append {type(child).__name__} to an Element")
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -108,13 +106,6 @@ class Element:
             yield child
             if isinstance(child, Element):
                 yield from child.walk()
-
-    def ancestors(self) -> Iterator["Element"]:
-        """Iterator from the parent up to the root."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     # -- content -----------------------------------------------------------
 

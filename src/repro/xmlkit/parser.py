@@ -23,23 +23,21 @@ def parse_xml(source: str) -> Document:
     doctype: Optional[str] = None
     root: Optional[Element] = None
     stack: List[Element] = []
-    # The open element; the parser links the nodes it builds itself,
-    # which need no ``Element.append`` type check.
+    # The open element; the parser appends the nodes it builds itself,
+    # which need no ``Element.append`` type check.  Nodes keep no link
+    # to their parent, so a parsed document holds no reference cycle.
     parent: Optional[Element] = None
 
     for kind, value, attrs, self_closing, line, column in XmlTokenizer(source).token_tuples():
         if kind == "text":
             if parent is not None:
                 if value:
-                    text = Text(value)
-                    text.parent = parent
-                    parent.children.append(text)
+                    parent.children.append(Text(value))
             elif value.strip():
                 raise XmlSyntaxError("character data outside the root element", line, column)
         elif kind == "start":
             element = Element(value, attrs)
             if parent is not None:
-                element.parent = parent
                 parent.children.append(element)
             elif root is None:
                 root = element
@@ -60,7 +58,6 @@ def parse_xml(source: str) -> Document:
         elif kind == "comment":
             comment = Comment(value)
             if parent is not None:
-                comment.parent = parent
                 parent.children.append(comment)
             else:
                 prolog.append(comment)
@@ -85,8 +82,4 @@ def parse_fragment(source: str) -> List[object]:
     Returns the list of top-level nodes.  Used by tests and by the
     HTML structure extractor when grafting converted content.
     """
-    wrapped = parse_xml(f"<fragment>{source}</fragment>")
-    nodes = list(wrapped.root.children)
-    for node in nodes:
-        node.parent = None
-    return nodes
+    return parse_xml(f"<fragment>{source}</fragment>").root.children

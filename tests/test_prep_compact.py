@@ -7,8 +7,11 @@ building unit objects.  The tree path (``annotate_sc`` then
 every LOD, with and without a topic query, both paths must give the
 same segments, bit for bit, and the same payload bytes.  Callers that
 hand the service a tree, or take one from it, keep their own copy.
+The pipeline emits the compact form itself: the service's SC build
+makes no unit tree and leaves no reference cycle behind.
 """
 
+import gc
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from repro.core.lod import ALL_LODS
 from repro.core.multires import TransmissionSchedule
 from repro.core.pipeline import SCPipeline
 from repro.core.query import Query
-from repro.core.structure import StructuralCharacteristic
+from repro.core.structure import OrganizationalUnit, StructuralCharacteristic
 from repro.data import draft_paper_path
 from repro.prep import PrepRequest, PreparationService
 from repro.simulation.textgen import CorpusGenerator
@@ -161,3 +164,71 @@ class TestServiceCopies:
         again = service.prepare(document, PrepRequest(query="mobile caching"))
         assert service.stats["cooked_misses"] == 2
         assert b"".join(again.wire_frames()) == b"".join(expected.wire_frames())
+
+
+@pytest.fixture
+def constructed_units(monkeypatch):
+    """A list that gains every OrganizationalUnit constructed from now on."""
+    constructed = []
+    init = OrganizationalUnit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrganizationalUnit, "__init__", counting_init)
+    return constructed
+
+
+class TestBuiltStraight:
+    SOURCES = [PAPER] + [xml for xml, _query in corpus(4, seed=1)]
+
+    def test_the_sc_build_leaves_no_cyclic_garbage(self):
+        pipeline = SCPipeline()
+        gc.collect()
+        gc.disable()
+        try:
+            for source in self.SOURCES:
+                pipeline.run(parse_xml(source)).compact()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_compacting_a_run_builds_no_unit_tree(self, constructed_units):
+        for source in self.SOURCES:
+            PIPELINE.run(parse_xml(source)).compact()
+        assert constructed_units == []
+
+    def test_a_warmup_builds_no_unit_tree(self, constructed_units):
+        service = PreparationService()
+        for index, source in enumerate(self.SOURCES):
+            service.add_document(f"doc{index}", source)
+        assert service.warmup() == len(self.SOURCES)
+        assert constructed_units == []
+
+    def test_compact_honours_edits_to_a_built_tree(self):
+        sc = PIPELINE.run(parse_xml(PAPER))
+        held = sc.compact()
+        assert sc.compact() is held
+        paragraph = sc.paragraphs()[0]
+        paragraph.payload = b"edited"
+        paragraph.own_counts = {"edit": 3}
+        edited = sc.compact()
+        assert edited is not held
+        position = [unit.label for unit in sc.root.walk()].index(paragraph.label)
+        assert edited.own_payload(position) == b"edited"
+        keywords = edited.table.keywords
+        assert [(keywords[key], count) for key, count in edited.own_pairs(position)] == [
+            ("edit", 3)
+        ]
+        assert edited.payload_size == held.payload_size - len(
+            held.own_payload(position)
+        ) + len(b"edited")
+
+    def test_seeding_an_untouched_run_stores_its_compact_form(self):
+        service = PreparationService()
+        document = service.add_path(draft_paper_path())
+        sc = PIPELINE.run(parse_xml(PAPER))
+        held = sc.compact()
+        assert service.seed_sc(document, sc)
+        assert service._sc_tier.peek((service.digest(document), service._pipeline_token())) is held

@@ -70,7 +70,6 @@ class TestFragment:
         assert len(nodes) == 3
         assert isinstance(nodes[0], Element)
         assert isinstance(nodes[1], Text)
-        assert all(node.parent is None for node in nodes)
 
 
 class TestNavigation:
@@ -86,11 +85,6 @@ class TestNavigation:
         doc = parse_xml("<a><b/></a>")
         assert doc.find("a") is doc.root
         assert doc.find_all("a") == [doc.root]
-
-    def test_ancestors(self):
-        doc = parse_xml("<a><b><c/></b></a>")
-        c = doc.root.find("c")
-        assert [el.tag for el in c.ancestors()] == ["b", "a"]
 
     def test_direct_text(self):
         doc = parse_xml("<p>own <em>nested</em> text</p>")
