@@ -19,7 +19,7 @@ from repro.core.intuition import annotate_intuition
 from repro.core.lod import LOD
 from repro.core.multires import TransmissionSchedule
 from repro.core.pipeline import build_sc
-from repro.core.summarize import multiresolution_browse, summary_first_browse
+from repro.browse.summarize import multiresolution_browse, summary_first_browse
 from repro.figures import format_table
 from repro.transport.channel import WirelessChannel
 from repro.xmlkit.parser import parse_xml

@@ -16,8 +16,9 @@ Run:  python examples/cluster_prefetching.py
 
 import random
 
+from repro.browse import DocumentCluster
 from repro.coding import Packetizer
-from repro.core import DocumentCluster, build_sc
+from repro.core import build_sc
 from repro.prep import DocumentSender
 from repro.search import UserProfile
 from repro.transport import (

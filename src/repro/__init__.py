@@ -26,6 +26,8 @@ including every substrate the paper depends on:
   query-based content measures;
 * :mod:`repro.simulation` — the §5 evaluation: Table 2 parameters,
   synthetic workloads, and Experiments #1–#4;
+* :mod:`repro.browse` — the summary-first browsing baseline and
+  profile-driven cluster prefetching, built on the layers above;
 * :mod:`repro.prototype` — the Figure 1 browser/server prototype;
 * :mod:`repro.figures` — one entry point per paper table and figure.
 
@@ -50,44 +52,48 @@ or the underlying pieces::
     schedule = TransmissionSchedule(sc, lod=LOD.PARAGRAPH, measure="qic")
 """
 
-from repro.core import (
-    LOD,
-    ModifiedQueryIC,
-    OrganizationalUnit,
-    Query,
-    QueryIC,
-    SCPipeline,
-    StaticIC,
-    StructuralCharacteristic,
-    TransmissionSchedule,
-    annotate_sc,
-    best_first_schedule,
-    build_sc,
-    conventional_schedule,
-)
-from repro.coding import Packetizer, RabinDispersal, SystematicRSCodec
-from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT, TransferEngine
-from repro.analysis import (
-    AdaptiveRedundancyController,
-    minimal_cooked_packets,
-    redundancy_ratio,
-)
-from repro.transport import (
-    NullCache,
-    PacketCache,
-    TransferResult,
-    WirelessChannel,
-    transfer_document,
-)
-from repro.prep import (
-    DocumentSender,
-    PreparationService,
-    PrepRequest,
-    TransferSettings,
-    default_service,
-    prepare,
-)
-from repro.simulation import Parameters, simulate_session, table2_defaults
+from repro.util.lazy import lazy_exports
+
+# The facade is lazy (PEP 562): ``import repro`` loads no subpackage,
+# and each name below imports its home module on first use, so a
+# serving process never pays for the simulators or the prototype.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.core.lod": ("LOD",),
+    "repro.core.structure": ("OrganizationalUnit", "StructuralCharacteristic"),
+    "repro.core.query": ("Query",),
+    "repro.core.information": ("ModifiedQueryIC", "QueryIC", "StaticIC", "annotate_sc"),
+    "repro.core.pipeline": ("SCPipeline", "build_sc"),
+    "repro.core.multires": (
+        "TransmissionSchedule",
+        "best_first_schedule",
+        "conventional_schedule",
+    ),
+    "repro.coding.packets": ("Packetizer",),
+    "repro.coding.rs": ("RabinDispersal", "SystematicRSCodec"),
+    "repro.protocol.engine": (
+        "DEFAULT_MAX_ROUNDS",
+        "DEFAULT_ROUND_TIMEOUT",
+        "TransferEngine",
+    ),
+    "repro.analysis.ewma": ("AdaptiveRedundancyController",),
+    "repro.analysis.planner": ("minimal_cooked_packets", "redundancy_ratio"),
+    "repro.transport.cache": ("NullCache", "PacketCache"),
+    "repro.transport.channel": ("WirelessChannel",),
+    "repro.transport.session": ("TransferResult", "transfer_document"),
+    "repro.prep.prepare": ("DocumentSender",),
+    "repro.prep.request": ("PrepRequest", "TransferSettings"),
+    "repro.prep.service": ("PreparationService",),
+    "repro.prep": ("default_service", "prepare"),
+    "repro.browse.summarize": (
+        "SummaryFirstResult",
+        "build_summary",
+        "multiresolution_browse",
+        "summary_first_browse",
+    ),
+    "repro.browse.cluster": ("ClusterError", "DocumentCluster"),
+    "repro.simulation.parameters": ("Parameters", "table2_defaults"),
+    "repro.simulation.runner": ("simulate_session",),
+})
 
 __version__ = "1.0.0"
 
@@ -104,6 +110,9 @@ def transfer(document, *, channel=None, settings=None, request=None,
     default Table 2 :class:`WirelessChannel` is used.  Returns the
     :class:`TransferResult`.
     """
+    from repro.prep import TransferSettings, prepare
+    from repro.transport import WirelessChannel, transfer_document
+
     prepared = prepare(
         document, request=request, html=html, service=service, **request_fields
     )
@@ -155,6 +164,13 @@ __all__ = [
     "default_service",
     "prepare",
     "transfer",
+    # browse (the paper's browsing baselines and cluster prefetching)
+    "build_summary",
+    "summary_first_browse",
+    "multiresolution_browse",
+    "SummaryFirstResult",
+    "DocumentCluster",
+    "ClusterError",
     # simulation
     "Parameters",
     "table2_defaults",

@@ -3,30 +3,34 @@ negative binomial packet counts, the minimal-N planner, and the EWMA
 adaptive-redundancy controller.
 """
 
-from repro.analysis.negbinom import (
-    cdf,
-    expectation,
-    pmf,
-    pmf_series,
-    survival,
-    variance,
-)
-from repro.analysis.planner import (
-    PlannerPoint,
-    gamma_band,
-    gamma_versus_alpha,
-    minimal_cooked_packets,
-    redundancy_ratio,
-    stall_probability,
-    sweep,
-)
-from repro.analysis.ewma import AdaptiveRedundancyController, EwmaEstimator
-from repro.analysis.sequential import SequentialResult, run_until_tight
-from repro.analysis.response import (
-    caching_expected_time,
-    expected_response_time,
-    nocaching_expected_time,
-)
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.analysis.negbinom": (
+        "cdf",
+        "expectation",
+        "pmf",
+        "pmf_series",
+        "survival",
+        "variance",
+    ),
+    "repro.analysis.planner": (
+        "PlannerPoint",
+        "gamma_band",
+        "gamma_versus_alpha",
+        "minimal_cooked_packets",
+        "redundancy_ratio",
+        "stall_probability",
+        "sweep",
+    ),
+    "repro.analysis.ewma": ("AdaptiveRedundancyController", "EwmaEstimator"),
+    "repro.analysis.sequential": ("SequentialResult", "run_until_tight"),
+    "repro.analysis.response": (
+        "caching_expected_time",
+        "expected_response_time",
+        "nocaching_expected_time",
+    ),
+})
 
 __all__ = [
     "pmf",

@@ -10,42 +10,36 @@ Exposes the library's main entry points without writing Python::
     python -m repro transfer document.xml --trace out.jsonl
     python -m repro obs-summary out.jsonl
     python -m repro figure table1|table2|fig2|...|fig7
+
+Each command imports what it runs, so ``net serve`` loads the serving
+stack and nothing else (``tests/test_serve_numpy_free.py`` pins it).
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 from typing import List, Optional
-
-from repro import obs
-from repro.analysis.planner import minimal_cooked_packets
-from repro.core.information import annotate_sc
-from repro.core.lod import LOD
-from repro.core.multires import TransmissionSchedule
-from repro.core.pipeline import SCPipeline
-from repro.core.query import Query
-from repro.htmlkit.extract import html_to_research_paper
-from repro.prep import DeliveryMode, PreparationService, PrepRequest, TransferSettings
-from repro.prep.request import KNOWN_MEASURES
-from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
-from repro.text.keywords import KeywordExtractor
-from repro.transport.cache import PacketCache
-from repro.transport.channel import ModelChannel, WirelessChannel
-from repro.transport.session import transfer_document
-from repro.xmlkit.parser import parse_xml
 
 
 def _load_document(path: str, html: bool):
     source = Path(path).read_text(encoding="utf-8")
     if html:
+        from repro.htmlkit.extract import html_to_research_paper
+
         return html_to_research_paper(source)
+    from repro.xmlkit.parser import parse_xml
+
     return parse_xml(source)
 
 
 def _build_annotated_sc(args):
+    from repro.core.information import annotate_sc
+    from repro.core.pipeline import SCPipeline
+    from repro.core.query import Query
+    from repro.text.keywords import KeywordExtractor
+
     pipeline = SCPipeline()
     document = _load_document(args.path, getattr(args, "html", False))
     sc = pipeline.run(document)
@@ -76,6 +70,9 @@ def cmd_sc(args) -> int:
 
 def cmd_schedule(args) -> int:
     """Print the transmission schedule at the chosen LOD."""
+    from repro.core.lod import LOD
+    from repro.core.multires import TransmissionSchedule
+
     sc, query = _build_annotated_sc(args)
     measure = args.measure
     if measure == "auto":
@@ -94,6 +91,8 @@ def cmd_schedule(args) -> int:
 
 def cmd_plan(args) -> int:
     """Solve for the minimal cooked-packet count."""
+    from repro.analysis.planner import minimal_cooked_packets
+
     n = minimal_cooked_packets(args.m, args.alpha, args.success)
     print(f"M={args.m} alpha={args.alpha:g} S={args.success:g}")
     print(f"N={n}  gamma={n / args.m:.3f}  expected packets={args.m / (1 - args.alpha):.1f}")
@@ -102,7 +101,14 @@ def cmd_plan(args) -> int:
 
 def cmd_transfer(args) -> int:
     """Simulate one fault-tolerant transfer of a document file."""
+    import random
+
+    from repro import obs
     from repro.coding.backend import get_backend
+    from repro.prep import PreparationService, TransferSettings
+    from repro.transport.cache import PacketCache
+    from repro.transport.channel import ModelChannel, WirelessChannel
+    from repro.transport.session import transfer_document
 
     tracing = bool(getattr(args, "trace", None))
     if tracing:
@@ -182,6 +188,8 @@ def _document_request(args) -> PrepRequest:
     ``transfer`` cooks with it; ``net serve`` makes it the default for
     clients that send no ``prep`` parameters.
     """
+    from repro.prep.request import PrepRequest
+
     return PrepRequest(
         lod=args.lod,
         query=args.query,
@@ -419,6 +427,8 @@ def _client_prep_request(args) -> Optional[PrepRequest]:
     server cooks with *its* configured default — the right behaviour
     for clients that don't care.
     """
+    from repro.prep.request import PrepRequest
+
     supplied = {
         name: value
         for name, value in (
@@ -435,6 +445,8 @@ def _client_prep_request(args) -> Optional[PrepRequest]:
 
 
 def _client_settings(args) -> TransferSettings:
+    from repro.prep.request import TransferSettings
+
     return TransferSettings(
         relevance_threshold=args.stop_at,
         max_rounds=args.max_rounds,
@@ -448,6 +460,7 @@ def cmd_net_fetch(args) -> int:
     import asyncio
 
     from repro.net import ConnectionLost, NetClient, WireError
+    from repro.transport.cache import PacketCache
 
     client = NetClient(
         args.host,
@@ -687,11 +700,15 @@ CHAOS_MODEL_HELP = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro import __version__
+    from repro.core.lod import LOD
+    from repro.prep.request import KNOWN_MEASURES, DeliveryMode
+    from repro.protocol.engine import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Fault-tolerant multi-resolution web transmission (ICDCS 2000 reproduction)",
     )
-    from repro import __version__
 
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"

@@ -277,7 +277,9 @@ class NativeBackend(CodingBackend):
     (``mmap`` slices of a disk-tier bundle) work as they are.
     ``matmul`` lands the product in a fresh ``bytearray``;
     ``matmul_into`` hands the caller's writable buffer to the kernel
-    directly.
+    directly.  Buffers reach the kernel as the address of a one-byte
+    ``c_char`` over their start: a ``c_char * length`` array type per
+    call would leave a reference cycle for every new length.
     """
 
     name = "native"
@@ -302,8 +304,9 @@ class NativeBackend(CodingBackend):
         """True when the kernel was compiled with AVX2."""
         return bool(self._kernel.simd)
 
-    def _stack(self, packets: Sequence[BytesLike], size: int):
-        """The packet column copied into this thread's contiguous stack."""
+    def _stack(self, packets: Sequence[BytesLike], size: int) -> int:
+        """The packet column copied into this thread's contiguous stack;
+        returns the stack's address."""
         local = self._local
         stack = getattr(local, "stack", None)
         need = len(packets) * size
@@ -311,12 +314,13 @@ class NativeBackend(CodingBackend):
             stack = local.stack = bytearray(max(need, 1))
             # The export pins the stack's size: a packet of the wrong
             # length raises BufferError instead of resizing it.
-            local.pointer = (ctypes.c_char * len(stack)).from_buffer(stack)
+            local.pin = ctypes.c_char.from_buffer(stack)
+            local.address = ctypes.addressof(local.pin)
         offset = 0
         for packet in packets:
             stack[offset : offset + size] = packet
             offset += size
-        return local.pointer
+        return local.address
 
     def _product(
         self,
@@ -331,9 +335,10 @@ class NativeBackend(CodingBackend):
             raise CodingBackendError(
                 f"matrix has {len(matrix)} coefficients, need {n} x {m}"
             )
-        target = (ctypes.c_char * (n * size)).from_buffer(out)
+        # The pin keeps *out* exported (unmovable) across the call.
+        pin = ctypes.c_char.from_buffer(out)
         self._kernel.matmul_into(
-            target, matrix, self._stack(packets, size), n, m, size
+            ctypes.addressof(pin), matrix, self._stack(packets, size), n, m, size
         )
 
     def matmul(

@@ -1,43 +1,47 @@
 """The paper's primary contribution: structural characteristics,
 information-content measures, and multi-resolution transmission
 scheduling.
+
+Layering: ``repro.core`` imports only the standard library,
+:mod:`repro.util`, :mod:`repro.text`, :mod:`repro.xmlkit`,
+:mod:`repro.obs` and itself (``tools/check_layering.py``), so the serve
+path's SC build and scoring never pull in a transport or a cache.  The
+browsing strategies that drive whole transfers live in
+:mod:`repro.browse`.
 """
 
-from repro.core.lod import ALL_LODS, LOD
-from repro.core.structure import OrganizationalUnit, StructuralCharacteristic
-from repro.core.query import Query
-from repro.core.information import (
-    ContentMeasure,
-    ModifiedQueryIC,
-    ProportionalIC,
-    QueryIC,
-    StaticIC,
-    TfIdfIC,
-    annotate_sc,
-)
-from repro.core.pipeline import (
-    DocumentRecognizer,
-    KeywordExtractorStage,
-    LemmatizerStage,
-    SCGeneratorStage,
-    SCPipeline,
-    WordFilterStage,
-    build_sc,
-)
-from repro.core.multires import (
-    ScheduledSegment,
-    TransmissionSchedule,
-    best_first_schedule,
-    conventional_schedule,
-)
-from repro.core.intuition import IntuitionModel, annotate_intuition
-from repro.core.summarize import (
-    SummaryFirstResult,
-    build_summary,
-    multiresolution_browse,
-    summary_first_browse,
-)
-from repro.core.cluster import ClusterError, DocumentCluster
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.core.lod": ("ALL_LODS", "LOD"),
+    "repro.core.structure": ("OrganizationalUnit", "StructuralCharacteristic"),
+    "repro.core.query": ("Query",),
+    "repro.core.information": (
+        "ContentMeasure",
+        "ModifiedQueryIC",
+        "ProportionalIC",
+        "QueryIC",
+        "StaticIC",
+        "TfIdfIC",
+        "annotate_sc",
+    ),
+    "repro.core.pipeline": (
+        "DocumentRecognizer",
+        "KeywordExtractorStage",
+        "LemmatizerStage",
+        "SCGeneratorStage",
+        "SCPipeline",
+        "WordFilterStage",
+        "build_sc",
+    ),
+    "repro.core.multires": (
+        "ScheduledSegment",
+        "TransmissionSchedule",
+        "best_first_schedule",
+        "conventional_schedule",
+    ),
+    "repro.core.intuition": ("IntuitionModel", "annotate_intuition"),
+})
 
 __all__ = [
     "LOD",
@@ -65,10 +69,4 @@ __all__ = [
     "conventional_schedule",
     "IntuitionModel",
     "annotate_intuition",
-    "build_summary",
-    "summary_first_browse",
-    "multiresolution_browse",
-    "SummaryFirstResult",
-    "DocumentCluster",
-    "ClusterError",
 ]

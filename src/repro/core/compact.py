@@ -83,18 +83,29 @@ class KeywordTable:
     """A document's keywords in occurrence-vector order.
 
     Ids ``0 .. len(counts) - 1`` are the vector's keywords with their
-    counts; any keyword a unit carries that the vector lacks follows
+    counts; any keyword in *unit_counts* that the vector lacks follows
     them, with weight 0 (the vector's convention for absent keywords).
+    Without *unit_counts* the vector is taken to hold every keyword, as
+    it does when it is the root's aggregate.
     """
 
     __slots__ = ("keywords", "counts", "weights", "norm")
 
-    def __init__(self, vector: OccurrenceVector, unit_counts: Iterable[Mapping[str, int]] = ()) -> None:
+    def __init__(
+        self,
+        vector: OccurrenceVector,
+        unit_counts: Optional[Iterable[Mapping[str, int]]] = None,
+    ) -> None:
         keywords = list(vector)
-        seen = dict.fromkeys(chain.from_iterable(unit_counts))
-        missing = seen.keys() - set(keywords)
-        if missing:
-            keywords += [keyword for keyword in seen if keyword in missing]
+        missing: List[str] = []
+        if unit_counts is not None:
+            known = set(keywords)
+            missing = [
+                keyword
+                for keyword in dict.fromkeys(chain.from_iterable(unit_counts))
+                if keyword not in known
+            ]
+            keywords += missing
         self.keywords: Tuple[str, ...] = tuple(keywords)
         weights = vector.weights()
         self.counts = _packed(list(map(itemgetter(1), vector.items())))
@@ -362,11 +373,13 @@ class CompactSC:
         the placeholder ``{"_": 1}`` when no unit has a keyword.
         """
         aggregates = _aggregates(owns, ends)
-        # The root's aggregate holds every unit's keywords.
+        # The root's aggregate holds every unit's keywords, so a vector
+        # made from it misses none of them.
         total = aggregates[0] if len(owns) > 1 else owns[0]
         if vector is None:
-            vector = OccurrenceVector(total or {"_": 1})
-        self.table = KeywordTable(vector, [total])
+            self.table = KeywordTable(OccurrenceVector(total or {"_": 1}))
+        else:
+            self.table = KeywordTable(vector, [total])
         self.lods = bytes(map(attrgetter("lod"), units))
         self.virtual = bytes(map(attrgetter("virtual"), units))
         self.ends = _packed(ends)

@@ -2,7 +2,7 @@
 
 Completes the HTML story: parse tag-soup pages, pull their ``<a
 href>`` links, and assemble a
-:class:`~repro.core.cluster.DocumentCluster` whose per-page SCs come
+:class:`~repro.browse.cluster.DocumentCluster` whose per-page SCs come
 from the heading-outline structure extractor.  URLs are normalized
 just enough for intra-site clustering (fragments dropped, relative
 paths resolved against the page URL).
@@ -14,7 +14,7 @@ import posixpath
 from typing import Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
-from repro.core.cluster import DocumentCluster
+from repro.browse.cluster import DocumentCluster
 from repro.core.pipeline import SCPipeline
 from repro.htmlkit.extract import structure_from_dom
 from repro.htmlkit.parser import parse_html

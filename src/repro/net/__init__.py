@@ -22,47 +22,48 @@ sender/cache state, and telemetry, but never the simulators, the
 prototype, or the CLI (enforced by ``tools/check_layering.py``).
 """
 
-from repro.net.chaos import ChaosProxy
-from repro.net.client import FETCH_BUCKETS, NetClient, NetFetchResult, fetch_stats
-from repro.net.loadgen import (
-    ClientOutcome,
-    LoadgenReport,
-    bench_record,
-    outcome_of,
-    run_loadgen,
-    run_loadgen_mp,
-    summarize_outcomes,
-    summarize_results,
-    write_bench,
-)
-from repro.net.server import DocumentStore, NetServer
-from repro.net.stats_http import StatsHTTP, render_exposition
-from repro.net.workers import (
-    HAVE_REUSE_PORT,
-    WorkerConfig,
-    WorkerPool,
-    merge_snapshots,
-)
-from repro.net.wire import (
-    ENVELOPE_OVERHEAD,
-    MAX_MESSAGE_SIZE,
-    MESSAGE_NAMES,
-    MSG_DONE,
-    MSG_ERROR,
-    MSG_FRAME,
-    MSG_HELLO,
-    MSG_MANIFEST,
-    MSG_NEXT_ROUND,
-    MSG_ROUND_END,
-    MSG_STATS,
-    ConnectionLost,
-    WireError,
-    decode_json,
-    encode_json,
-    encode_message,
-    read_expected,
-    read_message,
-)
+from repro.util.lazy import lazy_exports
+
+# Lazy (PEP 562): the server process imports repro.net.server without
+# loading the client, the load generator or the chaos proxy.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.net.chaos": ("ChaosProxy",),
+    "repro.net.client": ("FETCH_BUCKETS", "NetClient", "NetFetchResult", "fetch_stats"),
+    "repro.net.loadgen": (
+        "ClientOutcome",
+        "LoadgenReport",
+        "bench_record",
+        "outcome_of",
+        "run_loadgen",
+        "run_loadgen_mp",
+        "summarize_outcomes",
+        "summarize_results",
+        "write_bench",
+    ),
+    "repro.net.server": ("DocumentStore", "NetServer"),
+    "repro.net.stats_http": ("StatsHTTP", "render_exposition"),
+    "repro.net.workers": ("HAVE_REUSE_PORT", "WorkerConfig", "WorkerPool", "merge_snapshots"),
+    "repro.net.wire": (
+        "ENVELOPE_OVERHEAD",
+        "MAX_MESSAGE_SIZE",
+        "MESSAGE_NAMES",
+        "MSG_DONE",
+        "MSG_ERROR",
+        "MSG_FRAME",
+        "MSG_HELLO",
+        "MSG_MANIFEST",
+        "MSG_NEXT_ROUND",
+        "MSG_ROUND_END",
+        "MSG_STATS",
+        "ConnectionLost",
+        "WireError",
+        "decode_json",
+        "encode_json",
+        "encode_message",
+        "read_expected",
+        "read_message",
+    ),
+})
 
 __all__ = [
     "NetServer",

@@ -43,11 +43,8 @@ import asyncio
 import math
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.ewma import AdaptiveRedundancyController
-
-from repro.broadcast.scheduler import CarouselScheduler
 from repro.coding.packets import MAX_SEQUENCE
 from repro.net.wire import (
     MSG_DONE,
@@ -72,6 +69,10 @@ from repro.prep.prepare import PreparedDocument, WireFrames
 from repro.prep.request import DeliveryMode, PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT, TransferEngine
 from repro.util.validation import DocumentError
+
+if TYPE_CHECKING:  # imported where a carousel or adaptive γ is configured
+    from repro.analysis.ewma import AdaptiveRedundancyController
+    from repro.broadcast.scheduler import CarouselScheduler
 
 #: Connection outcomes that trigger a flight-recorder dump: the closes
 #: where post-mortem evidence matters (the peer vanished, a wait timed
@@ -481,6 +482,8 @@ class NetServer:
         self._preopened_sock = sock
         self.worker_label = worker_label
         if adaptive_gamma:
+            from repro.analysis.ewma import AdaptiveRedundancyController
+
             # Validate the knobs eagerly with a throwaway controller so
             # misconfiguration fails at construction, not mid-transfer.
             AdaptiveRedundancyController(
@@ -1006,6 +1009,8 @@ class NetServer:
         if controller is not None:
             self._gamma_controllers.move_to_end(key)
             return controller
+        from repro.analysis.ewma import AdaptiveRedundancyController
+
         controller = AdaptiveRedundancyController(
             m_hint=max(1, m_hint),
             weight=GAMMA_WEIGHT,

@@ -47,18 +47,21 @@ windows), and the individual snapshots under ``"workers"``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import socket
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.broadcast.scheduler import CarouselScheduler
 from repro.net.server import NetServer
 from repro.prep.request import PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
+
+if TYPE_CHECKING:  # a pool or a carousel imports these where it starts
+    import multiprocessing
+
+    from repro.broadcast.scheduler import CarouselScheduler
 
 #: Does this platform support kernel accept balancing?
 HAVE_REUSE_PORT = hasattr(socket, "SO_REUSEPORT")
@@ -263,6 +266,8 @@ class WorkerPool:
         *,
         spawn_timeout: float = SPAWN_TIMEOUT,
     ) -> None:
+        import multiprocessing
+
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.config = replace(
@@ -273,7 +278,7 @@ class WorkerPool:
         self.host = config.host
         self.port = config.port
         self._ctx = multiprocessing.get_context("spawn")
-        self._processes: List[multiprocessing.Process] = []
+        self._processes: List["multiprocessing.Process"] = []
         self._conns: List[Any] = []
         self._listener: Optional[socket.socket] = None
         self._final_snapshots: List[Optional[Dict[str, Any]]] = []

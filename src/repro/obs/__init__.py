@@ -30,32 +30,31 @@ and allocate nothing while telemetry is off; see
 ``docs/observability.md`` for the event schema and metric names.
 """
 
-from repro.obs.flight import DEFAULT_FLIGHT_EVENTS, FlightRecorder
-from repro.obs.live import TraceContext, mint_transfer_id, valid_trace_id
-from repro.obs.metrics import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    prometheus_name,
-)
-from repro.obs.orb import InvocationRecord, TracingInterceptor
-from repro.obs.slo import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_SLO_WINDOW,
-    DEFAULT_TARGET_SECONDS,
-    SLOTracker,
-)
-from repro.obs.runtime import OBS, Observability, disable, enable, enabled
-from repro.obs.timing import timed
-from repro.obs.trace import (
-    EVENT_SCHEMA,
-    TraceEvent,
-    TraceRecorder,
-    load_jsonl,
-)
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.obs.flight": ("DEFAULT_FLIGHT_EVENTS", "FlightRecorder"),
+    "repro.obs.live": ("TraceContext", "mint_transfer_id", "valid_trace_id"),
+    "repro.obs.metrics": (
+        "DEFAULT_COUNT_BUCKETS",
+        "DEFAULT_LATENCY_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "prometheus_name",
+    ),
+    "repro.obs.orb": ("InvocationRecord", "TracingInterceptor"),
+    "repro.obs.slo": (
+        "DEFAULT_ERROR_BUDGET",
+        "DEFAULT_SLO_WINDOW",
+        "DEFAULT_TARGET_SECONDS",
+        "SLOTracker",
+    ),
+    "repro.obs.runtime": ("OBS", "Observability", "disable", "enable", "enabled"),
+    "repro.obs.timing": ("timed",),
+    "repro.obs.trace": ("EVENT_SCHEMA", "TraceEvent", "TraceRecorder", "load_jsonl"),
+})
 
 __all__ = [
     "OBS",

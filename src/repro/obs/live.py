@@ -26,7 +26,6 @@ junk on the wire can never break serving.
 from __future__ import annotations
 
 import re
-import uuid
 from typing import Any, Dict, Optional
 
 #: Wire-safe correlation IDs: bounded length, no whitespace, no JSON
@@ -36,6 +35,8 @@ _ID_PATTERN = re.compile(r"^[A-Za-z0-9._:-]{1,64}$")
 
 def mint_transfer_id() -> str:
     """A fresh 16-hex-digit correlation ID for one logical transfer."""
+    import uuid  # clients mint; a server adopts the ids it is sent
+
     return uuid.uuid4().hex[:16]
 
 

@@ -14,6 +14,11 @@ derives the *content profile* — how much information content each
 clear-text packet carries — which drives the client's early
 termination decision — and its one wire form, :func:`encode_profile`
 and :func:`decode_profile`, shared by the MANIFEST and the air index.
+
+A prepared document stays in the cooked tier for as long as it is hot,
+so it keeps its metadata packed: the profile is one ``array('d')`` and
+the segments are :class:`SegmentColumns`, three packed columns that
+rebuild each :class:`~repro.core.compact.ScheduledSegment` on access.
 """
 
 from __future__ import annotations
@@ -21,18 +26,22 @@ from __future__ import annotations
 import binascii
 import math
 import struct
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from array import array
+from collections.abc import Sequence as SequenceABC
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.coding.packets import ArenaSlices, CookedDocument, Packetizer, WireFrames
 
 # The MSG_FRAME envelope constants live next to the cook that writes
 # envelopes; tests/test_net_wire.py pins them here against repro.net.wire.
 from repro.coding.packets import _ENVELOPE_OVERHEAD, _FRAME_MSG_TYPE  # noqa: F401
+from repro.core.compact import ScheduledSegment
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core → prep)
-    from repro.core.multires import ScheduledSegment, TransmissionSchedule
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.multires import TransmissionSchedule
 
 
 def encode_profile(profile: Sequence[float]) -> str:
@@ -72,6 +81,61 @@ def decode_profile(text: object, m: int) -> Tuple[float, ...]:
     return shares
 
 
+class SegmentColumns(SequenceABC):
+    """Scheduled segments as packed columns; item *i* is rebuilt on access.
+
+    The labels share one string, cut at the running ``ends``; sizes are
+    an ``array('I')`` and contents an ``array('d')``.  Each item is a
+    :class:`~repro.core.compact.ScheduledSegment` equal, field for
+    field and bit for bit, to the one that went in, at 16 bytes plus
+    its label's characters instead of a tuple, a string, an int and a
+    float.  Two column sets compare equal when their items do, and one
+    compares equal to any sequence of equal segments.
+    """
+
+    __slots__ = ("_labels", "_ends", "_sizes", "_contents")
+
+    def __init__(self, segments: Iterable[ScheduledSegment]) -> None:
+        rows = list(segments)
+        labels = [label for label, _size, _content in rows]
+        # Built from lists, each array is allocated at its exact size.
+        self._labels = "".join(labels)
+        self._ends = array("I", list(accumulate(map(len, labels))))
+        self._sizes = array("I", [size for _label, size, _content in rows])
+        self._contents = array("d", [content for _label, _size, content in rows])
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def __getitem__(self, index: int) -> ScheduledSegment:
+        if index < 0:
+            index += len(self._sizes)
+        if not 0 <= index < len(self._sizes):
+            raise IndexError(f"segment index {index} out of range")
+        start = self._ends[index - 1] if index else 0
+        return ScheduledSegment(
+            self._labels[start : self._ends[index]], self._sizes[index], self._contents[index]
+        )
+
+    def __iter__(self) -> Iterator[ScheduledSegment]:
+        labels, start = self._labels, 0
+        for end, size, content in zip(self._ends, self._sizes, self._contents):
+            yield ScheduledSegment(labels[start:end], size, content)
+            start = end
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} segments>"
+
+
 class PreparedDocument:
     """A document ready for fault-tolerant multi-resolution transfer.
 
@@ -85,25 +149,26 @@ class PreparedDocument:
         self,
         document_id: str,
         cooked: CookedDocument,
-        content_profile: List[float],
+        content_profile: Sequence[float],
         *,
         measure: str = "",
-        segments: Optional[Sequence["ScheduledSegment"]] = None,
+        segments: Optional[Iterable[ScheduledSegment]] = None,
     ) -> None:
         self.document_id = document_id
         self.cooked = cooked
         #: content carried by clear-text packet i (length M, sums to
-        #: the document's total content, 1.0 for a complete measure).
-        self.content_profile = content_profile
+        #: the document's total content, 1.0 for a complete measure),
+        #: packed as binary64.
+        self.content_profile = array("d", content_profile)
         #: the profile's wire form (:func:`encode_profile`), encoded
         #: once here so no fetch or air index formats it again.
-        self.profile_wire = encode_profile(content_profile)
+        self.profile_wire = encode_profile(self.content_profile)
         #: content measure that ranked the schedule ("" when unscheduled).
         self.measure = measure
         #: scheduled segments in transmission order (None when cooked
         #: from raw bytes without a schedule).
-        self.segments: Optional[List["ScheduledSegment"]] = (
-            list(segments) if segments is not None else None
+        self.segments: Optional[SegmentColumns] = (
+            SegmentColumns(segments) if segments is not None else None
         )
 
     @property
@@ -193,9 +258,7 @@ class DocumentSender:
         OBS.metrics.counter("sender.cooked_packets").inc(cooked.n)
         OBS.metrics.counter("sender.raw_packets").inc(cooked.m)
 
-    def _content_profile(
-        self, segments: Sequence["ScheduledSegment"], m: int
-    ) -> List[float]:
+    def _content_profile(self, segments: Sequence[ScheduledSegment], m: int) -> array:
         """Content carried by each of the *m* clear-text packets.
 
         Packet i's share is ``content_prefix((i+1)·size) −
@@ -207,7 +270,7 @@ class DocumentSender:
         bit-identical to calling it once per packet.
         """
         size = self.packetizer.packet_size
-        profile: List[float] = []
+        profile = array("d")
         previous = 0.0
         full = 0.0
         consumed = 0

@@ -121,14 +121,14 @@ def _sc_size(sc: CompactSC) -> int:
 
 #: Bytes a cooked entry holds besides its arena, profile and
 #: segments: the prepared and cooked document objects, the codec, the
-#: arena's views and the tier's LRU slot.
-_COOKED_ENTRY_BYTES = 1600
-#: Bytes per content-profile share (a list slot and its float).
-_PROFILE_ENTRY_BYTES = 32
-#: Bytes per scheduled segment beyond its label's characters: the
-#: named tuple and its list slot, the label's string header, the
-#: content float and the size int.
-_SEGMENT_BYTES = 184
+#: arena's views, the headers of the packed profile and segment
+#: columns, and the tier's LRU slot.
+_COOKED_ENTRY_BYTES = 2700
+#: Bytes per content-profile share (one packed binary64).
+_PROFILE_ENTRY_BYTES = 8
+#: Bytes per scheduled segment beyond its label's characters: its
+#: packed size, content and label end.
+_SEGMENT_BYTES = 16
 
 
 def _cooked_size(prepared: PreparedDocument) -> int:

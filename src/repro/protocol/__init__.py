@@ -10,28 +10,30 @@ This package must stay I/O-free: it may import only :mod:`repro.obs`
 lint (``tools/check_layering.py``) enforces this in CI.
 """
 
-from repro.protocol.bridge import TelemetryBridge
-from repro.protocol.engine import (
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_ROUND_TIMEOUT,
-    TransferEngine,
-)
-from repro.protocol.events import (
-    Decoded,
-    EarlyStop,
-    Effect,
-    Failed,
-    FrameCorrupt,
-    FrameDelivered,
-    FrameLost,
-    InputEvent,
-    RenderPrefix,
-    RoundEnded,
-    SendRound,
-    Stalled,
-    TERMINAL_EFFECTS,
-)
-from repro.protocol.faults import FaultInjector
+from repro.util.lazy import lazy_exports
+
+# Lazy (PEP 562): the engine's users do not load the fault injector,
+# and through it the channel models.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.protocol.bridge": ("TelemetryBridge",),
+    "repro.protocol.engine": ("DEFAULT_MAX_ROUNDS", "DEFAULT_ROUND_TIMEOUT", "TransferEngine"),
+    "repro.protocol.events": (
+        "Decoded",
+        "EarlyStop",
+        "Effect",
+        "Failed",
+        "FrameCorrupt",
+        "FrameDelivered",
+        "FrameLost",
+        "InputEvent",
+        "RenderPrefix",
+        "RoundEnded",
+        "SendRound",
+        "Stalled",
+        "TERMINAL_EFFECTS",
+    ),
+    "repro.protocol.faults": ("FaultInjector",),
+})
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS",

@@ -6,13 +6,22 @@ generation pipeline (§3.3) and its information-content definitions
 (§3.1–3.2).
 """
 
-from repro.text.tokens import iter_tokens, lead_in_sentence, split_sentences, tokenize
-from repro.text.stopwords import DEFAULT_STOPWORDS, is_stopword, remove_stopwords
-from repro.text.stemmer import PorterStemmer, stem
-from repro.text.lemmatizer import Lemmatizer
-from repro.text.vector import OccurrenceVector
-from repro.text.keywords import KeywordExtractor
-from repro.text.phrases import JOINER, CollocationExtractor
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.text.tokens": (
+        "iter_tokens",
+        "lead_in_sentence",
+        "split_sentences",
+        "tokenize",
+    ),
+    "repro.text.stopwords": ("DEFAULT_STOPWORDS", "is_stopword", "remove_stopwords"),
+    "repro.text.stemmer": ("PorterStemmer", "stem"),
+    "repro.text.lemmatizer": ("Lemmatizer",),
+    "repro.text.vector": ("OccurrenceVector",),
+    "repro.text.keywords": ("KeywordExtractor",),
+    "repro.text.phrases": ("JOINER", "CollocationExtractor"),
+})
 
 __all__ = [
     "tokenize",

@@ -6,22 +6,26 @@ manipulation, and small statistics helpers used by the simulation
 harness.  Nothing in here knows about documents, packets, or channels.
 """
 
-from repro.util.validation import (
-    check_fraction,
-    check_positive,
-    check_positive_int,
-    check_probability,
-    check_range,
-)
-from repro.util.rngtools import derive_rng, spawn_rngs
-from repro.util.bitops import chunk_bytes, pad_to_multiple, xor_bytes
-from repro.util.stats import (
-    RunningStats,
-    confidence_interval,
-    mean,
-    population_variance,
-    sample_stdev,
-)
+from repro.util.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.util.validation": (
+        "check_fraction",
+        "check_positive",
+        "check_positive_int",
+        "check_probability",
+        "check_range",
+    ),
+    "repro.util.rngtools": ("derive_rng", "spawn_rngs"),
+    "repro.util.bitops": ("chunk_bytes", "pad_to_multiple", "xor_bytes"),
+    "repro.util.stats": (
+        "RunningStats",
+        "confidence_interval",
+        "mean",
+        "population_variance",
+        "sample_stdev",
+    ),
+})
 
 __all__ = [
     "check_fraction",

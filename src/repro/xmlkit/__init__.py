@@ -5,24 +5,37 @@ an explicit ``research-paper`` structure from which organizational
 units at each level of detail are derived.
 """
 
-from repro.xmlkit.errors import XmlError, XmlSyntaxError, XmlValidationError
-from repro.xmlkit.dom import Comment, Document, Element, Text
-from repro.xmlkit.tokenizer import Token, XmlTokenizer, resolve_entities, tokenize_xml
-from repro.xmlkit.parser import parse_fragment, parse_xml
-from repro.xmlkit.writer import escape_attribute, escape_text, serialize
+from repro.util.lazy import lazy_exports
+
+# ``select`` names both a function and its submodule, and importing a
+# submodule rebinds the package attribute of its name, so this one
+# import stays eager.
 from repro.xmlkit.select import SelectorError, select, select_one
-from repro.xmlkit.sax import (
-    ContentHandler,
-    TreeBuilderHandler,
-    iter_events,
-    parse_streaming,
-)
-from repro.xmlkit.dtd import (
-    RESEARCH_PAPER,
-    DocumentType,
-    ElementDecl,
-    research_paper_dtd,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.xmlkit.errors": ("XmlError", "XmlSyntaxError", "XmlValidationError"),
+    "repro.xmlkit.dom": ("Comment", "Document", "Element", "Text"),
+    "repro.xmlkit.tokenizer": (
+        "Token",
+        "XmlTokenizer",
+        "resolve_entities",
+        "tokenize_xml",
+    ),
+    "repro.xmlkit.parser": ("parse_fragment", "parse_xml"),
+    "repro.xmlkit.writer": ("escape_attribute", "escape_text", "serialize"),
+    "repro.xmlkit.sax": (
+        "ContentHandler",
+        "TreeBuilderHandler",
+        "iter_events",
+        "parse_streaming",
+    ),
+    "repro.xmlkit.dtd": (
+        "RESEARCH_PAPER",
+        "DocumentType",
+        "ElementDecl",
+        "research_paper_dtd",
+    ),
+})
 
 __all__ = [
     "XmlError",

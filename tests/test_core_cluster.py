@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.coding.packets import Packetizer
-from repro.core.cluster import ClusterError, DocumentCluster
+from repro.browse.cluster import ClusterError, DocumentCluster
 from repro.core.pipeline import build_sc
 from repro.prep import DocumentSender
 from repro.transport.cache import PacketCache

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.information import annotate_sc
 from repro.core.pipeline import build_sc
-from repro.core.summarize import (
+from repro.browse.summarize import (
     build_summary,
     multiresolution_browse,
     summary_first_browse,

@@ -99,6 +99,29 @@ class TestLayeringLint:
         assert len(violations) == 1
         assert "repro.core.compact imports repro.core.lod" in violations[0]
 
+    def test_core_stays_below_the_serving_stack(self, tmp_path):
+        # repro.core may use the text, xmlkit, obs and util substrate;
+        # whatever drives a transfer belongs to repro.browse.
+        pkg = tmp_path / "repro"
+        (pkg / "core").mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "core" / "__init__.py").write_text("")
+        (pkg / "core" / "ok.py").write_text(
+            "from repro.text.vector import OccurrenceVector\n"
+            "from repro.xmlkit.dom import Element\n"
+            "from repro.obs.runtime import OBS\n"
+            "from repro.util.lazy import lazy_exports\n"
+            "from repro.core.lod import LOD\n"
+        )
+        (pkg / "core" / "bad.py").write_text(
+            "from repro.prep import DocumentSender\n"
+            "import repro.transport.session\n"
+        )
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 2
+        assert "repro.core.bad imports repro.prep (repro.core sits below" in violations[0]
+        assert "repro.core.bad imports repro.transport.session" in violations[1]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.coding import _native
+from repro.coding.backend import get_backend
 from repro.core.compact import CompactSC
 from repro.core.information import annotate_sc, serve_measure
 from repro.core.lod import ALL_LODS
@@ -190,6 +192,23 @@ class TestBuiltStraight:
         try:
             for source in self.SOURCES:
                 pipeline.run(parse_xml(source)).compact()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_native_warmup_leaves_no_cyclic_garbage(self):
+        """Parse, SC build, schedule and encode: the whole cook frees
+        everything by reference counting, the native kernel's output
+        buffers included."""
+        if _native.load() is None or get_backend().name != "native":
+            pytest.skip("the cook does not run on the native GF(2^8) kernel here")
+        service = PreparationService()
+        for index, source in enumerate(self.SOURCES):
+            service.add_document(f"doc{index}", source)
+        gc.collect()
+        gc.disable()
+        try:
+            assert service.warmup() == len(self.SOURCES)
             assert gc.collect() == 0
         finally:
             gc.enable()

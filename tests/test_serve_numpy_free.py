@@ -1,10 +1,14 @@
-"""The serving path never imports numpy when the native kernel loads.
+"""The serving path imports only what serving runs.
 
 numpy is the no-compiler fallback only: a warmed ``net serve`` stack on
 a host with a C compiler cooks through the ``native`` backend and
 leaves numpy out of ``sys.modules`` (about 12 MB of resident memory per
-serving process).  Each check runs in a fresh interpreter, because the
-test process itself may already have imported numpy.
+serving process).  Nor does the stack load the simulators, the
+transport session, HTML extraction, the carousel or multiprocessing,
+unless a carousel is configured: the package facades are lazy and
+``repro.cli`` imports per command.  Each check runs in a fresh
+interpreter, because the test process itself has already imported most
+of the tree.
 """
 
 import importlib.util
@@ -95,6 +99,118 @@ else:
     error = None
 print(json.dumps({"default": default_backend_name(), "error": error}))
 """
+
+
+#: What ``python -m repro net serve DOC --port 0 --warmup`` runs before
+#: "listening": the CLI's parser and config, a warmed service, a server.
+_SERVE_CLI = """
+import json, sys
+import repro.cli as cli
+from repro.data import draft_paper_path
+from repro.net.workers import build_server, build_worker_service
+
+args = cli.build_parser().parse_args(
+    ["net", "serve", str(draft_paper_path()), "--port", "0", "--warmup"]
+)
+config = cli._serve_config(args)
+service = build_worker_service(config)
+build_server(config, service)
+print(json.dumps({"cooked": service.stats["cooked_misses"], "modules": sorted(sys.modules)}))
+"""
+
+#: Modules the single-process server never runs.
+NOT_SERVED = [
+    "repro.simulation",
+    "repro.transport",
+    "repro.htmlkit",
+    "repro.search",
+    "repro.prototype",
+    "repro.broadcast",
+    "repro.channel",
+    "repro.figures",
+    "repro.browse",
+    "repro.net.client",
+    "repro.net.loadgen",
+    "repro.net.chaos",
+    "multiprocessing",
+    "concurrent.futures.process",
+]
+
+#: A server with a carousel imports the broadcast package, and airs.
+_CAROUSEL = """
+import asyncio, json, sys
+import repro.cli
+from repro.data import draft_paper_path
+from repro.net.workers import WorkerConfig, build_server, build_worker_service
+
+config = WorkerConfig(paths=(str(draft_paper_path()),), warmup=True)
+service = build_worker_service(config)
+from repro.broadcast import CarouselScheduler
+
+carousel = CarouselScheduler.from_service(service)
+
+async def go():
+    async with build_server(config, service, carousel=carousel) as server:
+        from repro.net import NetClient
+        from repro.prep.request import DeliveryMode, PrepRequest
+
+        client = NetClient(server.host, server.port)
+        unicast = await client.fetch("draft_paper")
+        aired = await client.fetch(
+            "draft_paper", request=PrepRequest(delivery=DeliveryMode.CAROUSEL)
+        )
+        return unicast, aired, server.stats_snapshot()
+
+unicast, aired, snapshot = asyncio.run(go())
+print(json.dumps({
+    "broadcast_imported": "repro.broadcast" in sys.modules,
+    "status": aired.status,
+    "same_payload": aired.payload == unicast.payload,
+    "on_air": snapshot["broadcast"]["documents"],
+}))
+"""
+
+#: The top-level facade resolves every public name, lazily.
+_FACADE = """
+import json, sys
+import repro
+
+loaded_by_import = sorted(name for name in sys.modules if name.startswith("repro."))
+missing = [name for name in repro.__all__ if getattr(repro, name, None) is None]
+print(json.dumps({
+    "loaded_by_import": loaded_by_import,
+    "missing": missing,
+    "not_in_dir": sorted(set(repro.__all__) - set(dir(repro))),
+}))
+"""
+
+
+def test_serve_path_imports_only_the_serving_stack():
+    report = run_fresh(_SERVE_CLI)
+    assert report["cooked"] >= 1  # warm-up really encoded
+    loaded = set(report["modules"])
+    assert sorted(loaded.intersection(NOT_SERVED)) == []
+    # Nor any submodule of a package that is not served.
+    assert [
+        name for name in loaded
+        if any(name.startswith(prefix + ".") for prefix in NOT_SERVED)
+    ] == []
+
+
+@pytest.mark.net
+def test_a_carousel_server_imports_broadcast_and_airs():
+    report = run_fresh(_CAROUSEL)
+    assert report["broadcast_imported"]
+    assert report["status"] == "decoded"
+    assert report["same_payload"]
+    assert report["on_air"] == 1
+
+
+def test_every_public_name_resolves_through_the_lazy_facade():
+    report = run_fresh(_FACADE)
+    assert report["loaded_by_import"] == ["repro.util", "repro.util.lazy"]
+    assert report["missing"] == []
+    assert report["not_in_dir"] == []
 
 
 def test_warmed_serve_stack_never_imports_numpy():

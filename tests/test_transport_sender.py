@@ -134,3 +134,26 @@ class TestProfileExact:
         assert (name, segment.size) == ("single", 150)
         prepared = DocumentSender(Packetizer(packet_size=64)).prepare(name, schedule)
         assert prepared.m == 3
+
+
+class TestPackedMetadata:
+    """A prepared document holds its profile and segments packed."""
+
+    def test_profile_is_one_binary64_array(self):
+        prepared = DocumentSender(Packetizer(packet_size=64)).prepare("doc", scheduled())
+        assert prepared.content_profile.typecode == "d"
+        raw = DocumentSender(Packetizer(packet_size=64)).prepare_raw("raw", b"x" * 300)
+        assert raw.content_profile.typecode == "d"
+        assert list(raw.content_profile) == [1.0 / raw.m] * raw.m
+
+    def test_segments_index_like_the_list_they_pack(self):
+        schedule = scheduled()
+        expected = schedule.segments()
+        segments = DocumentSender(Packetizer(packet_size=64)).prepare("doc", schedule).segments
+        assert len(segments) == len(expected) > 1
+        assert [segments[i] for i in range(len(segments))] == expected
+        assert segments[-1] == expected[-1]
+        assert expected == segments  # either side of the comparison
+        with pytest.raises(IndexError):
+            segments[len(expected)]
+        assert segments != expected[:-1]

@@ -23,7 +23,11 @@ module under ``src/repro`` and fails the build when:
    import each other — the two peers share only ``repro.net.wire``;
 6. ``repro.core.compact`` (the cached SC form and the measure
    arithmetic) imports only :mod:`repro.util`, :mod:`repro.text` and
-   :mod:`repro.obs`, so the SC tier never needs the unit tree.
+   :mod:`repro.obs`, so the SC tier never needs the unit tree;
+7. ``repro.core`` imports only the standard library, :mod:`repro.util`,
+   :mod:`repro.text`, :mod:`repro.xmlkit`, :mod:`repro.obs` and
+   itself, so the SC build sits below the serving stack (the browsing
+   strategies that drive transfers live in ``repro.browse``).
 
 Usage::
 
@@ -215,6 +219,30 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
         ),
         "the compact SC is the bottom of repro.core: stdlib, repro.util, "
         "repro.text and repro.obs only",
+    ),
+    (
+        "repro.core",
+        (
+            "repro.analysis",
+            "repro.broadcast",
+            "repro.browse",
+            "repro.channel",
+            "repro.cli",
+            "repro.coding",
+            "repro.data",
+            "repro.figures",
+            "repro.htmlkit",
+            "repro.net",
+            "repro.plotting",
+            "repro.prep",
+            "repro.protocol",
+            "repro.prototype",
+            "repro.search",
+            "repro.simulation",
+            "repro.transport",
+        ),
+        "repro.core sits below the serving stack: stdlib, repro.util, "
+        "repro.text, repro.xmlkit, repro.obs and itself only",
     ),
     (
         "repro.prep.diskstore",
