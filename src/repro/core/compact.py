@@ -222,6 +222,19 @@ def static_measure(table: KeywordTable) -> Measure:
     return LinearMeasure("ic", table.weights, table)
 
 
+def scores_like_static(measure: Measure, table: KeywordTable) -> bool:
+    """Whether *measure* gives every unit the static IC's value, bit for bit.
+
+    True for a :class:`LinearMeasure` whose coefficients are the table's
+    weights byte for byte, as the modified query IC's are when no query
+    keyword is in the table (ω_a + λ·0.0).  Comparing bytes is exact:
+    ``-0.0`` against ``0.0`` is a difference.
+    """
+    return isinstance(measure, LinearMeasure) and bytes(measure.coefficients) == bytes(
+        table.weights
+    )
+
+
 def proportional_measure(table: KeywordTable) -> Measure:
     """Every keyword occurrence weighs the same."""
     return OccurrenceMeasure("proportional", table)

@@ -21,7 +21,7 @@ from repro.net import NetClient, NetServer
 from repro.net.wire import MSG_ERROR, MSG_HELLO, decode_json, encode_json, read_message
 
 from tests.netutil import assert_no_leaked_tasks
-from tests.test_prep_service import PAPER, make_service
+from tests.test_prep_service import OTHER, PAPER, make_service
 
 pytestmark = [pytest.mark.net]
 
@@ -111,6 +111,36 @@ def test_document_that_does_not_parse_is_a_bad_document():
             assert msg_type == MSG_ERROR
             message = decode_json(body)["message"]
             assert "cannot be prepared" in message and "not an XML character" in message
+            assert server.stats["errors"] == errors + 1
+            again = await NetClient(server.host, server.port).fetch("doc")
+            assert again.payload == warm.payload
+        await assert_no_leaked_tasks()
+
+    asyncio.run(go())
+
+
+def test_file_changed_on_disk_is_a_bad_document(tmp_path):
+    """A path-backed file edited without ``invalidate()`` fails its rebuild.
+
+    With a one-byte SC budget every cooked miss rebuilds the SC from
+    the file, and the edited file no longer hashes to its digest.
+    """
+    target = tmp_path / "edited.xml"
+    target.write_text(OTHER, encoding="utf-8")
+    service, _ = make_service(sc_budget_bytes=1)
+    service.add_document("doc", PAPER)
+    service.add_path(target)
+
+    async def go():
+        async with NetServer(service) as server:
+            warm = await NetClient(server.host, server.port).fetch("doc")
+            assert (await NetClient(server.host, server.port).fetch("edited")).payload
+            target.write_text(OTHER.replace("Caching", "Hoarding"), encoding="utf-8")
+            errors = server.stats["errors"]
+            msg_type, body = await hello(server, {"lod": "section"}, doc="edited")
+            assert msg_type == MSG_ERROR
+            message = decode_json(body)["message"]
+            assert "cannot be prepared" in message and "changed on disk" in message
             assert server.stats["errors"] == errors + 1
             again = await NetClient(server.host, server.port).fetch("doc")
             assert again.payload == warm.payload
