@@ -31,7 +31,6 @@ fallback).
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shutil
 import subprocess
@@ -39,6 +38,7 @@ import tempfile
 from typing import List, Optional
 
 from repro.coding.gf256 import _mul_table
+from repro.util.nossl import sha256
 
 #: Environment gate: "0"/"false"/"no"/"off" skips the native kernel.
 NATIVE_ENV = "REPRO_CODING_NATIVE"
@@ -271,7 +271,7 @@ def _load_impl() -> Optional[NativeGFKernel]:
         return None
     directory = _cache_dir()
     os.makedirs(directory, exist_ok=True)
-    digest = hashlib.sha256(KERNEL_SOURCE.encode("utf-8")).hexdigest()[:16]
+    digest = sha256(KERNEL_SOURCE.encode("utf-8")).hexdigest()[:16]
     so_path = _compile(compiler, directory, digest)
     if so_path is None:
         return None

@@ -18,7 +18,6 @@ to ``BENCH_net.json`` for CI trend lines.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import os
 import time
@@ -29,6 +28,7 @@ from repro.net.wire import WireError
 from repro.obs.slo import DEFAULT_ERROR_BUDGET
 from repro.prep.request import PrepRequest, TransferSettings
 from repro.transport.cache import PacketCache
+from repro.util.nossl import sha256
 from repro.util.stats import mean, percentile
 
 
@@ -92,7 +92,7 @@ def outcome_of(result: Optional[NetFetchResult]) -> ClientOutcome:
         reconnects=result.reconnects,
         payload_bytes=len(payload) if payload is not None else 0,
         payload_sha256=(
-            hashlib.sha256(payload).hexdigest() if payload is not None else ""
+            sha256(payload).hexdigest() if payload is not None else ""
         ),
     )
 

@@ -54,14 +54,15 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.net.server import NetServer
 from repro.prep.request import PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
+from repro.util.nossl import refuse_ssl
 
-if TYPE_CHECKING:  # a pool or a carousel imports these where it starts
+if TYPE_CHECKING:  # imported where a pool, a carousel or a server starts
     import multiprocessing
 
     from repro.broadcast.scheduler import CarouselScheduler
+    from repro.net.server import NetServer
 
 #: Does this platform support kernel accept balancing?
 HAVE_REUSE_PORT = hasattr(socket, "SO_REUSEPORT")
@@ -159,6 +160,8 @@ def build_server(
     *worker_label* are for pool members (a shared listener and the
     snapshot tag); *carousel* airs a broadcast channel beside unicast.
     """
+    from repro.net.server import NetServer
+
     return NetServer(
         store,
         config.host,
@@ -235,7 +238,13 @@ def _receive_listener(conn) -> socket.socket:
 
 
 def worker_main(config: WorkerConfig, index: int, conn) -> None:
-    """Spawn entry point (top-level, hence picklable)."""
+    """Spawn entry point (top-level, hence picklable).
+
+    A spawned child does not run ``repro.__main__``, so it refuses
+    ``ssl`` here.  Unpickling this function imported this module, which
+    therefore imports the server (and asyncio) only inside functions.
+    """
+    refuse_ssl()
     import asyncio
     import traceback
 

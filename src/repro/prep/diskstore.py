@@ -60,7 +60,6 @@ per content digest, so digest invalidation is a directory removal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import mmap
 import os
@@ -78,6 +77,7 @@ from repro.coding.packets import (
 from repro.coding.rs import codec_for
 from repro.obs.runtime import OBS
 from repro.prep.prepare import PreparedDocument
+from repro.util.nossl import sha256
 
 #: Bundle format magic + version (bump on any layout change).
 BUNDLE_MAGIC = b"RPB1"
@@ -104,7 +104,7 @@ def key_digest(key: Tuple) -> str:
     query, packet size, gamma, systematic, delivery, pipeline token),
     so its ``repr`` is deterministic across processes and restarts.
     """
-    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+    return sha256(repr(key).encode("utf-8")).hexdigest()
 
 
 class DiskCookedStore:
@@ -201,7 +201,7 @@ class DiskCookedStore:
         path = self.bundle_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-        hasher = hashlib.sha256()
+        hasher = sha256()
         try:
             with open(tmp, "wb") as handle:
                 for chunk in (
@@ -276,7 +276,7 @@ class DiskCookedStore:
             self._reject(path, window)
             return None
         expected = bytes(window[size - _CHECKSUM_BYTES :])
-        actual = hashlib.sha256(window[: size - _CHECKSUM_BYTES]).digest()
+        actual = sha256(window[: size - _CHECKSUM_BYTES]).digest()
         if actual != expected:
             self._reject(path, window)
             return None

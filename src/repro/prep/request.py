@@ -76,6 +76,10 @@ _LOD_NAMES = frozenset(lod.name.lower() for lod in LOD)
 #: need a query with keywords; the cook raises ``ValueError`` without.
 KNOWN_MEASURES = frozenset({"auto", "ic", "qic", "mqic", "proportional"})
 
+#: The resolved measures that read the query (the others rank alike for
+#: every query, so their cache key leaves it out).
+_QUERY_MEASURES = frozenset({"qic", "mqic"})
+
 
 def _normalize_query(query: str) -> str:
     """Canonical query key: collapsed whitespace, case-folded."""
@@ -100,8 +104,8 @@ class PrepRequest:
         ``"ic"``.
     query:
         Free-text query driving query-based measures.  Part of the
-        cache key in normalized form (whitespace-collapsed,
-        case-folded).
+        cache key of ``qic``/``mqic`` in normalized form
+        (whitespace-collapsed, case-folded).
     packet_size:
         Raw payload bytes per packet (the paper's ``s_p``), at most
         :data:`~repro.coding.packets.MAX_PACKET_SIZE` so that every
@@ -165,12 +169,17 @@ class PrepRequest:
         return LOD[self.lod.upper()]
 
     def cache_key(self, digest: str) -> Tuple:
-        """The full canonical cooked-tier key for a document *digest*."""
+        """The full canonical cooked-tier key for a document *digest*.
+
+        ``ic`` and ``proportional`` read no query, so their key carries
+        an empty one: every query string shares their one cook.
+        """
+        measure = self.resolved_measure
         return (
             digest,
             self.lod,
-            self.resolved_measure,
-            self.query_key,
+            measure,
+            self.query_key if measure in _QUERY_MEASURES else "",
             self.packet_size,
             self.gamma,
             self.systematic,

@@ -14,7 +14,8 @@ tiers:
   frozen compact SC serves every request against the same bytes;
 * the **cooked tier**, keyed by the full canonical request tuple
   ``(digest, lod, measure, query_key, packet_size, gamma, systematic,
-  delivery)``: byte-identical requests share one encode.
+  delivery)``: byte-identical requests share one encode, and ``ic`` or
+  ``proportional`` requests, which read no query, key an empty one.
 
 Both tiers use byte-budget LRU eviction
 (:class:`~repro.prep.cache.ByteBudgetLRU`).  Each distinct transmission
@@ -39,7 +40,6 @@ plain :attr:`PreparationService.stats` counters are always on.
 from __future__ import annotations
 
 import copy
-import hashlib
 import sys
 import threading
 from pathlib import Path
@@ -61,6 +61,7 @@ from repro.prep.diskstore import DiskCookedStore
 from repro.prep.prepare import DocumentSender, PreparedDocument
 from repro.prep.request import PrepRequest
 from repro.text.keywords import KeywordExtractor
+from repro.util.nossl import sha256
 from repro.util.validation import DocumentError
 from repro.xmlkit.parser import parse_xml
 
@@ -141,7 +142,7 @@ class _Flight:
 
 def content_digest(source: str, *, html: bool = False) -> str:
     """The cache digest of a document source (parse-mode aware)."""
-    hasher = hashlib.sha256(b"html\x00" if html else b"xml\x00")
+    hasher = sha256(b"html\x00" if html else b"xml\x00")
     hasher.update(source.encode("utf-8"))
     return hasher.hexdigest()
 

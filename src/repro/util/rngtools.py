@@ -9,9 +9,10 @@ never perturbs the streams of existing consumers.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable, List
+
+from repro.util.nossl import sha256
 
 
 def derive_rng(parent: random.Random, label: str) -> random.Random:
@@ -22,7 +23,7 @@ def derive_rng(parent: random.Random, label: str) -> random.Random:
     decorrelated even if the parent is at the same state.
     """
     salt = parent.getrandbits(64)
-    digest = hashlib.sha256(f"{label}:{salt}".encode("utf-8")).digest()
+    digest = sha256(f"{label}:{salt}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -122,6 +122,21 @@ class TestLayeringLint:
         assert "repro.core.bad imports repro.prep (repro.core sits below" in violations[0]
         assert "repro.core.bad imports repro.transport.session" in violations[1]
 
+    def test_only_the_digest_helper_imports_hashlib(self, tmp_path):
+        pkg = tmp_path / "repro"
+        (pkg / "util").mkdir(parents=True)
+        (pkg / "prep").mkdir()
+        for init in ("__init__.py", "util/__init__.py", "prep/__init__.py"):
+            (pkg / init).write_text("")
+        (pkg / "util" / "nossl.py").write_text("from hashlib import sha256\n")
+        (pkg / "util" / "rngtools.py").write_text("from repro.util.nossl import sha256\n")
+        (pkg / "prep" / "bad.py").write_text("import hashlib\nimport hashlib_extras\n")
+        (pkg / "cli.py").write_text("from hashlib import sha256\n")
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 2
+        assert "repro.cli imports hashlib (one SHA-256 import site" in violations[0]
+        assert "repro.prep.bad imports hashlib (one SHA-256 import site" in violations[1]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

@@ -85,6 +85,14 @@ class TestPrepRequestKeysAndWire:
             assert variant.cache_key(digest) != base.cache_key(digest)
         assert base.cache_key("e" * 64) != base.cache_key(digest)
 
+    @pytest.mark.parametrize("measure", ["ic", "proportional"])
+    def test_a_measure_that_reads_no_query_keys_none(self, measure):
+        digest = "d" * 64
+        keyed = PrepRequest(measure=measure, query="Caching  packets")
+        assert keyed.cache_key(digest) == PrepRequest(measure=measure).cache_key(digest)
+        assert keyed.cache_key(digest)[3] == ""
+        assert PrepRequest(measure="qic", query="x").cache_key(digest)[3] == "x"
+
     def test_wire_roundtrip(self):
         request = PrepRequest(
             lod="section", measure="qic", query="weak links",

@@ -7,7 +7,9 @@ query holds: document keywords, stop words or words no document has.
 An MQIC request whose coefficients are the static weights byte for
 byte (no query keyword is in the document) is served the static cook:
 the same arena, profile and segments under its own measure name,
-counted in ``stats["shared_cooks"]`` and never persisted twice.
+counted in ``stats["shared_cooks"]`` and never persisted twice.  A
+measure that reads no query (``ic``, ``proportional``) is cooked once
+whatever query its requests carry.
 """
 
 import string
@@ -112,6 +114,18 @@ def test_explicit_mqic_refuses_a_stop_word_query_that_auto_cooked():
     service.prepare(DOCUMENT, PrepRequest(query="the of and"))
     with pytest.raises(ValueError, match="needs a query with keywords"):
         service.prepare(DOCUMENT, PrepRequest(measure="mqic", query="the of and"))
+
+
+@pytest.mark.parametrize("measure", ["ic", "proportional"])
+def test_a_measure_that_reads_no_query_cooks_once_for_every_query(measure):
+    service = paper_service()
+    cooks = [
+        service.prepare(DOCUMENT, PrepRequest(measure=measure, query=query))
+        for query in ("", "mobile", "caching packets", "quokka")
+    ]
+    assert service.stats["cooked_misses"] == 1
+    assert service.cache_info()["cooked"]["entries"] == 1
+    assert all(prepared is cooks[0] for prepared in cooks)
 
 
 class TestSharedCook:

@@ -6,14 +6,24 @@ leaves numpy out of ``sys.modules`` (about 12 MB of resident memory per
 serving process).  Nor does the stack load the simulators, the
 transport session, HTML extraction, the carousel or multiprocessing,
 unless a carousel is configured: the package facades are lazy and
-``repro.cli`` imports per command.  Each check runs in a fresh
-interpreter, because the test process itself has already imported most
-of the tree.
+``repro.cli`` imports per command.
+
+Nor does a ``python -m repro`` process map OpenSSL (about 5 MB per
+process): the entry point and each spawned pool worker refuse ``ssl``
+before asyncio is imported, and every digest is the builtin SHA-256 of
+:mod:`repro.util.nossl`, so ``ssl``, ``_ssl``, ``hashlib`` and
+``_hashlib`` stay unloaded up to "listening" and no worker maps
+``libssl`` or ``libcrypto``.  Library code leaves ``ssl`` importable:
+only the process entry points refuse it.
+
+Each check runs in a fresh interpreter, because the test process itself
+has already imported most of the tree.
 """
 
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -22,17 +32,20 @@ import pytest
 
 from repro.coding import _native
 from repro.coding.backend import BACKEND_ENV
+from repro.data import draft_paper_path
 
 REPO = Path(__file__).resolve().parent.parent
+DRAFT = draft_paper_path()
 
 
-def run_fresh(script, **env):
-    """Run *script* in a new interpreter; return its last stdout line as JSON."""
+def run_fresh(script, *args, **env):
+    """Run *script* with *args* in a new interpreter; return its last
+    stdout line as JSON."""
     environ = {key: value for key, value in os.environ.items() if key != BACKEND_ENV}
     environ["PYTHONPATH"] = str(REPO / "src")
     environ.update(env)
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=environ,
@@ -116,6 +129,61 @@ config = cli._serve_config(args)
 service = build_worker_service(config)
 build_server(config, service)
 print(json.dumps({"cooked": service.stats["cooked_misses"], "modules": sorted(sys.modules)}))
+"""
+
+#: Modules that load OpenSSL into a process.
+OPENSSL_MODULES = ["ssl", "_ssl", "hashlib", "_hashlib"]
+
+#: ``python -m repro net serve DOC --port 0 --warmup --disk-cache DIR``
+#: up to "listening", through the entry point's module body.
+_SERVE_ENTRY = """
+import repro.__main__
+import asyncio, json, sys
+import repro.cli as cli
+from repro.data import draft_paper_path
+from repro.net.workers import build_server, build_worker_service
+
+args = cli.build_parser().parse_args(
+    ["net", "serve", str(draft_paper_path()), "--port", "0", "--warmup",
+     "--disk-cache", sys.argv[1]]
+)
+config = cli._serve_config(args)
+service = build_worker_service(config)
+
+async def listen():
+    async with build_server(config, service) as server:
+        return server.port
+
+print(json.dumps({
+    "port": asyncio.run(listen()),
+    "disk_writes": service.stats["disk_writes"],
+    "loaded": [name for name in sys.argv[2:] if sys.modules.get(name) is not None],
+}))
+"""
+
+#: The same stack driven from library code, as a test or an embedding
+#: program does: ``ssl`` stays importable.
+_SERVE_LIBRARY = """
+import asyncio, json, sys
+import repro.cli as cli
+from repro.data import draft_paper_path
+from repro.net.workers import build_server, build_worker_service
+
+# A refused flag combination returns from cli.main before serving.
+refused = cli.main(
+    ["net", "serve", str(draft_paper_path()), "--port", "0", "--carousel", "--workers", "2"]
+)
+args = cli.build_parser().parse_args(["net", "serve", str(draft_paper_path()), "--port", "0"])
+config = cli._serve_config(args)
+service = build_worker_service(config)
+
+async def listen():
+    async with build_server(config, service) as server:
+        return server.port
+
+asyncio.run(listen())
+import ssl
+print(json.dumps({"refused": refused, "ssl": ssl.__name__}))
 """
 
 #: Modules the single-process server never runs.
@@ -241,3 +309,78 @@ def test_native_disabled_falls_back_in_order():
     expected = "numpy" if importlib.util.find_spec("numpy") else "fused"
     assert report["default"] == expected
     assert report["error"] == "CodingBackendError"
+
+
+def test_entry_point_serves_without_openssl(tmp_path):
+    report = run_fresh(_SERVE_ENTRY, str(tmp_path), *OPENSSL_MODULES)
+    assert report["port"] > 0
+    assert report["disk_writes"] == 1  # a bundle name and trailer were hashed
+    assert report["loaded"] == []
+
+
+def test_library_callers_keep_ssl_importable():
+    report = run_fresh(_SERVE_LIBRARY)
+    assert report["refused"] == 2
+    assert report["ssl"] == "ssl"
+
+
+def _openssl_maps(pid):
+    """The OpenSSL libraries mapped into process *pid*."""
+    maps = Path(f"/proc/{pid}/maps").read_text()
+    return sorted({
+        line.rsplit("/", 1)[-1]
+        for line in maps.splitlines()
+        if "libssl" in line or "libcrypto" in line
+    })
+
+
+def _pool_workers(pid):
+    """Pids of the spawned pool workers whose parent is *pid*."""
+    workers = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            ppid = int((entry / "stat").read_text().rsplit(")", 1)[1].split()[1])
+            cmdline = (entry / "cmdline").read_bytes()
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid and b"--multiprocessing-fork" in cmdline:
+            workers.append(int(entry.name))
+    return workers
+
+
+@pytest.mark.net
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps")
+def test_no_pool_worker_maps_openssl(tmp_path):
+    """``net serve --workers 2``: neither the parent nor a worker maps
+    ``libssl`` or ``libcrypto`` once the pool is listening."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "net", "serve", str(DRAFT), "--port", "0",
+         "--warmup", "--workers", "2", "--disk-cache", str(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        cwd=REPO,
+    )
+    try:
+        output = []
+        for line in proc.stdout:
+            output.append(line)
+            if line.startswith("listening on"):
+                break
+        assert proc.poll() is None, "".join(output)
+        workers = _pool_workers(proc.pid)
+        assert len(workers) == 2, workers
+        assert {pid: _openssl_maps(pid) for pid in [proc.pid, *workers]} == {
+            pid: [] for pid in [proc.pid, *workers]
+        }
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

@@ -27,7 +27,10 @@ module under ``src/repro`` and fails the build when:
 7. ``repro.core`` imports only the standard library, :mod:`repro.util`,
    :mod:`repro.text`, :mod:`repro.xmlkit`, :mod:`repro.obs` and
    itself, so the SC build sits below the serving stack (the browsing
-   strategies that drive transfers live in ``repro.browse``).
+   strategies that drive transfers live in ``repro.browse``);
+8. only ``repro.util.nossl`` imports ``hashlib``: every SHA-256 goes
+   through its builtin ``sha256``, so no module loads OpenSSL's
+   ``_hashlib`` into a serving process.
 
 Usage::
 
@@ -263,6 +266,16 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
 ]
 
 
+#: module → the one ``repro`` module that may import it.
+SOLE_IMPORTERS = {
+    "hashlib": (
+        "repro.util.nossl",
+        "one SHA-256 import site: take digests with "
+        "repro.util.nossl.sha256, which loads no OpenSSL",
+    ),
+}
+
+
 def module_name(root: Path, path: Path) -> str:
     """``src/repro/a/b.py`` → ``repro.a.b`` (packages keep their name)."""
     relative = path.relative_to(root.parent)
@@ -295,6 +308,11 @@ def check_tree(root: Path) -> List[str]:
             (banned_prefixes, why)
             for package, banned_prefixes, why in FORBIDDEN
             if module == package or module.startswith(package + ".")
+        ]
+        rules += [
+            ((banned,), why)
+            for banned, (owner, why) in SOLE_IMPORTERS.items()
+            if module != owner
         ]
         if not rules:
             continue
