@@ -44,10 +44,12 @@ ROUNDS = 5
 #: Traced bytes per document the service may keep after both passes.
 #: With annotation left on the cached SCs it kept ~169 KiB per document;
 #: with annotation released after every cook, ~96 KiB; with the SC tier
-#: holding compact SCs, ~62.5 KiB (63 958 B, Python 3.11.7).  The
-#: ceiling keeps the old bound's ~1/3 headroom (128 KiB over ~96 KiB)
-#: for interpreter differences such as CI's Python 3.12.
-RETAINED_CEILING_BYTES = 84 * 1024
+#: holding compact SCs, ~62.5 KiB (63 958 B, Python 3.11.7), later
+#: 55 588 B; with the unit text compressed, aggregates and weights
+#: derived and labels and titles interned, 43 074 B.  The ceiling keeps
+#: the old bound's ~1/3 headroom (128 KiB over ~96 KiB) for interpreter
+#: differences such as CI's Python 3.12.
+RETAINED_CEILING_BYTES = 56 * 1024
 #: The warm-up's steps, in order, as ``stage_ms`` reports them.
 STAGES = ("parse", "recognize", "lemmatize", "filter", "extract", "generate", "cook")
 

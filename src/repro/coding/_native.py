@@ -37,7 +37,7 @@ import subprocess
 import tempfile
 from typing import List, Optional
 
-from repro.coding.gf256 import _mul_table
+from repro.coding.gf256 import _EXP, _LOG, _mul_table
 from repro.util.nossl import sha256
 
 #: Environment gate: "0"/"false"/"no"/"off" skips the native kernel.
@@ -144,16 +144,16 @@ def build_lohi() -> bytes:
     """The (256, 32) nibble product table as flat bytes.
 
     Row ``c`` holds ``c·v`` for ``v`` in 0..15 followed by ``c·(v<<4)``
-    — both read straight out of the field's translate tables so the
-    semantics are the Python field's, never the C side's.
+    — both read straight out of the field's log/antilog tables so the
+    semantics are the Python field's, never the C side's.  No
+    per-scalar multiply table is built or kept.
     """
+    nibbles = range(1, 16)
+    logs = [_LOG[v] for v in nibbles] + [_LOG[v << 4] for v in nibbles]
     rows: List[bytes] = [bytes(32)]
     for c in range(1, 256):
-        table = _mul_table(c)
-        rows.append(
-            bytes(table[v] for v in range(16))
-            + bytes(table[v << 4] for v in range(16))
-        )
+        products = [_EXP[_LOG[c] + log] for log in logs]
+        rows.append(bytes([0] + products[:15] + [0] + products[15:]))
     return b"".join(rows)
 
 

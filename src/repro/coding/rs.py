@@ -36,11 +36,11 @@ right-multiplying by a fixed invertible matrix preserves that).
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.coding.backend import CodingBackend, get_backend
-from repro.coding.gf256 import ORDER, _EXP, _LOG, gf_div, gf_mul
+from repro.coding.gf256 import ORDER, _EXP, _LOG
 from repro.coding.matrix import GFMatrix
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
@@ -62,21 +62,31 @@ class CodecError(Exception):
 def _generator_matrix(m: int, n: int, systematic: bool) -> GFMatrix:
     if not systematic:
         return GFMatrix.vandermonde(n, m)
-    # Row i of V·V_top⁻¹ is L_j(x_i) for the Lagrange basis L_j over the
-    # top block's points x_k = k+1:
-    #   L_j(x_i) = Π_k (x_i ⊕ x_k) / ((x_i ⊕ x_j) · w_j),
+    # V·V_top⁻¹: the identity over the top block, then the encoder's
+    # closed-form redundancy rows.
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    return GFMatrix(identity + list(map(list, _encode_rows(m, n, True))))
+
+
+def _lagrange_rows(
+    chosen: Sequence[int], targets: Sequence[int]
+) -> Tuple[Tuple[int, ...], ...]:
+    """Row *k* is the Lagrange basis over the points of *chosen*,
+    evaluated at the point of ``targets[k]`` (packet *i* is the point
+    i+1), with the products summed as logarithms."""
+    # For points x_j and a target x_t:
+    #   L_j(x_t) = Π_k (x_t ⊕ x_k) / ((x_t ⊕ x_j) · w_j),
     #   w_j = Π_{k≠j} (x_j ⊕ x_k).
-    points = range(1, m + 1)
-    weights = [
-        reduce(gf_mul, (xj ^ xk for xk in points if xk != xj), 1) for xj in points
-    ]
-    rows = [[int(i == j) for j in range(m)] for i in range(m)]
-    for xi in range(m + 1, n + 1):
-        numerator = reduce(gf_mul, (xi ^ xk for xk in points), 1)
+    points = [index + 1 for index in chosen]
+    log_weights = [sum(_LOG[xc ^ xk] for xk in points if xk != xc) for xc in points]
+    rows = []
+    for target in targets:
+        logs = [_LOG[(target + 1) ^ xk] for xk in points]
+        numerator = sum(logs)
         rows.append(
-            [gf_div(numerator, gf_mul(xi ^ xj, wj)) for xj, wj in zip(points, weights)]
+            tuple(_EXP[(numerator - a - b) % ORDER] for a, b in zip(logs, log_weights))
         )
-    return GFMatrix(rows)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=128)
@@ -84,13 +94,15 @@ def _encode_rows(m: int, n: int, systematic: bool) -> Tuple[Tuple[int, ...], ...
     """The generator rows an encoder multiplies by, shared per shape.
 
     Systematic codes skip the identity prefix (those cooked packets
-    are the raw packets verbatim).  Immutable, so every codec of one
+    are the raw packets verbatim); their redundancy rows are the
+    generator's closed form over the clear points, so no
+    :class:`GFMatrix` is built.  Immutable, so every codec of one
     ``(m, n, systematic)`` shape can share the same rows.
     """
-    generator = _generator_matrix(m, n, systematic)
-    return tuple(
-        tuple(generator.row(i)) for i in range(m if systematic else 0, n)
-    )
+    if systematic:
+        return _lagrange_rows(range(m), range(m, n))
+    generator = _generator_matrix(m, n, False)
+    return tuple(tuple(generator.row(i)) for i in range(n))
 
 
 @lru_cache(maxsize=DECODE_CACHE_MAX)
@@ -109,17 +121,8 @@ def _decode_rows(
     if not systematic:
         inverse = _generator_matrix(m, n, False).submatrix(chosen).inverse()
         return tuple(range(m)), tuple(tuple(inverse.row(i)) for i in range(m))
-    points = [index + 1 for index in chosen]
-    log_weights = [sum(_LOG[xc ^ xk] for xk in points if xk != xc) for xc in points]
     targets = tuple(sorted(set(range(m)).difference(chosen)))
-    rows = []
-    for target in targets:
-        logs = [_LOG[(target + 1) ^ xk] for xk in points]
-        numerator = sum(logs)
-        rows.append(
-            tuple(_EXP[(numerator - a - b) % ORDER] for a, b in zip(logs, log_weights))
-        )
-    return targets, tuple(rows)
+    return targets, _lagrange_rows(chosen, targets)
 
 
 class _VandermondeCodec:
@@ -144,7 +147,15 @@ class _VandermondeCodec:
         self.m = m
         self.n = n
         self.backend = get_backend(backend)
-        self.generator = _generator_matrix(m, n, self.systematic)
+
+    @property
+    def generator(self) -> GFMatrix:
+        """The full N×M generator matrix, built on first read per shape.
+
+        Encoding and decoding use :func:`_encode_rows` and
+        :func:`_decode_rows`; the systematic serve path never builds it.
+        """
+        return _generator_matrix(self.m, self.n, self.systematic)
 
     # -- encoding ----------------------------------------------------------
 

@@ -3,21 +3,32 @@
 The paper builds a document's SC once (§3.3) and re-scores it for every
 query (§3.2); XML retrieval systems likewise index structure once and
 score it at query time (arXiv:1111.6349).  :class:`CompactSC` is that
-index for one document, frozen after construction:
+index for one document, frozen after construction.  It stores only
+what cannot be derived:
 
 * units in preorder (document order), with their LOD and virtual flag
   as one byte each, the exclusive end of each unit's subtree in an
-  ``array``, and labels and titles as tuples;
-* one payload buffer with per-unit offsets: a subtree's payload is one
-  contiguous slice, because preorder is document order;
+  ``array``, and labels and titles as tuples of interned strings (a
+  corpus repeats a few labels and titles in every document);
+* the unit text as one zlib buffer with per-unit offsets: a subtree's
+  payload is one contiguous slice, because preorder is document order.
+  The text is decompressed once per read of :attr:`CompactSC.payload`
+  (once per cook, once per tree rebuild), never once per unit;
 * a :class:`KeywordTable` of the document's keywords in
-  occurrence-vector order, with their counts and weights;
-* each unit's own keyword counts and each inner unit's subtree
-  aggregate as ``(keyword id, count)`` runs in ``array`` buffers.
-  :class:`CompactSC` sums the aggregates itself, in reverse preorder,
-  with :func:`add_counts` (own keywords first, then each child's in
-  turn): the key order the tree's dict aggregation produces, so a
-  measure sums its terms in exactly the tree's order.
+  occurrence-vector order with their counts and the vector's norm;
+* each unit's own keyword counts as ``(keyword id, count)`` runs in
+  ``array`` buffers.
+
+Derived on demand, and held only while a caller uses them:
+
+* the keyword weights, from the counts and the norm
+  (:attr:`KeywordTable.weights`);
+* each inner unit's subtree aggregate, summed from the own runs in
+  reverse preorder with :func:`add_counts` (own keywords first, then
+  each child's in turn): the key order the tree's dict aggregation
+  produces, so a measure sums its terms in exactly the tree's order.
+  A schedule sums each frontier subtree once; :attr:`CompactSC.aggregate`
+  gives all of them in the packed form.
 
 The pipeline's last stage fills a :class:`CompactSC` from its unit
 tree; :meth:`CompactSC.from_tree` compacts an ``OrganizationalUnit``
@@ -38,12 +49,13 @@ from __future__ import annotations
 
 import math
 import sys
+import zlib
 from array import array
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.text.vector import OccurrenceVector
+from repro.text.vector import OccurrenceVector, vector_norm, weights_by_count
 
 #: Unsigned typecodes from narrowest to widest; each integer buffer
 #: takes the narrowest that holds its largest value.
@@ -86,10 +98,11 @@ class KeywordTable:
     counts; any keyword in *unit_counts* that the vector lacks follows
     them, with weight 0 (the vector's convention for absent keywords).
     Without *unit_counts* the vector is taken to hold every keyword, as
-    it does when it is the root's aggregate.
+    it does when it is the root's aggregate.  The weights are not
+    stored: :attr:`weights` derives them from the counts and the norm.
     """
 
-    __slots__ = ("keywords", "counts", "weights", "norm")
+    __slots__ = ("keywords", "counts", "norm")
 
     def __init__(
         self,
@@ -107,11 +120,18 @@ class KeywordTable:
             ]
             keywords += missing
         self.keywords: Tuple[str, ...] = tuple(keywords)
-        weights = vector.weights()
         self.counts = _packed(list(map(itemgetter(1), vector.items())))
-        self.weights = array("d", map(weights.__getitem__, vector))
-        self.weights.extend([0.0] * len(missing))
         self.norm: str = vector.norm_kind
+
+    @property
+    def weights(self) -> array:
+        """ω_a per keyword id, as :meth:`OccurrenceVector.weights` gives
+        them, then 0.0 for each keyword the vector lacks; a fresh array."""
+        counts = self.counts
+        by_count = weights_by_count(counts, vector_norm(counts, self.norm))
+        weights = array("d", map(by_count.__getitem__, counts))
+        weights.extend([0.0] * (len(self.keywords) - len(counts)))
+        return weights
 
     def index(self) -> Dict[str, int]:
         """keyword → id, for callers that hold keyword-keyed counts."""
@@ -137,8 +157,8 @@ class KeywordTable:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the keyword tuple and the two arrays."""
-        return sum(map(sys.getsizeof, (self.keywords, self.counts, self.weights)))
+        """Bytes held: the keyword tuple and the counts."""
+        return sys.getsizeof(self.keywords) + sys.getsizeof(self.counts)
 
 
 # -- measure arithmetic ----------------------------------------------------
@@ -308,10 +328,14 @@ def subtree_ends(units: Sequence) -> List[int]:
     return ends
 
 
-def _flatten(ids: Mapping[str, int], runs: Sequence[Mapping[str, int]]) -> Tuple[array, array]:
-    """Keyword-keyed *runs* as one interleaved ``(keyword id, count)``
-    buffer plus the start of each run."""
-    keys = list(map(ids.__getitem__, chain.from_iterable(runs)))
+def _flatten(
+    runs: Sequence[Mapping], ids: Optional[Mapping[str, int]] = None
+) -> Tuple[array, array]:
+    """*runs* as one interleaved ``(keyword id, count)`` buffer plus the
+    start of each run; keyword-keyed runs are mapped through *ids*."""
+    keys = list(chain.from_iterable(runs))
+    if ids is not None:
+        keys = list(map(ids.__getitem__, keys))
     flat = keys * 2
     flat[0::2] = keys
     flat[1::2] = chain.from_iterable(map(dict.values, runs))
@@ -319,14 +343,14 @@ def _flatten(ids: Mapping[str, int], runs: Sequence[Mapping[str, int]]) -> Tuple
     return _packed(flat), _packed([2 * start for start in starts])
 
 
-def _aggregates(owns: Sequence[Mapping[str, int]], ends: Sequence[int]) -> List[Mapping[str, int]]:
+def _aggregates(owns: Sequence[Mapping], ends: Sequence[int]) -> List[Mapping]:
     """Each inner unit's subtree aggregate, and an empty one per leaf.
 
-    A leaf's aggregate is its own counts, not stored twice.  Units are
+    A leaf's aggregate is its own counts, not summed twice.  Units are
     summed in reverse preorder, so children before their parent: own
     counts first, then each child's in turn.
     """
-    aggregates: List[Mapping[str, int]] = [{}] * len(owns)
+    aggregates: List[Mapping] = [{}] * len(owns)
     for position in reversed(range(len(owns))):
         child = position + 1
         end = ends[position]
@@ -361,13 +385,11 @@ class CompactSC:
         "ends",
         "labels",
         "titles",
-        "payload",
+        "compressed",
         "offsets",
         "table",
         "own",
         "own_starts",
-        "aggregate",
-        "aggregate_starts",
     )
 
     def __init__(
@@ -385,10 +407,13 @@ class CompactSC:
         Without a *vector*, the document's is the root's aggregate, or
         the placeholder ``{"_": 1}`` when no unit has a keyword.
         """
-        aggregates = _aggregates(owns, ends)
-        # The root's aggregate holds every unit's keywords, so a vector
-        # made from it misses none of them.
-        total = aggregates[0] if len(owns) > 1 else owns[0]
+        # The root's aggregate: every unit's counts summed in preorder
+        # has the same keys, values and key order as the subtree sums.
+        # It holds every unit's keywords, so a vector made from it
+        # misses none of them.
+        total: Dict[str, int] = {}
+        for counts in owns:
+            add_counts(total, counts)
         if vector is None:
             self.table = KeywordTable(OccurrenceVector(total or {"_": 1}))
         else:
@@ -396,13 +421,11 @@ class CompactSC:
         self.lods = bytes(map(attrgetter("lod"), units))
         self.virtual = bytes(map(attrgetter("virtual"), units))
         self.ends = _packed(ends)
-        self.labels: Tuple[str, ...] = tuple(map(attrgetter("label"), units))
-        self.titles: Tuple[str, ...] = tuple(map(attrgetter("title"), units))
-        self.payload = b"".join(payloads)
+        self.labels: Tuple[str, ...] = tuple(map(sys.intern, map(attrgetter("label"), units)))
+        self.titles: Tuple[str, ...] = tuple(map(sys.intern, map(attrgetter("title"), units)))
+        self.compressed = zlib.compress(b"".join(payloads), 1)
         self.offsets = _packed(list(accumulate(map(len, payloads), initial=0)))
-        ids = self.table.index()
-        self.own, self.own_starts = _flatten(ids, owns)
-        self.aggregate, self.aggregate_starts = _flatten(ids, aggregates)
+        self.own, self.own_starts = _flatten(owns, self.table.index())
 
     @classmethod
     def from_tree(cls, root, vector: OccurrenceVector) -> "CompactSC":
@@ -434,26 +457,65 @@ class CompactSC:
         """The unit's own ``(keyword id, count)`` pairs."""
         return _pairs(self.own, self.own_starts[position], self.own_starts[position + 1])
 
+    def own_counts(self, position: int) -> Dict[int, int]:
+        """The unit's own counts as a fresh ``keyword id → count`` dict."""
+        return dict(self.own_pairs(position))
+
+    def subtree_counts(self, position: int) -> Dict[int, int]:
+        """The subtree aggregate as a fresh ``keyword id → count`` dict.
+
+        Summed from the own runs of the subtree alone, in the order
+        :func:`_aggregates` sums the whole document.
+        """
+        end = self.ends[position]
+        owns = list(map(self.own_counts, range(position, end)))
+        if end == position + 1:
+            return owns[0]
+        ends = [unit_end - position for unit_end in self.ends[position:end]]
+        return _aggregates(owns, ends)[0]
+
     def subtree_pairs(self, position: int) -> Iterator[Tuple[int, int]]:
         """The subtree aggregate's pairs (a leaf's are its own)."""
         if self.is_leaf(position):
             return self.own_pairs(position)
-        starts = self.aggregate_starts
-        return _pairs(self.aggregate, starts[position], starts[position + 1])
+        return iter(self.subtree_counts(position).items())
+
+    def _aggregate_runs(self) -> Tuple[array, array]:
+        """Every inner unit's subtree aggregate as packed ``(keyword id,
+        count)`` runs, a leaf's run empty, plus the start of each run."""
+        owns = list(map(self.own_counts, range(len(self.lods))))
+        return _flatten(_aggregates(owns, self.ends))
+
+    @property
+    def aggregate(self) -> array:
+        """Every inner unit's subtree aggregate as packed runs, derived afresh."""
+        return self._aggregate_runs()[0]
+
+    @property
+    def aggregate_starts(self) -> array:
+        """The start of each unit's run in :attr:`aggregate`, derived afresh."""
+        return self._aggregate_runs()[1]
+
+    @property
+    def payload(self) -> bytes:
+        """The unit text in document order, decompressed afresh: a caller
+        that reads several units' bytes slices one read of it."""
+        return zlib.decompress(self.compressed)
 
     def own_payload(self, position: int) -> bytes:
         return self.payload[self.offsets[position] : self.offsets[position + 1]]
 
     @property
     def payload_size(self) -> int:
-        return len(self.payload)
+        return self.offsets[-1]
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the arrays, the payload and the strings.
+        """Bytes held by the arrays, the compressed text and the strings.
 
         Keyword strings are not counted: the pipeline's lemmatizer
-        already holds every lemma.
+        already holds every lemma.  Labels and titles are, once each,
+        although another document may share them.
         """
         buffers = (
             self.lods,
@@ -461,12 +523,10 @@ class CompactSC:
             self.ends,
             self.labels,
             self.titles,
-            self.payload,
+            self.compressed,
             self.offsets,
             self.own,
             self.own_starts,
-            self.aggregate,
-            self.aggregate_starts,
         )
         strings = {id(text): text for text in self.labels + self.titles if text}
         return (
@@ -510,7 +570,8 @@ class CompactSchedule:
     The same stream as :class:`repro.core.multires.TransmissionSchedule`
     over the same document: units ranked by descending measure, ties in
     document order, with the document LOD left unranked.  It computes
-    only *measure*, into a fresh ``array('d')``.
+    only *measure*, into a fresh ``array('d')``, summing each ranked
+    inner unit's subtree aggregate once.
     """
 
     __slots__ = ("sc", "measure", "entries", "values")
@@ -550,7 +611,7 @@ class CompactSchedule:
         return result
 
     def payload(self) -> bytes:
-        """The document bytes in transmission order."""
+        """The document bytes in transmission order (one decompression)."""
         payload = memoryview(self.sc.payload)
         return b"".join(
             payload[slice(*self._span(position, view))]

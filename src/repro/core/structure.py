@@ -297,13 +297,14 @@ class StructuralCharacteristic:
 def _tree(compact: CompactSC) -> OrganizationalUnit:
     """A fresh, unannotated unit tree equal to the one *compact* holds."""
     keywords = compact.table.keywords
+    payload, offsets = compact.payload, compact.offsets
     units = [
         OrganizationalUnit(
             lod=LOD(compact.lods[position]),
             label=label,
             title=compact.titles[position],
             own_counts={keywords[key]: count for key, count in compact.own_pairs(position)},
-            payload=compact.own_payload(position),
+            payload=payload[offsets[position] : offsets[position + 1]],
             virtual=bool(compact.virtual[position]),
         )
         for position, label in enumerate(compact.labels)

@@ -29,6 +29,12 @@ Bundle file format (version ``RPB1``, all integers big-endian)::
                             arena_bytes = n · stride
     last 32    checksum     SHA-256 over every preceding byte
 
+A key whose cook shares another key's bytes (an MQIC request that
+ranks like the static IC) is stored as an **alias record** instead of
+a second bundle: ``<keyhash>.alias`` beside the bundles, holding
+``b"RPA1"`` and the ASCII measure name the alias serves under.  The
+owner's key is the caller's to derive; the record only says "shared".
+
 Safety discipline:
 
 * **atomic visibility** — bundles are written to a same-directory
@@ -64,8 +70,9 @@ import json
 import mmap
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.coding.packets import (
     _ENVELOPE_OVERHEAD,
@@ -81,6 +88,12 @@ from repro.util.nossl import sha256
 
 #: Bundle format magic + version (bump on any layout change).
 BUNDLE_MAGIC = b"RPB1"
+
+#: Alias record magic + version.
+ALIAS_MAGIC = b"RPA1"
+
+#: Longest measure name an alias record may carry.
+_ALIAS_MEASURE_MAX = 32
 
 #: SHA-256 trailer length.
 _CHECKSUM_BYTES = 32
@@ -136,6 +149,8 @@ class DiskCookedStore:
             "rejected": 0,
             "quarantined": 0,
             "pruned": 0,
+            "alias_hits": 0,
+            "alias_writes": 0,
         }
 
     # -- paths -------------------------------------------------------------
@@ -144,6 +159,10 @@ class DiskCookedStore:
         """Where the bundle for *key* lives (``<root>/<digest>/<hash>.bundle``)."""
         digest = str(key[0])
         return self.root / digest / f"{key_digest(key)}.bundle"
+
+    def alias_path(self, key: Tuple) -> Path:
+        """Where the alias record for *key* lives, beside its bundle's name."""
+        return self.bundle_path(key).with_suffix(".alias")
 
     def _quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_DIR
@@ -198,33 +217,12 @@ class DiskCookedStore:
             "arena_bytes": len(arena),
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        path = self.bundle_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
+        chunks = [BUNDLE_MAGIC, len(header_bytes).to_bytes(4, "big"), header_bytes, arena]
         hasher = sha256()
-        try:
-            with open(tmp, "wb") as handle:
-                for chunk in (
-                    BUNDLE_MAGIC,
-                    len(header_bytes).to_bytes(4, "big"),
-                    header_bytes,
-                ):
-                    hasher.update(chunk)
-                    handle.write(chunk)
-                hasher.update(arena)
-                handle.write(arena)
-                handle.write(hasher.digest())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            # A failed (or killed-then-resumed) write must never leave
-            # a visible bundle; the tmp file is invisible to readers.
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
+        for chunk in chunks:
+            hasher.update(chunk)
+        path = self.bundle_path(key)
+        self._write_atomic(path, chunks + [hasher.digest()])
         self.stats["writes"] += 1
         if OBS.enabled:
             OBS.metrics.counter(
@@ -234,7 +232,59 @@ class DiskCookedStore:
             self._prune(keep=path)
         return path
 
+    def put_alias(self, key: Tuple, measure: str) -> Path:
+        """Record that *key* shares another key's bundle, served as *measure*."""
+        path = self.alias_path(key)
+        self._write_atomic(path, (ALIAS_MAGIC, measure.encode("ascii")))
+        self.stats["alias_writes"] += 1
+        return path
+
+    @staticmethod
+    def _write_atomic(path: Path, chunks: Iterable) -> None:
+        """Write *chunks* to *path* through a fsynced same-directory
+        temporary file and ``os.replace``."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
+        try:
+            with open(tmp, "wb") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            # A failed (or killed-then-resumed) write must never leave
+            # a visible file; the tmp file is invisible to readers.
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise
+
     # -- read path ---------------------------------------------------------
+
+    def get_alias(self, key: Tuple) -> Optional[str]:
+        """The measure name of *key*'s alias record, or None.
+
+        A record that is not ``RPA1`` and a short ASCII identifier is
+        quarantined like a bad bundle.
+        """
+        path = self.alias_path(key)
+        try:
+            record = path.read_bytes()
+        except OSError:
+            return None
+        name = record[len(ALIAS_MAGIC) :]
+        if (
+            not record.startswith(ALIAS_MAGIC)
+            or len(name) > _ALIAS_MEASURE_MAX
+            or not name.isascii()
+            or not name.decode("ascii").isidentifier()
+        ):
+            self._reject(path)
+            return None
+        self.stats["alias_hits"] += 1
+        return name.decode("ascii")
 
     def get(self, key: Tuple) -> Optional[PreparedDocument]:
         """The verified bundle for *key*, or None (absent or rejected).
@@ -391,14 +441,14 @@ class DiskCookedStore:
         return removed
 
     def clear(self) -> int:
-        """Drop every bundle in the store; returns the count removed."""
+        """Drop every bundle and alias record; returns the bundle count removed."""
         removed = 0
-        for path in self.root.glob("*/*.bundle"):
+        for path in chain(self.root.glob("*/*.bundle"), self.root.glob("*/*.alias")):
             try:
                 path.unlink()
-                removed += 1
             except OSError:
                 continue
+            removed += path.suffix == ".bundle"
         return removed
 
     # -- budget ------------------------------------------------------------
@@ -455,6 +505,7 @@ class DiskCookedStore:
         return {
             "root": str(self.root),
             "bundles": count,
+            "aliases": sum(1 for _ in self.root.glob("*/*.alias")),
             "bytes": total,
             "max_bytes": self.max_bytes,
             "stats": dict(self.stats),

@@ -121,7 +121,8 @@ class _SourceRecord:
 
 
 class _Shared:
-    """A cook that another cooked-tier key owns: held, never persisted."""
+    """A cook that another cooked-tier key owns: held in memory under
+    both keys, persisted once (the disk tier keeps an alias record)."""
 
     __slots__ = ("prepared",)
 
@@ -149,14 +150,18 @@ def content_digest(source: str, *, html: bool = False) -> str:
 
 #: Bytes an SC-tier entry holds besides its compact SC's buffers: the
 #: ``CompactSC`` and ``KeywordTable`` objects, the tier key and its LRU
-#: slot (``tracemalloc``, 64-bit CPython 3.11).
-_SC_ENTRY_BYTES = 1050
+#: slot (``tracemalloc``, 64-bit CPython 3.11: 977 B for a corpus
+#: document cooked alone).
+_SC_ENTRY_BYTES = 980
 
 
 def _sc_size(sc: CompactSC) -> int:
-    """Byte-budget weight of a cached SC: its exact buffer bytes plus
-    one per-entry constant, checked against ``tracemalloc`` in
-    ``tests/test_prep_sc_memory.py``.
+    """Byte-budget weight of a cached SC: its exact buffer bytes (the
+    unit text compressed, no derived field) plus one per-entry
+    constant, checked against ``tracemalloc`` in
+    ``tests/test_prep_sc_memory.py``.  Labels and titles count once per
+    document, as a document cached alone holds them; documents that
+    share them weigh more than they hold.
     """
     return sc.nbytes + _SC_ENTRY_BYTES
 
@@ -519,6 +524,7 @@ class PreparationService:
             # shared across differently-configured pipelines the way
             # the per-instance memory tier safely can.
             disk_key=key + self._pipeline_token() if self._disk else None,
+            alias=lambda measure: self._share_static(record, request, measure),
         )
 
     def _fetch(
@@ -529,6 +535,7 @@ class PreparationService:
         factory: Callable[[], Any],
         size_of: Callable[[Any], int],
         disk_key: Optional[Tuple] = None,
+        alias: Optional[Callable[[str], Any]] = None,
     ) -> Any:
         """Tier lookup with single-flight miss deduplication.
 
@@ -537,6 +544,8 @@ class PreparationService:
         disk and (on a cluster-wide miss) cooks and persists — so N
         workers missing the same key still run the pipeline exactly
         once between them, and the others load the winner's bundle.
+        A key whose disk record is an alias is served by
+        ``alias(measure)`` instead of *factory*.
         """
         value = tier.get(key)
         if value is not MISS:
@@ -574,7 +583,7 @@ class PreparationService:
         # publish the result, settle followers.
         try:
             if disk_key is not None and self._disk is not None:
-                value = self._fetch_via_disk(disk_key, tier_name, factory)
+                value = self._fetch_via_disk(disk_key, tier_name, factory, alias)
             else:
                 self._count_miss(tier_name)
                 value = self._build_metered(tier_name, factory)
@@ -599,7 +608,11 @@ class PreparationService:
             flight.event.set()
 
     def _fetch_via_disk(
-        self, disk_key: Tuple, tier_name: str, factory: Callable[[], Any]
+        self,
+        disk_key: Tuple,
+        tier_name: str,
+        factory: Callable[[], Any],
+        alias: Optional[Callable[[str], Any]] = None,
     ) -> Any:
         """Leader path through the persistent tier.
 
@@ -607,19 +620,25 @@ class PreparationService:
         → persist, so concurrent workers cook each bundle exactly once
         cluster-wide.  A verified bundle on disk is a *hit* for the
         in-memory tier's contract: no pipeline ran, no miss counted.
+        So is an alias record, which a shared cook persists instead of
+        a second bundle: *alias* serves it from the owning key without
+        building the SC again.
         """
         assert self._disk is not None
         with self._disk.lock(disk_key):
+            aliased: Optional[str] = None
             with timed("prep.disk_probe"):
                 value = self._disk.get(disk_key)
-            if value is not None:
+                if value is None and alias is not None:
+                    aliased = self._disk.get_alias(disk_key)
+            if value is not None or aliased is not None:
                 self.stats["disk_hits"] += 1
                 self._count_hit(tier_name)
                 if OBS.enabled:
                     OBS.metrics.counter(
                         "prep.hits", "preparation cache hits"
                     ).labels(tier="disk").inc()
-                return value
+                return value if aliased is None else alias(aliased)
             self.stats["disk_misses"] += 1
             self._count_miss(tier_name)
             if OBS.enabled:
@@ -627,12 +646,14 @@ class PreparationService:
                     "prep.misses", "preparation cache misses"
                 ).labels(tier="disk").inc()
             value = self._build_metered(tier_name, factory)
-            if isinstance(value, _Shared):
-                return value  # the owning key's bundle holds these bytes
             try:
                 with timed("prep.disk_persist"):
-                    self._disk.put(disk_key, value)
-                self.stats["disk_writes"] += 1
+                    if isinstance(value, _Shared):
+                        # The owning key's bundle holds these bytes.
+                        self._disk.put_alias(disk_key, value.prepared.measure)
+                    else:
+                        self._disk.put(disk_key, value)
+                        self.stats["disk_writes"] += 1
             except OSError:
                 # A full or read-only disk degrades the tier, never
                 # the request: the cooked result is still served.

@@ -17,9 +17,31 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, Mapping
+from typing import Collection, Dict, Iterable, Mapping
 
 _SUPPORTED_NORMS = ("infinity", "l1", "l2")
+
+
+def vector_norm(values: Collection[int], kind: str) -> float:
+    """The *kind* norm of the occurrence counts *values* (0.0 when empty)."""
+    if not values:
+        return 0.0
+    if kind == "infinity":
+        return float(max(values))
+    if kind == "l1":
+        return float(sum(values))
+    return math.sqrt(sum(v * v for v in values))
+
+
+def weights_by_count(values: Iterable[int], norm: float) -> Dict[int, float]:
+    """ω = 1 − log2(count / norm) for each distinct count in *values*.
+
+    A weight depends on the count only: one log per distinct count.
+    This is the expression :meth:`OccurrenceVector.weight` evaluates, so
+    every table built from it holds the same bits.
+    """
+    log2 = math.log2
+    return {count: 1.0 - log2(count / norm) for count in set(values)}
 
 
 class OccurrenceVector:
@@ -50,23 +72,13 @@ class OccurrenceVector:
                     raise ValueError(f"count for {keyword!r} must be > 0, got {count}")
         self._counts = clean
         self._norm_kind = norm
-        self._norm_value = self._compute_norm()
+        self._norm_value = vector_norm(values, norm)
         self._weights: Dict[str, float] = {}
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str], norm: str = "infinity") -> "OccurrenceVector":
         """Build a vector by counting a token stream."""
         return cls(Counter(tokens), norm=norm)
-
-    def _compute_norm(self) -> float:
-        values = list(self._counts.values())
-        if not values:
-            return 0.0
-        if self._norm_kind == "infinity":
-            return float(max(values))
-        if self._norm_kind == "l1":
-            return float(sum(values))
-        return math.sqrt(sum(v * v for v in values))
 
     # -- mapping-style access -------------------------------------------
 
@@ -129,9 +141,7 @@ class OccurrenceVector:
         memo holds the same bits whichever fills it.
         """
         if len(self._weights) != len(self._counts):
-            # A weight depends on the count only: one log per distinct count.
-            norm, log2 = self._norm_value, math.log2
-            by_count = {count: 1.0 - log2(count / norm) for count in set(self._counts.values())}
+            by_count = weights_by_count(self._counts.values(), self._norm_value)
             self._weights = dict(
                 zip(self._counts, map(by_count.__getitem__, self._counts.values()))
             )

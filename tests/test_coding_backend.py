@@ -27,6 +27,7 @@ from repro.coding.backend import (
 )
 from repro.coding import backend as backend_module
 from repro.coding.gf256 import gf_mul
+from repro.util.nossl import sha256
 from repro.coding.rs import (
     DECODE_CACHE_MAX,
     RabinDispersal,
@@ -146,6 +147,24 @@ class TestBlockKernelSurface:
             expected = BASELINE.matmul(matrix, stack, size)
             for engine in engines:
                 assert engine.matmul(matrix, stack, size) == expected, engine
+
+    def test_native_nibble_table_is_pinned(self):
+        """The kernel's (256, 32) nibble table, bit for bit, and built
+        without filling the field's per-scalar multiply tables.  The
+        digest was recorded when the table was still read out of those
+        tables."""
+        from repro.coding import _native, gf256
+
+        cached = dict(gf256._MUL_TABLES)
+        gf256._MUL_TABLES.clear()
+        try:
+            table = _native.build_lohi()
+            assert gf256._MUL_TABLES == {}
+        finally:
+            gf256._MUL_TABLES.update(cached)
+        assert sha256(table).hexdigest() == (
+            "76dcc4fc27b2bf98f6c0f50e71570101f61cc2ac983c366f6d80d64b655a2f22"
+        )
 
     def test_matmul_never_materializes_product_tensor(self):
         names = [name for name in ("native", "numpy") if name in OTHERS]

@@ -14,6 +14,7 @@ from repro.coding.rs import (
     RabinDispersal,
     SystematicRSCodec,
     _decode_rows,
+    _encode_rows,
     _generator_matrix,
     codec_for,
 )
@@ -99,6 +100,58 @@ class TestClosedFormGenerator:
 
     def test_rabin_generator_is_plain_vandermonde(self):
         assert _generator_matrix(7, 12, False) == GFMatrix.vandermonde(12, 7)
+
+
+def sample_shapes(count=24, seed=11):
+    """Seeded (m, n) shapes, with the edges m = 1, n = m and n = 255."""
+    rng = random.Random(seed)
+    shapes = {(1, 1), (1, 2), (1, MAX_COOKED), (9, 9), (33, MAX_COOKED)}
+    shapes.add((MAX_COOKED, MAX_COOKED))
+    while len(shapes) < count:
+        m = rng.randrange(1, 80)
+        shapes.add((m, rng.randrange(m, MAX_COOKED + 1)))
+    return sorted(shapes)
+
+
+class TestClosedFormEncodeRows:
+    """The systematic encoder's rows are the generator's redundancy rows.
+
+    They are written down in closed form, so the serve path builds no
+    generator matrix: no elimination, and no matrix held per shape.
+    """
+
+    @pytest.mark.parametrize("m, n", sample_shapes())
+    def test_equal_the_elementary_transform_rows(self, m, n):
+        if m == MAX_COOKED:
+            expected = []  # n = m: no redundancy row
+        else:
+            expected = elementary_transform_generator(m, n).rows()[m:]
+        assert [list(row) for row in _encode_rows(m, n, True)] == expected
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (8, 12)])
+    def test_rabin_rows_are_every_generator_row(self, m, n):
+        assert [list(row) for row in _encode_rows(m, n, False)] == (
+            GFMatrix.vandermonde(n, m).rows()
+        )
+
+    def test_systematic_encode_and_decode_build_no_matrix(self, monkeypatch):
+        built = []
+        init = GFMatrix.__init__
+
+        def counting_init(self, rows):
+            built.append(len(rows))
+            init(self, rows)
+
+        monkeypatch.setattr(GFMatrix, "__init__", counting_init)
+        _encode_rows.cache_clear()
+        _decode_rows.cache_clear()
+        rng = random.Random(3)
+        codec = SystematicRSCodec(37, 61)
+        raw = random_packets(rng, 37, 16)
+        cooked = codec.encode(raw)
+        survivors = {i: cooked[i] for i in rng.sample(range(61), 37)}
+        assert codec.decode(survivors) == raw
+        assert built == []
 
 
 class TestAnyMofN:

@@ -339,6 +339,63 @@ class TestStoreMaintenance:
         assert store.info()["bundles"] == 0
 
 
+#: A query none of whose words the paper holds: its MQIC cook shares
+#: the static cook, and the disk tier keeps an alias record for it.
+OFF_VOCABULARY = PrepRequest(query="quokka zeppelin", packet_size=64)
+
+
+def sole_alias(store):
+    aliases = [
+        path for path in store.root.glob("*/*.alias") if path.parent.name != QUARANTINE_DIR
+    ]
+    assert len(aliases) == 1, aliases
+    return aliases[0]
+
+
+class TestAliasRecords:
+    def test_a_shared_cook_writes_an_alias_not_a_bundle(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        service.prepare("doc", OFF_VOCABULARY)
+        store = service.disk_store
+        assert store.info()["bundles"] == 1
+        assert sole_alias(store).read_bytes() == b"RPA1mqic"
+
+    def test_restart_serves_the_alias_without_a_pipeline_run(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        expected = wire_bytes(service.prepare("doc", OFF_VOCABULARY))
+        restarted, pipeline = make_disk_service(tmp_path)
+        prepared = restarted.prepare("doc", OFF_VOCABULARY)
+        assert wire_bytes(prepared) == expected
+        assert prepared.measure == "mqic"
+        assert pipeline.runs == 0
+        assert restarted.disk_store.stats["alias_hits"] == 1
+
+    @pytest.mark.parametrize(
+        "record", [b"", b"RPA1", b"RPB1mqic", b"RPA1mq ic", b"RPA1\xffic", b"RPA1" + b"m" * 40]
+    )
+    def test_a_bad_alias_is_quarantined_and_recooked(self, tmp_path, record):
+        service, _ = make_disk_service(tmp_path)
+        expected = wire_bytes(service.prepare("doc", OFF_VOCABULARY))
+        sole_alias(service.disk_store).write_bytes(record)
+        restarted, pipeline = make_disk_service(tmp_path)
+        assert wire_bytes(restarted.prepare("doc", OFF_VOCABULARY)) == expected
+        assert pipeline.runs == 1
+        assert restarted.disk_store.stats["quarantined"] == 1
+        assert sole_alias(restarted.disk_store).read_bytes() == b"RPA1mqic"
+
+    def test_drop_digest_and_clear_remove_aliases(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        service.prepare("doc", OFF_VOCABULARY)
+        store = service.disk_store
+        assert store.clear() == 1
+        assert store.info()["aliases"] == 0
+        service.invalidate("doc")
+        service.prepare("doc", OFF_VOCABULARY)
+        assert store.info()["aliases"] == 1
+        assert store.drop_digest(service.digest("doc")) == 1
+        assert store.info()["aliases"] == 0
+
+
 #: Loads the bundle under argv[1] for the document on stdin and
 #: REQUEST in a fresh interpreter, optionally with numpy made
 #: unimportable, and reports what the load did.

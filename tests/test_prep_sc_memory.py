@@ -273,6 +273,48 @@ class TestScWeight:
             )
 
 
+class TestScTierFootprint:
+    """What the SC tier retains per document over a 200-document corpus.
+
+    The 200 seed-1 ``CorpusGenerator`` documents (the corpus-browse
+    benchmark's corpus) are cooked once each, with a zero cooked budget
+    and a lemmatizer warmed by an earlier pass, so the traced bytes
+    left are the SC tier's entries.  With the unit text stored plain,
+    subtree aggregates and keyword weights stored, and one label and
+    title string per unit, it retained 20 443 B per document (Python
+    3.11.7).  With the text zlib-compressed, aggregates and weights
+    derived and labels and titles interned, 7 855 B; the ceiling is
+    8 KiB.
+    """
+
+    CEILING_BYTES = 8 * 1024
+
+    def test_corpus_browse_documents(self):
+        generator = CorpusGenerator(seed=1)
+        documents = [(name, xml) for name, (xml, _topic) in generator.corpus(200).items()]
+        pipeline = SCPipeline()
+        warm = PreparationService(pipeline=pipeline)
+        for name, xml in documents:
+            warm.add_document(name, xml)
+        warm.warmup()
+        del warm
+        service = PreparationService(pipeline=pipeline, cooked_budget_bytes=0)
+        for name, xml in documents:
+            service.add_document(name, xml)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert service.warmup() == len(documents)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert service.cache_info()["sc"]["entries"] == len(documents)
+        assert service.cache_info()["cooked"]["entries"] == 0
+        assert retained / len(documents) <= self.CEILING_BYTES, retained / len(documents)
+
+
 class TestCookedWeight:
     """The cooked tier's weight is within 25% of the bytes an entry retains."""
 

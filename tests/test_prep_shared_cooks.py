@@ -178,13 +178,16 @@ class TestSharedCook:
         service = paper_service(disk_path=tmp_path)
         service.prepare(DOCUMENT, OFF_VOCABULARY)
         assert service.disk_store.info()["bundles"] == 1
+        assert service.disk_store.info()["aliases"] == 1
         assert service.stats["disk_writes"] == 1
-        # A fresh process decides again from the SC and loads the
-        # static bundle: no encode runs.
+        # A fresh process finds the query key's alias record and loads
+        # the static bundle: it neither builds the SC nor encodes.
         restarted = paper_service(disk_path=tmp_path)
         prepared = restarted.prepare(DOCUMENT, OFF_VOCABULARY)
         assert prepared.measure == "mqic"
-        assert restarted.stats["disk_hits"] == 1
+        assert restarted.stats["disk_hits"] == 2
+        assert restarted.stats["disk_misses"] == 0
+        assert restarted.stats["sc_misses"] == 0
         assert restarted.stats["disk_writes"] == 0
         assert restarted.stats["shared_cooks"] == 1
         assert restarted.disk_store.info()["bundles"] == 1
