@@ -24,7 +24,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "sweep",
     ),
     "repro.analysis.ewma": ("AdaptiveRedundancyController", "EwmaEstimator"),
-    "repro.analysis.sequential": ("SequentialResult", "run_until_tight"),
     "repro.analysis.response": (
         "caching_expected_time",
         "expected_response_time",
@@ -48,8 +47,6 @@ __all__ = [
     "stall_probability",
     "EwmaEstimator",
     "AdaptiveRedundancyController",
-    "run_until_tight",
-    "SequentialResult",
     "expected_response_time",
     "caching_expected_time",
     "nocaching_expected_time",

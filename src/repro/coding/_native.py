@@ -1,13 +1,12 @@
 """Runtime-compiled GF(2^8) matmul microkernel (optional, stdlib-only).
 
-The pure-numpy block kernel in :mod:`repro.coding.backend` is bounded
-by memory traffic: every nibble-table gather reads whole rows through
-fancy indexing, which tops out far below what the hardware can do.
-The classic way past that ceiling — used by ISA-L and every serious
-erasure-coding library — is the PSHUFB trick: for a coefficient ``c``,
-two 16-entry tables (``c·v`` and ``c·(v<<4)`` for nibbles ``v``) fit
-in one SIMD register each, so a 32-byte shuffle multiplies 32 packet
-bytes by ``c`` entirely in registers.
+The pure-Python ``fused`` kernel in :mod:`repro.coding.backend` pays
+interpreter cost per coefficient.  The classic way past that ceiling —
+used by ISA-L and every serious erasure-coding library — is the PSHUFB
+trick: for a coefficient ``c``, two 16-entry tables (``c·v`` and
+``c·(v<<4)`` for nibbles ``v``) fit in one SIMD register each, so a
+32-byte shuffle multiplies 32 packet bytes by ``c`` entirely in
+registers.
 
 This module compiles that kernel **at first use** with whatever C
 compiler the host has (``cc``/``gcc``/``clang``), loads it through
@@ -16,16 +15,15 @@ field arithmetic before handing it out.  There is no build step, no
 new dependency, and no hard requirement: any failure — no compiler,
 compile error, load error, parity mismatch — makes :func:`load`
 return ``None``, and the automatic kernel choice in
-:mod:`repro.coding.backend` falls back to the ``numpy`` engine when
-numpy imports, else to the pure-Python ``fused`` kernel.
+:mod:`repro.coding.backend` falls back to the pure-Python ``fused``
+kernel.
 
 The nibble tables themselves are generated *here, in Python*, from
 :mod:`repro.coding.gf256`, so the field semantics live in exactly one
 place; the C side only moves bytes.
 
 Set ``REPRO_CODING_NATIVE=0`` to disable compilation entirely (the
-automatic choice then takes the same ``numpy``-else-``fused``
-fallback).
+automatic choice then takes the same ``fused`` fallback).
 """
 
 from __future__ import annotations

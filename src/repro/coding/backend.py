@@ -32,25 +32,16 @@ swapped without touching codec logic:
     ``bytes``, the packets copied into a grow-only thread-local
     ``bytearray`` stack, the product written into a fresh
     ``bytearray`` or, for ``matmul_into``, straight into the caller's
-    buffer.  Needs a C compiler, never numpy.
-
-``numpy``
-    The no-compiler block kernel: a pure numpy uint64-lane engine that
-    computes the identical bytes with an accumulating XOR over
-    per-column nibble gathers, in preallocated thread-local scratch
-    arenas, never materializing the n·m·size product tensor.  numpy
-    is imported when this backend is first used, not when this module
-    is imported.
+    buffer.  Needs a C compiler.
 
 Selection is a process setting, never a request parameter:
 ``REPRO_CODING_BACKEND`` in the environment is an explicit override.
-Unset (or ``auto``) picks the best available backend, each candidate
-gated by a tiny parity self-check against ``baseline``: ``native`` when
-the kernel loads, else ``numpy`` when numpy imports, else ``fused``.  A
-serving process on a host with a C compiler therefore never imports
-numpy.  The choice is made once per process and logged once through
-:mod:`repro.obs` when telemetry is on.  All backends are
-byte-identical; the parity property suite
+Unset (or ``auto``) picks ``native`` when the kernel loads and passes
+a tiny parity self-check against ``baseline``, else ``fused``, the
+only kernel on a host with no C compiler.  No backend imports numpy,
+so a serving process never does.  The choice is made once per process
+and logged once through :mod:`repro.obs` when telemetry is on.  All
+backends are byte-identical; the parity property suite
 (``tests/test_coding_backend.py``) enforces it across randomized
 (m, n, packet-size) grids.  Only :func:`repro.coding.rs.codec_for`
 takes an explicit kernel, for those parity suites and the throughput
@@ -60,11 +51,9 @@ benchmark.
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import os
 import threading
-from functools import lru_cache
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.coding.gf256 import _mul_table, gf_mul_bytes
 from repro.obs.runtime import OBS
@@ -268,7 +257,7 @@ class FusedBackend(CodingBackend):
 # -- native kernel ------------------------------------------------------------
 
 class NativeBackend(CodingBackend):
-    """The compiled C microkernel on stdlib buffers — no numpy.
+    """The compiled C microkernel on stdlib buffers.
 
     :mod:`repro.coding._native` compiles, loads and parity-checks the
     kernel; this backend only lays its operands out.  The matrix is one
@@ -377,186 +366,6 @@ class NativeBackend(CodingBackend):
             _count_matmul(self.name, n, size)
 
 
-# -- pure-numpy engine ---------------------------------------------------------
-
-
-class _NumpyTables(NamedTuple):
-    np: Any
-    #: uint64 lane masks and the reduction constant.
-    m7f: Any
-    m01: Any
-    m0f: Any
-    x1d: Any
-
-
-@lru_cache(maxsize=None)
-def _numpy_tables() -> _NumpyTables:
-    """numpy and the tables built from it, imported on first use."""
-    import numpy as np
-
-    return _NumpyTables(
-        np,
-        np.uint64(0x7F7F7F7F7F7F7F7F),
-        np.uint64(0x0101010101010101),
-        np.uint64(0x0F0F0F0F0F0F0F0F),
-        np.uint64(0x1D),
-    )
-
-
-class NumpyBackend(CodingBackend):
-    """Pure-numpy block kernel over scratch arenas.
-
-    Packs packets into uint64 lanes, builds the 16-entry nibble product
-    table per packet with a carry-free xtime ladder, and folds each
-    matrix column into the accumulator with one gather + XOR —
-    O(n·size) live memory; the n·m·size product tensor is never
-    materialized.  numpy is imported at the first call, not at import.
-
-    All operand buffers come from a thread-local grow-only arena, so
-    steady-state encode/decode allocates nothing beyond the output
-    ``bytes`` objects (and ``matmul_into`` skips even those).
-    """
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def _scratch(self, tag: str, count: int, dtype):
-        """A reusable thread-local buffer of at least *count* elements.
-
-        Grow-only per (tag, dtype): steady-state traffic with stable
-        geometry hits the cached buffer every time.  Thread-local
-        because backend instances are shared process-wide singletons
-        and the preparation service cooks from executor threads.
-        """
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:
-            buffers = self._local.buffers = {}
-        key = (tag, dtype)
-        buffer = buffers.get(key)
-        if buffer is None or buffer.size < count:
-            buffer = _numpy_tables().np.empty(max(count, 1), dtype=dtype)
-            buffers[key] = buffer
-        return buffer[:count]
-
-    # -- matmul --------------------------------------------------------------
-
-    def matmul(
-        self, rows: Sequence[Sequence[int]], packets: Sequence[BytesLike], size: int
-    ) -> List[bytes]:
-        n = len(rows)
-        if n == 0:
-            return []
-        out = self._matmul_block(rows, packets, size, n)
-        result = [out[index].tobytes() for index in range(n)]
-        if OBS.enabled:
-            _count_matmul(self.name, n, size)
-        return result
-
-    def matmul_into(
-        self,
-        rows: Sequence[Sequence[int]],
-        packets: Sequence[BytesLike],
-        size: int,
-        out: Union[bytearray, memoryview],
-    ) -> None:
-        np = _numpy_tables().np
-        n = len(rows)
-        view = np.frombuffer(out, dtype=np.uint8)
-        if view.size != n * size:
-            raise CodingBackendError(
-                f"matmul_into buffer is {view.size} bytes, need {n * size}"
-            )
-        if n == 0:
-            return
-        view.reshape(n, size)[:] = self._matmul_block(rows, packets, size, n)
-        if OBS.enabled:
-            _count_matmul(self.name, n, size)
-
-    def _matmul_block(
-        self, rows: Sequence[Sequence[int]], packets: Sequence[BytesLike], size: int, n: int
-    ):
-        """The (n, size) product block, living in scratch memory.
-
-        Callers must consume (copy out of) the result before the next
-        kernel call on this thread.
-
-        For each packet the 16 low-nibble products v·p are built with
-        three xtime doublings and eleven XORs; a coefficient c then
-        costs two gathers (low nibble, high nibble) folded into the
-        accumulator, plus one deferred ·16 fixup for the high half.
-        Peak extra memory is the (16, m, size) table + (2n, size)
-        accumulator — the n·m·size broadcast tensor of the old
-        gather/reduce formulation never exists.
-        """
-        np, m7f, m01, m0f, x1d = _numpy_tables()
-        matrix = np.ascontiguousarray(np.asarray(rows, dtype=np.uint8)).reshape(n, -1)
-        m = len(packets)
-        padded = (size + 7) & ~7
-        lanes = padded >> 3
-
-        stack8 = self._scratch("stack", m * padded, np.uint8).reshape(m, padded)
-        if padded != size:
-            stack8[:, size:] = 0
-        for index, packet in enumerate(packets):
-            stack8[index, :size] = np.frombuffer(packet, dtype=np.uint8)
-        stack64 = stack8.view(np.uint64)
-
-        # Nibble product table: table[v, k] = v · packet_k, per byte lane.
-        table = self._scratch("table", 16 * m * lanes, np.uint64).reshape(
-            16, m, lanes
-        )
-        scratch = self._scratch("xtime", m * lanes, np.uint64).reshape(m, lanes)
-        table[0] = 0
-        table[1] = stack64
-        for source, target in ((1, 2), (2, 4), (4, 8)):
-            src = table[source]
-            dst = table[target]
-            np.right_shift(src, np.uint64(7), out=scratch)
-            np.bitwise_and(scratch, m01, out=scratch)
-            np.multiply(scratch, x1d, out=scratch)
-            np.bitwise_and(src, m7f, out=dst)
-            np.left_shift(dst, np.uint64(1), out=dst)
-            np.bitwise_xor(dst, scratch, out=dst)
-        for a, b in (
-            (1, 2), (1, 4), (2, 4), (3, 4),
-            (1, 8), (2, 8), (3, 8), (4, 8), (5, 8), (6, 8), (7, 8),
-        ):
-            np.bitwise_xor(table[a], table[b], out=table[a ^ b])
-
-        # Accumulate: rows 0..n-1 gather by low nibble, n..2n-1 by high.
-        low = matrix & 0x0F
-        high = matrix >> 4
-        accumulator = self._scratch("acc", 2 * n * lanes, np.uint64).reshape(
-            2 * n, lanes
-        )
-        accumulator[:] = 0
-        index = self._scratch("idx", 2 * n, np.intp)
-        for k in range(m):
-            index[:n] = low[:, k]
-            index[n:] = high[:, k]
-            np.bitwise_xor(accumulator, table[index, k], out=accumulator)
-
-        # High-half fixup: multiply each byte lane by 16 (x^4), using
-        # x^8 ≡ x^4+x^3+x^2+1 for the nibble that overflows, then fold
-        # into the low half.  All shifts stay inside their byte lane.
-        low_acc = accumulator[:n]
-        high_acc = accumulator[n:]
-        nibble = self._scratch("nib", n * lanes, np.uint64).reshape(n, lanes)
-        spill = self._scratch("spill", n * lanes, np.uint64).reshape(n, lanes)
-        np.right_shift(high_acc, np.uint64(4), out=nibble)
-        np.bitwise_and(nibble, m0f, out=nibble)
-        np.bitwise_and(high_acc, m0f, out=high_acc)
-        np.left_shift(high_acc, np.uint64(4), out=high_acc)
-        for shift in (4, 3, 2):
-            np.left_shift(nibble, np.uint64(shift), out=spill)
-            np.bitwise_xor(high_acc, spill, out=high_acc)
-        np.bitwise_xor(high_acc, nibble, out=high_acc)
-        np.bitwise_xor(low_acc, high_acc, out=low_acc)
-        return low_acc.view(np.uint8).reshape(n, padded)[:, :size]
-
-
 # -- registry ----------------------------------------------------------------
 
 _REGISTRY: Dict[str, CodingBackend] = {}
@@ -591,9 +400,6 @@ def available_backends() -> List[str]:
 
 register_backend(BaselineBackend())
 register_backend(FusedBackend())
-# Registered by presence only: numpy itself is imported at first use.
-if importlib.util.find_spec("numpy") is not None:
-    register_backend(NumpyBackend())
 
 
 # -- default selection -------------------------------------------------------
@@ -622,20 +428,16 @@ def _auto_backend_name() -> str:
     """Best available backend, decided once per process.
 
     ``native`` when the kernel loads and passes the parity self-check,
-    else ``numpy`` when it imports and passes, else ``fused`` — so a
-    host with a C compiler never imports numpy.
+    else ``fused``.
     """
     global _AUTO_SELECTED
     if _AUTO_SELECTED is None:
         choice = "fused"
-        for name in ("native", "numpy"):
-            try:
-                candidate = _lookup(name)
-                if candidate is not None and _parity_self_check(candidate):
-                    choice = name
-                    break
-            except Exception:  # any failure (no kernel, no numpy) falls through
-                continue
+        try:
+            if _parity_self_check(_lookup(NativeBackend.name)):
+                choice = NativeBackend.name
+        except Exception:  # any failure (no compiler, no kernel) falls back
+            pass
         _AUTO_SELECTED = choice
     return _AUTO_SELECTED
 
@@ -659,8 +461,8 @@ def default_backend_name() -> str:
     """The name selected by ``REPRO_CODING_BACKEND``, or the best available.
 
     An explicit environment value wins unchanged.  Unset or ``auto``
-    resolves to ``native``, ``numpy`` or ``fused``, the first that is
-    available and passes the parity self-check.
+    resolves to ``native`` when it is available and passes the parity
+    self-check, else ``fused``.
     """
     name = os.environ.get(BACKEND_ENV, "").strip().lower()
     if name and name != "auto":

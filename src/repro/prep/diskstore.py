@@ -167,6 +167,21 @@ class DiskCookedStore:
     def _quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_DIR
 
+    def _live(self, pattern: str) -> Iterator[Path]:
+        """Files matching *pattern* in the digest directories.
+
+        Quarantined files keep their suffix, so a glob from the root
+        would count, prune and clear them with the live ones.
+        """
+        try:
+            directories = [
+                entry for entry in self.root.iterdir() if entry.name != QUARANTINE_DIR
+            ]
+        except OSError:
+            return
+        for directory in directories:
+            yield from directory.glob(pattern)
+
     # -- cross-process single-flight ---------------------------------------
 
     @contextmanager
@@ -443,7 +458,7 @@ class DiskCookedStore:
     def clear(self) -> int:
         """Drop every bundle and alias record; returns the bundle count removed."""
         removed = 0
-        for path in chain(self.root.glob("*/*.bundle"), self.root.glob("*/*.alias")):
+        for path in chain(self._live("*.bundle"), self._live("*.alias")):
             try:
                 path.unlink()
             except OSError:
@@ -457,7 +472,7 @@ class DiskCookedStore:
         """Reclaim space oldest-access-first once over ``max_bytes``."""
         bundles: List[Tuple[float, int, Path]] = []
         total = 0
-        for path in self.root.glob("*/*.bundle"):
+        for path in self._live("*.bundle"):
             try:
                 stat = path.stat()
             except OSError:
@@ -484,7 +499,7 @@ class DiskCookedStore:
     def sweep_tmp(self) -> int:
         """Remove leftover ``*.tmp.*`` files from killed writers."""
         removed = 0
-        for path in self.root.glob("*/*.tmp.*"):
+        for path in self._live("*.tmp.*"):
             try:
                 path.unlink()
                 removed += 1
@@ -493,10 +508,11 @@ class DiskCookedStore:
         return removed
 
     def info(self) -> Dict[str, Any]:
-        """Snapshot: bundle count, byte total, budget, counters."""
+        """Snapshot: live bundle, alias and quarantined file counts, byte
+        total, budget, counters."""
         count = 0
         total = 0
-        for path in self.root.glob("*/*.bundle"):
+        for path in self._live("*.bundle"):
             try:
                 total += path.stat().st_size
             except OSError:
@@ -505,7 +521,8 @@ class DiskCookedStore:
         return {
             "root": str(self.root),
             "bundles": count,
-            "aliases": sum(1 for _ in self.root.glob("*/*.alias")),
+            "aliases": sum(1 for _ in self._live("*.alias")),
+            "quarantined": sum(1 for _ in self._quarantine_dir().glob("*")),
             "bytes": total,
             "max_bytes": self.max_bytes,
             "stats": dict(self.stats),

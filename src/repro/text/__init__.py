@@ -20,7 +20,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.text.lemmatizer": ("Lemmatizer",),
     "repro.text.vector": ("OccurrenceVector",),
     "repro.text.keywords": ("KeywordExtractor",),
-    "repro.text.phrases": ("JOINER", "CollocationExtractor"),
 })
 
 __all__ = [
@@ -36,6 +35,4 @@ __all__ = [
     "Lemmatizer",
     "OccurrenceVector",
     "KeywordExtractor",
-    "CollocationExtractor",
-    "JOINER",
 ]

@@ -1,9 +1,9 @@
 """Shared low-level helpers used across the :mod:`repro` packages.
 
 This package deliberately contains only dependency-free utilities:
-argument validation, random-number-generator plumbing, byte/bit
-manipulation, and small statistics helpers used by the simulation
-harness.  Nothing in here knows about documents, packets, or channels.
+argument validation, byte/bit manipulation, and small statistics
+helpers used by the simulation harness.  Nothing in here knows about
+documents, packets, or channels.
 """
 
 from repro.util.lazy import lazy_exports
@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "check_probability",
         "check_range",
     ),
-    "repro.util.rngtools": ("derive_rng", "spawn_rngs"),
     "repro.util.bitops": ("chunk_bytes", "pad_to_multiple", "xor_bytes"),
     "repro.util.stats": (
         "RunningStats",
@@ -33,8 +32,6 @@ __all__ = [
     "check_positive_int",
     "check_probability",
     "check_range",
-    "derive_rng",
-    "spawn_rngs",
     "chunk_bytes",
     "pad_to_multiple",
     "xor_bytes",

@@ -23,12 +23,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     "repro.xmlkit.parser": ("parse_fragment", "parse_xml"),
     "repro.xmlkit.writer": ("escape_attribute", "escape_text", "serialize"),
-    "repro.xmlkit.sax": (
-        "ContentHandler",
-        "TreeBuilderHandler",
-        "iter_events",
-        "parse_streaming",
-    ),
     "repro.xmlkit.dtd": (
         "RESEARCH_PAPER",
         "DocumentType",
@@ -57,10 +51,6 @@ __all__ = [
     "select",
     "select_one",
     "SelectorError",
-    "ContentHandler",
-    "parse_streaming",
-    "iter_events",
-    "TreeBuilderHandler",
     "DocumentType",
     "ElementDecl",
     "research_paper_dtd",

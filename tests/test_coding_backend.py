@@ -8,7 +8,6 @@ var, explicit name, instance pass-through) and the bounded
 decode-matrix cache.
 """
 
-import importlib.util
 import itertools
 import random
 
@@ -135,18 +134,15 @@ class TestBlockKernelSurface:
             backend.matmul_into([[1, 2]], [b"ab", b"cd"], 2, bytearray(3))
 
     def test_native_and_fallback_engines_agree(self):
-        engines = [get_backend(name) for name in ("native",) if name in OTHERS]
-        if importlib.util.find_spec("numpy") is not None:
-            engines.append(backend_module.NumpyBackend())
-        if not engines:
-            pytest.skip("neither the native kernel nor numpy is available")
+        if "native" not in OTHERS:
+            pytest.skip("the native kernel is not available")
+        native = get_backend("native")
         rng = random.Random(23)
         for rows, m, size in [(1, 1, 1), (3, 2, 7), (9, 5, 65), (24, 16, 1024)]:
             matrix = _rows(rng, rows, m)
             stack = _packets(rng, m, size)
             expected = BASELINE.matmul(matrix, stack, size)
-            for engine in engines:
-                assert engine.matmul(matrix, stack, size) == expected, engine
+            assert native.matmul(matrix, stack, size) == expected
 
     def test_native_nibble_table_is_pinned(self):
         """The kernel's (256, 32) nibble table, bit for bit, and built
@@ -167,9 +163,8 @@ class TestBlockKernelSurface:
         )
 
     def test_matmul_never_materializes_product_tensor(self):
-        names = [name for name in ("native", "numpy") if name in OTHERS]
-        if not names:
-            pytest.skip("neither the native kernel nor numpy is available")
+        if "native" not in OTHERS:
+            pytest.skip("the native kernel is not available")
         import tracemalloc
 
         rows, m, size = 96, 24, 16384
@@ -177,16 +172,15 @@ class TestBlockKernelSurface:
         rng = random.Random(99)
         matrix = _rows(rng, rows, m)
         stack = _packets(rng, m, size)
-        for name in names:
-            backend = get_backend(name)
-            backend.matmul(matrix, stack, size)  # warm arenas + native load
-            tracemalloc.start()
-            try:
-                backend.matmul(matrix, stack, size)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < tensor_bytes // 2, (name, peak)
+        backend = get_backend("native")
+        backend.matmul(matrix, stack, size)  # warm the stack + native load
+        tracemalloc.start()
+        try:
+            backend.matmul(matrix, stack, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tensor_bytes // 2, peak
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +308,9 @@ class TestSelection:
         assert "fused" in names
 
     def test_unknown_name_raises(self):
-        with pytest.raises(CodingBackendError, match="unknown coding backend"):
-            get_backend("simd9000")
+        for name in ("simd9000", "numpy"):
+            with pytest.raises(CodingBackendError, match="unknown coding backend"):
+                get_backend(name)
 
     def test_instance_passes_through(self):
         backend = FusedBackend()
@@ -329,13 +324,9 @@ class TestSelection:
         assert isinstance(get_backend(), FusedBackend)
 
     def test_auto_and_unset_pick_best_available(self, monkeypatch):
-        # Auto-selection prefers the native kernel when it loads, then
-        # the numpy engine when numpy imports (each must pass the
-        # parity self-check), else fused.
-        names = available_backends()
-        expected = next(
-            name for name in ("native", "numpy", "fused") if name in names
-        )
+        # Auto-selection prefers the native kernel when it loads and
+        # passes the parity self-check, else fused.
+        expected = "native" if "native" in available_backends() else "fused"
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert default_backend_name() == expected
         monkeypatch.setenv(BACKEND_ENV, "auto")

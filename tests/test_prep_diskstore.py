@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.backend import BACKEND_ENV, available_backends
+from repro.coding.backend import BACKEND_ENV
 from repro.net.wire import MSG_FRAME, encode_message
 from repro.prep import PrepRequest
 from repro.prep.diskstore import BUNDLE_MAGIC, QUARANTINE_DIR, key_digest
@@ -149,6 +149,26 @@ class TestTornWrites:
         third, third_pipeline = make_disk_service(tmp_path)
         assert third.prepare("doc", REQUEST) is not None
         assert third_pipeline.runs == 0
+
+    def test_quarantined_bundle_is_not_counted_pruned_or_cleared(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        service.prepare("doc", REQUEST)
+        path = sole_bundle(service.disk_store)
+        path.write_bytes(path.read_bytes()[:-7])
+
+        warm, _ = make_disk_service(tmp_path)
+        warm.prepare("doc", REQUEST)
+        store = warm.disk_store
+        info = store.info()
+        assert info["bundles"] == 1
+        assert info["quarantined"] == 1
+        quarantined = list((tmp_path / QUARANTINE_DIR).iterdir())
+        store.max_bytes = 1
+        store._prune()
+        assert store.stats["pruned"] == 1
+        assert store.clear() == 0
+        assert list((tmp_path / QUARANTINE_DIR).iterdir()) == quarantined
+        assert store.info()["quarantined"] == 1
 
     def test_empty_file_is_treated_as_torn(self, tmp_path):
         service, _ = make_disk_service(tmp_path)
@@ -461,8 +481,6 @@ class TestWriterKernelIsProvenance:
     def test_numpy_bundle_load_does_not_import_numpy(self, tmp_path, backend):
         if importlib.util.find_spec("numpy") is None:
             pytest.skip("numpy is not installed")
-        if backend == "auto" and "native" not in available_backends():
-            pytest.skip("the default falls back to numpy without the native kernel")
         reference = self._numpy_bundle(tmp_path)
         loaded = load_in_fresh_process(tmp_path, "plain", backend)
         assert loaded["disk_hits"] == 1

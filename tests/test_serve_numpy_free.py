@@ -1,8 +1,8 @@
 """The serving path imports only what serving runs.
 
-numpy is the no-compiler fallback only: a warmed ``net serve`` stack on
-a host with a C compiler cooks through the ``native`` backend and
-leaves numpy out of ``sys.modules`` (about 12 MB of resident memory per
+No coding backend imports numpy: a warmed ``net serve`` stack on a
+host with a C compiler cooks through the ``native`` backend and leaves
+numpy out of ``sys.modules`` (about 12 MB of resident memory per
 serving process).  Nor does the stack load the simulators, the
 transport session, HTML extraction, the carousel or multiprocessing,
 unless a carousel is configured: the package facades are lazy and
@@ -306,8 +306,7 @@ def test_hello_naming_numpy_does_not_import_it():
 
 def test_native_disabled_falls_back_in_order():
     report = run_fresh(_NATIVE_OFF, REPRO_CODING_NATIVE="0")
-    expected = "numpy" if importlib.util.find_spec("numpy") else "fused"
-    assert report["default"] == expected
+    assert report["default"] == "fused"
     assert report["error"] == "CodingBackendError"
 
 

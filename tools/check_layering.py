@@ -147,7 +147,6 @@ FORBIDDEN: List[Tuple[str, Tuple[str, ...], str]] = [
             "repro.analysis.planner",
             "repro.analysis.negbinom",
             "repro.analysis.response",
-            "repro.analysis.sequential",
             "repro.data",
         ),
         "repro.net sits beside repro.transport: it drives repro.protocol "
