@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Search-driven browsing session through the Figure 1 prototype.
 
-Builds a small XML corpus, indexes it with the search-engine
-substrate, issues a keyword query, and browses the top hits over a
-lossy channel with query-relevance (MQIC) transmission ordering.
+Stores a small XML corpus in the prototype's document gateway, indexes
+it with the search servant, issues a keyword query, and browses the top
+hits over a lossy channel with query-relevance (MQIC) transmission
+ordering.
 Irrelevant hits are abandoned as soon as enough content has arrived —
 the scenario the paper's introduction motivates.
 
@@ -18,10 +19,9 @@ from repro.prototype import (
     DocumentTransmitterService,
     MobileBrowser,
     ObjectRequestBroker,
+    SearchService,
 )
-from repro.search import SearchEngine
 from repro.transport import PacketCache, WirelessChannel
-from repro.xmlkit import parse_xml
 
 
 def make_paper(title: str, topic_sentences: list) -> str:
@@ -85,17 +85,17 @@ CORPUS = {
 
 
 def main() -> None:
-    # Index the corpus.
-    engine = SearchEngine()
-    gateway = DatabaseGateway(pipeline=engine._pipeline)  # share the lemmatizer
+    # Store and index the corpus: each document is parsed once.
+    gateway = DatabaseGateway()
+    search = SearchService(gateway)
     for document_id, source in CORPUS.items():
-        engine.add_document(document_id, parse_xml(source))
         gateway.put(document_id, source)
-    print(f"Indexed {engine.size} documents")
+        search.index(document_id)
+    print(f"Indexed {search.corpus_size} documents")
 
     # Search.
     query_text = "mobile web browsing"
-    hits = engine.search(query_text, limit=3)
+    hits = search.search(query_text, limit=3)
     print(f"\nQuery {query_text!r} — top hits:")
     for hit in hits:
         print(f"  {hit.document_id:16s} score={hit.score:.3f}")

@@ -34,6 +34,9 @@ ranks like the static IC) is stored as an **alias record** instead of
 a second bundle: ``<keyhash>.alias`` beside the bundles, holding
 ``b"RPA1"`` and the ASCII measure name the alias serves under.  The
 owner's key is the caller's to derive; the record only says "shared".
+Its bytes are few, but it holds an inode and a filesystem block, so the
+budget charges it a fixed :data:`ALIAS_RECORD_BYTES` and prunes it with
+the bundles, oldest first.
 
 Safety discipline:
 
@@ -92,6 +95,9 @@ BUNDLE_MAGIC = b"RPB1"
 #: Alias record magic + version.
 ALIAS_MAGIC = b"RPA1"
 
+#: Budget charge of one alias record: a filesystem block and an inode.
+ALIAS_RECORD_BYTES = 4096 + 256
+
 #: Longest measure name an alias record may carry.
 _ALIAS_MEASURE_MAX = 32
 
@@ -129,7 +135,8 @@ class DiskCookedStore:
         Cache directory (created on first use).  Safe to share across
         processes; every write is atomic and every read verified.
     max_bytes:
-        Soft budget for the sum of bundle sizes; exceeded space is
+        Soft budget for the bundle sizes plus
+        :data:`ALIAS_RECORD_BYTES` per alias record; exceeded space is
         reclaimed oldest-access-first after each write.  ``None``
         disables pruning.
     """
@@ -252,6 +259,8 @@ class DiskCookedStore:
         path = self.alias_path(key)
         self._write_atomic(path, (ALIAS_MAGIC, measure.encode("ascii")))
         self.stats["alias_writes"] += 1
+        if self.max_bytes is not None:
+            self._prune(keep=path)
         return path
 
     @staticmethod
@@ -468,21 +477,31 @@ class DiskCookedStore:
 
     # -- budget ------------------------------------------------------------
 
-    def _prune(self, keep: Optional[Path] = None) -> None:
-        """Reclaim space oldest-access-first once over ``max_bytes``."""
-        bundles: List[Tuple[float, int, Path]] = []
-        total = 0
-        for path in self._live("*.bundle"):
+    def _charged(self) -> List[Tuple[float, int, Path]]:
+        """``(mtime, charge, path)`` of every live bundle and alias record:
+        a bundle is charged its size, an alias :data:`ALIAS_RECORD_BYTES`."""
+        entries: List[Tuple[float, int, Path]] = []
+        for path in chain(self._live("*.bundle"), self._live("*.alias")):
             try:
                 stat = path.stat()
             except OSError:
                 continue
-            bundles.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
+            charge = stat.st_size if path.suffix == ".bundle" else ALIAS_RECORD_BYTES
+            entries.append((stat.st_mtime, charge, path))
+        return entries
+
+    def _prune(self, keep: Optional[Path] = None) -> None:
+        """Reclaim space oldest-access-first once over ``max_bytes``.
+
+        A pruned bundle or alias takes its lock file with it; a cook of
+        that key holding the lock meanwhile is at worst repeated.
+        """
+        entries = self._charged()
+        total = sum(charge for _mtime, charge, _path in entries)
         if self.max_bytes is None or total <= self.max_bytes:
             return
-        bundles.sort()
-        for _mtime, size, path in bundles:
+        entries.sort()
+        for _mtime, charge, path in entries:
             if total <= self.max_bytes:
                 break
             if keep is not None and path == keep:
@@ -491,7 +510,11 @@ class DiskCookedStore:
                 path.unlink()
             except OSError:
                 continue
-            total -= size
+            try:
+                path.with_suffix(".lock").unlink()
+            except OSError:
+                pass
+            total -= charge
             self.stats["pruned"] += 1
 
     # -- housekeeping ------------------------------------------------------
@@ -508,22 +531,16 @@ class DiskCookedStore:
         return removed
 
     def info(self) -> Dict[str, Any]:
-        """Snapshot: live bundle, alias and quarantined file counts, byte
-        total, budget, counters."""
-        count = 0
-        total = 0
-        for path in self._live("*.bundle"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            count += 1
+        """Snapshot: live bundle, alias and quarantined file counts, the
+        bytes charged against the budget, budget, counters."""
+        entries = self._charged()
+        bundles = sum(path.suffix == ".bundle" for _mtime, _charge, path in entries)
         return {
             "root": str(self.root),
-            "bundles": count,
-            "aliases": sum(1 for _ in self._live("*.alias")),
+            "bundles": bundles,
+            "aliases": len(entries) - bundles,
             "quarantined": sum(1 for _ in self._quarantine_dir().glob("*")),
-            "bytes": total,
+            "bytes": sum(charge for _mtime, charge, _path in entries),
             "max_bytes": self.max_bytes,
             "stats": dict(self.stats),
         }

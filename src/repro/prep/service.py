@@ -464,29 +464,6 @@ class PreparationService:
             raise UnknownDocumentError(document_id)
         return StructuralCharacteristic.from_compact(self._compact_sc(record))
 
-    def seed_sc(self, document_id: str, sc: StructuralCharacteristic) -> bool:
-        """Adopt an externally-built SC for a registered document.
-
-        Lets callers that already ran the pipeline (the prototype's
-        eager gateway) donate the result instead of paying a second
-        run; a no-op (returns False) when the tier already holds one.
-        The tier stores a compact copy, so the donor keeps its tree and
-        may go on annotating it.
-        """
-        with self._lock:
-            record = self._records.get(document_id)
-        if record is None:
-            raise UnknownDocumentError(document_id)
-        key = self._sc_key(record)
-        if self._sc_tier.peek(key) is not MISS:
-            return False
-        compact = sc.compact()
-        evicted = self._sc_tier.put(key, compact, _sc_size(compact))
-        if evicted:
-            self.stats["evictions"] += len(evicted)
-        self._update_size_gauges()
-        return True
-
     def warmup(
         self,
         document_ids: Optional[Iterable[str]] = None,

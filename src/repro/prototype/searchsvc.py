@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
+from repro.core.query import Query
 from repro.prototype.server import DatabaseGateway
-from repro.search.engine import SearchEngine
+from repro.search.engine import SearchEngine, SearchHit
 from repro.search.snippets import make_snippet
-from repro.xmlkit.parser import parse_xml
 
 
 class SearchResult(NamedTuple):
@@ -32,7 +32,8 @@ class SearchService:
 
     Shares the gateway's pipeline so query lemmas conflate with the
     corpus, and keeps its engine index in sync with the gateway via
-    :meth:`index` (call it after ``gateway.put``).
+    :meth:`index` (call it after ``gateway.put``).  The engine indexes
+    the very compact SC the gateway's preparation service holds.
     """
 
     def __init__(self, gateway: DatabaseGateway) -> None:
@@ -57,36 +58,23 @@ class SearchService:
         """Ranked results with query-biased snippets."""
         query = self._engine.parse_query(query_text)
         hits = self._engine.search(query_text, limit=limit)
-        results: List[SearchResult] = []
-        for hit in hits:
-            snippet = make_snippet(
-                hit.sc,
-                query=None if query.is_empty else query,
-                width=snippet_width,
-            )
-            results.append(
-                SearchResult(
-                    document_id=hit.document_id,
-                    score=hit.score,
-                    snippet=snippet,
-                    size_bytes=hit.sc.size_bytes(),
-                )
-            )
-        return results
+        return self._results(hits, query, snippet_width)
 
     def search_boolean(
         self, query_text: str, limit: int = 10, snippet_width: int = 140
     ) -> List[SearchResult]:
         """Boolean-filtered variant (AND/OR/NOT/phrases)."""
         hits = self._engine.search_boolean(query_text, limit=limit)
-        results: List[SearchResult] = []
-        for hit in hits:
-            results.append(
-                SearchResult(
-                    document_id=hit.document_id,
-                    score=hit.score,
-                    snippet=make_snippet(hit.sc, width=snippet_width),
-                    size_bytes=hit.sc.size_bytes(),
-                )
+        return self._results(hits, None, snippet_width)
+
+    @staticmethod
+    def _results(hits: List[SearchHit], query: Optional[Query], width: int) -> List[SearchResult]:
+        return [
+            SearchResult(
+                document_id=hit.document_id,
+                score=hit.score,
+                snippet=make_snippet(hit.sc, query=query, width=width),
+                size_bytes=hit.sc.size_bytes(),
             )
-        return results
+            for hit in hits
+        ]

@@ -1,16 +1,17 @@
 """Server-side prototype components (Figure 1, right half).
 
-``DatabaseGateway`` fronts the document store: it parses and pipelines
-XML sources into SCs on ingest and caches them ("the SC is created by
-deriving the information content of each organizational unit", §3.3).
-``DocumentTransmitterService`` is the servant the browser invokes; it
-is now a thin adapter over the
-:class:`~repro.prep.service.PreparationService`, which ranks the
+``DatabaseGateway`` fronts the document store: one
+:class:`~repro.prep.service.PreparationService`, whose SC tier holds
+each document's structure as a frozen
+:class:`~repro.core.compact.CompactSC` ("the SC is created by deriving
+the information content of each organizational unit", §3.3).  Ingest
+builds the SC once; the gateway keeps no tree and no second copy of
+the source.  ``DocumentTransmitterService`` is the servant the browser
+invokes, a thin adapter over the same service, which ranks the
 requested document's units by the query-appropriate measure, cooks the
 packet stream, and caches the result — repeated fetches with the same
 parameters reuse the cooked bytes instead of re-running annotation and
-encode per request.  The gateway's eagerly-built SC is donated to the
-service's SC tier, so ingest still pays the pipeline exactly once.
+encode per request.
 """
 
 from __future__ import annotations
@@ -23,46 +24,49 @@ from repro.prep.prepare import PreparedDocument
 from repro.prep.request import PrepRequest
 from repro.prep.service import PreparationService
 from repro.prototype.messages import FetchManifest, FetchRequest, UnitDescriptor
-from repro.xmlkit.parser import parse_xml
+from repro.util.validation import DocumentError
 
 
 class DatabaseGateway:
-    """Document store + SC cache."""
+    """Document store: a thin front over one :class:`PreparationService`."""
 
     def __init__(self, pipeline: Optional[SCPipeline] = None) -> None:
         self._pipeline = pipeline if pipeline is not None else SCPipeline()
-        self._sources: dict = {}
-        self._scs: dict = {}
+        self._service = PreparationService(pipeline=self._pipeline)
 
     def put(self, document_id: str, xml_source: str) -> StructuralCharacteristic:
-        """Store an XML document and build its SC immediately."""
-        document = parse_xml(xml_source)
-        sc = self._pipeline.run(document)
-        self._sources[document_id] = xml_source
-        self._scs[document_id] = sc
-        return sc
+        """Store an XML document and build its SC immediately; a source
+        that is not a well-formed paper raises and is not kept."""
+        self._service.add_document(document_id, xml_source)
+        try:
+            return self._service.sc_for(document_id)
+        except (DocumentError, ValueError):
+            self._service.remove(document_id)
+            raise
 
     def sc(self, document_id: str) -> StructuralCharacteristic:
-        sc = self._scs.get(document_id)
-        if sc is None:
-            raise KeyError(f"unknown document {document_id!r}")
-        return sc
+        """The caller's own SC of *document_id*, backed by the SC tier's
+        compact form until its tree is first read.
 
-    def source(self, document_id: str) -> str:
-        source = self._sources.get(document_id)
-        if source is None:
-            raise KeyError(f"unknown document {document_id!r}")
-        return source
+        Raises :class:`~repro.prep.service.UnknownDocumentError` (a
+        :class:`KeyError`) for an unknown id.
+        """
+        return self._service.sc_for(document_id)
 
     @property
     def pipeline(self) -> SCPipeline:
         return self._pipeline
 
+    @property
+    def service(self) -> PreparationService:
+        """The preparation service that holds every document."""
+        return self._service
+
     def __contains__(self, document_id: str) -> bool:
-        return document_id in self._sources
+        return document_id in self._service
 
     def __len__(self) -> int:
-        return len(self._sources)
+        return len(self._service)
 
 
 class DocumentTransmitterService:
@@ -71,26 +75,14 @@ class DocumentTransmitterService:
     Parameters
     ----------
     gateway:
-        The document store; its pipeline (and its already-built SCs)
-        are shared with the preparation service.
+        The document store; its preparation service does the work.
     packet_size:
         Default packet size for requests that don't name one.
-    service:
-        The :class:`PreparationService` doing the actual work; built
-        over the gateway's pipeline when omitted.
     """
 
-    def __init__(
-        self,
-        gateway: DatabaseGateway,
-        packet_size: int = 256,
-        service: Optional[PreparationService] = None,
-    ) -> None:
-        self._gateway = gateway
+    def __init__(self, gateway: DatabaseGateway, packet_size: int = 256) -> None:
+        self._service = gateway.service
         self._packet_size = packet_size
-        if service is None:
-            service = PreparationService(pipeline=gateway.pipeline)
-        self._service = service
 
     @property
     def service(self) -> PreparationService:
@@ -99,7 +91,7 @@ class DocumentTransmitterService:
     def fetch(self, request: FetchRequest) -> Tuple[FetchManifest, PreparedDocument]:
         """Prepare one document for transmission per *request*."""
         prep = self.prep_request(request)
-        prepared = self._prepare(request.document_id, prep)
+        prepared = self._service.prepare(request.document_id, prep)
         return self._manifest(prepared), prepared
 
     def prep_request(self, request: FetchRequest) -> PrepRequest:
@@ -115,15 +107,6 @@ class DocumentTransmitterService:
                 else self._packet_size
             ),
         )
-
-    def _prepare(self, document_id: str, prep: PrepRequest) -> PreparedDocument:
-        """Sync the gateway's document into the service, then cook."""
-        source = self._gateway.source(document_id)  # KeyError when unknown
-        self._service.add_document(document_id, source)  # digest-idempotent
-        # Donate the SC the gateway built at ingest: a fetch never
-        # re-runs the pipeline for unchanged content.
-        self._service.seed_sc(document_id, self._gateway.sc(document_id))
-        return self._service.prepare(document_id, prep)
 
     @staticmethod
     def _manifest(prepared: PreparedDocument) -> FetchManifest:

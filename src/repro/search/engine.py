@@ -1,20 +1,24 @@
 """The search engine tying the corpus to QIC-ordered browsing.
 
-A :class:`SearchEngine` holds the SCs of a corpus, serves ranked
-keyword queries (tf–idf cosine, the "vector space model ... shown to
-be competitive with alternative methods" the paper cites), and — the
-part specific to this paper — attaches QIC/MQIC annotations to a hit's
-SC so the document can immediately be scheduled for multi-resolution
-transmission in query-relevance order (§3.2–3.3: "the QIC of each
-organizational unit is determined every time the search engine
-receives a searching query").
+A :class:`SearchEngine` holds one frozen
+:class:`~repro.core.compact.CompactSC` per document of a corpus, serves
+ranked keyword queries (tf–idf cosine, the "vector space model ...
+shown to be competitive with alternative methods" the paper cites), and
+— the part specific to this paper — gives each hit its own SC,
+annotated with the QIC/MQIC of that query, so the document can
+immediately be scheduled for multi-resolution transmission in
+query-relevance order (§3.2–3.3: "the QIC of each organizational unit
+is determined every time the search engine receives a searching
+query").  The index reads each document's keyword counts from its
+compact keyword table; no stored tree is ever annotated.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
+from repro.core.compact import CompactSC
 from repro.core.information import annotate_sc
 from repro.core.pipeline import SCPipeline
 from repro.core.query import Query
@@ -24,7 +28,7 @@ from repro.xmlkit.dom import Document
 
 
 class SearchHit(NamedTuple):
-    """One ranked result."""
+    """One ranked result; its SC is the hit's own, annotated for the query."""
 
     document_id: str
     score: float
@@ -37,32 +41,39 @@ class SearchEngine:
     def __init__(self, pipeline: Optional[SCPipeline] = None) -> None:
         self._pipeline = pipeline if pipeline is not None else SCPipeline()
         self._index = InvertedIndex()
-        self._scs: Dict[str, StructuralCharacteristic] = {}
+        self._compacts: Dict[str, CompactSC] = {}
 
     # -- corpus management -------------------------------------------------
 
     def add_document(self, document_id: str, document: Document) -> StructuralCharacteristic:
         """Pipeline a document into its SC and index it."""
         sc = self._pipeline.run(document)
-        self._scs[document_id] = sc
-        self._index.add_document(document_id, dict(sc.vector.items()))
+        self.add_sc(document_id, sc)
         return sc
 
     def add_sc(self, document_id: str, sc: StructuralCharacteristic) -> None:
-        """Index a pre-built SC (e.g. from the HTML extractor)."""
-        self._scs[document_id] = sc
-        self._index.add_document(document_id, dict(sc.vector.items()))
+        """Index a pre-built SC (e.g. from the HTML extractor).
+
+        The engine keeps ``sc.compact()``: for an SC whose tree was never
+        built, the very :class:`CompactSC` it was made from.
+        """
+        compact = sc.compact()
+        table = compact.table
+        self._compacts[document_id] = compact
+        self._index.add_document(document_id, dict(zip(table.keywords, table.counts)))
 
     def remove_document(self, document_id: str) -> None:
         self._index.remove_document(document_id)
-        self._scs.pop(document_id, None)
+        self._compacts.pop(document_id, None)
 
     @property
     def size(self) -> int:
-        return len(self._scs)
+        return len(self._compacts)
 
     def sc(self, document_id: str) -> Optional[StructuralCharacteristic]:
-        return self._scs.get(document_id)
+        """A fresh, unannotated SC of an indexed document (None if absent)."""
+        compact = self._compacts.get(document_id)
+        return None if compact is None else StructuralCharacteristic.from_compact(compact)
 
     # -- querying ----------------------------------------------------------------
 
@@ -86,9 +97,8 @@ class SearchEngine:
         """
         from repro.search.boolean import evaluate_boolean
 
-        universe = set(self._scs)
         matches = evaluate_boolean(
-            text, self._index, universe,
+            text, self._index, set(self._compacts),
             lemmatizer=self._pipeline.shared_lemmatizer.reader(),
         )
         if not matches:
@@ -99,27 +109,11 @@ class SearchEngine:
             if token.upper() not in ("AND", "OR", "NOT")
         ).replace('"', " ")
         query = self.parse_query(bag)
-        scores = self._score(query) if not query.is_empty else {}
+        scores = self._score(query)
         ranked = sorted(
             matches, key=lambda doc: (-scores.get(doc, 0.0), doc)
         )[:limit]
-        hits: List[SearchHit] = []
-        for document_id in ranked:
-            sc = self._scs[document_id]
-            annotate_sc(
-                sc,
-                query=None if query.is_empty else query,
-                document_frequency=self._index.document_frequencies(),
-                corpus_size=max(1, self._index.document_count),
-            )
-            hits.append(
-                SearchHit(
-                    document_id=document_id,
-                    score=scores.get(document_id, 0.0),
-                    sc=sc,
-                )
-            )
-        return hits
+        return self._hits(ranked, scores, query)
 
     def search(self, text: str, limit: int = 10) -> List[SearchHit]:
         """Ranked hits for *text*, each with a QIC/MQIC-annotated SC."""
@@ -127,17 +121,26 @@ class SearchEngine:
         if query.is_empty:
             return []
         scores = self._score(query)
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:limit]
+        ranked = sorted(scores, key=lambda doc: (-scores[doc], doc))[:limit]
+        return self._hits(ranked, scores, query)
+
+    def _hits(
+        self, ranked: Iterable[str], scores: Dict[str, float], query: Query
+    ) -> List[SearchHit]:
+        """A hit per ranked document, each with a fresh SC annotated for
+        *query* alone."""
+        document_frequency = self._index.document_frequencies()
+        corpus_size = max(1, self._index.document_count)
         hits: List[SearchHit] = []
-        for document_id, score in ranked:
-            sc = self._scs[document_id]
+        for document_id in ranked:
+            sc = StructuralCharacteristic.from_compact(self._compacts[document_id])
             annotate_sc(
                 sc,
                 query=query,
-                document_frequency=self._index.document_frequencies(),
-                corpus_size=max(1, self._index.document_count),
+                document_frequency=document_frequency,
+                corpus_size=corpus_size,
             )
-            hits.append(SearchHit(document_id=document_id, score=score, sc=sc))
+            hits.append(SearchHit(document_id, scores.get(document_id, 0.0), sc))
         return hits
 
     def _score(self, query: Query) -> Dict[str, float]:

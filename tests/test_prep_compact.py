@@ -141,18 +141,6 @@ class TestCompactForm:
 
 
 class TestServiceCopies:
-    def test_seeding_an_annotated_tree_leaves_its_annotation_alone(self):
-        """A search hit's annotated tree survives a cook of its document."""
-        service = PreparationService()
-        document = service.add_path(draft_paper_path())
-        sc = PIPELINE.run(parse_xml(PAPER))
-        annotate_sc(sc, query=parse_query("mobile caching"))
-        before = [(unit.label, dict(unit.content)) for unit in sc.root.walk()]
-        assert service.seed_sc(document, sc)
-        service.prepare(document, PrepRequest(query="mobile caching"))
-        service.prepare(document, PrepRequest(lod="section", measure="proportional"))
-        assert [(unit.label, dict(unit.content)) for unit in sc.root.walk()] == before
-
     def test_sc_for_hands_out_a_private_tree(self):
         # No cooked tier: every prepare cooks again from the cached SC.
         service = PreparationService(cooked_budget_bytes=0)
@@ -243,11 +231,3 @@ class TestBuiltStraight:
         assert edited.payload_size == held.payload_size - len(
             held.own_payload(position)
         ) + len(b"edited")
-
-    def test_seeding_an_untouched_run_stores_its_compact_form(self):
-        service = PreparationService()
-        document = service.add_path(draft_paper_path())
-        sc = PIPELINE.run(parse_xml(PAPER))
-        held = sc.compact()
-        assert service.seed_sc(document, sc)
-        assert service._sc_tier.peek((service.digest(document), service._pipeline_token())) is held

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.backend import BACKEND_ENV
+from repro.data import draft_paper_path
 from repro.net.wire import MSG_FRAME, encode_message
-from repro.prep import PrepRequest
-from repro.prep.diskstore import BUNDLE_MAGIC, QUARANTINE_DIR, key_digest
+from repro.prep import PrepRequest, PreparationService
+from repro.prep.diskstore import ALIAS_RECORD_BYTES, BUNDLE_MAGIC, QUARANTINE_DIR, key_digest
 
 from tests.test_prep_service import PAPER, make_service
 
@@ -414,6 +415,36 @@ class TestAliasRecords:
         assert store.info()["aliases"] == 1
         assert store.drop_digest(service.digest("doc")) == 1
         assert store.info()["aliases"] == 0
+
+    def test_distinct_queries_keep_the_store_within_its_budget(self, tmp_path):
+        """500 distinct off-vocabulary MQIC queries against the bundled
+        paper at a 64 KiB budget: each shares the static cook and writes
+        an alias record, and the records are charged and pruned."""
+        budget = 64 * 1024
+        service = PreparationService(disk_path=tmp_path, disk_budget_bytes=budget)
+        document = service.add_path(draft_paper_path())
+        consonants = "bcdfghjklmnpqrstvwxz"
+        for index in range(500):
+            word = "quokka" + "".join(consonants[int(digit)] for digit in f"{index:03d}")
+            service.prepare(document, PrepRequest(query=word, measure="mqic"))
+        store = service.disk_store
+        assert service.stats["shared_cooks"] == store.stats["alias_writes"] == 500
+        live = [path for path in tmp_path.glob("*/*") if path.parent.name != QUARANTINE_DIR]
+        by_suffix = {
+            suffix: [path for path in live if path.suffix == suffix]
+            for suffix in (".bundle", ".alias", ".lock")
+        }
+        assert len(live) == sum(map(len, by_suffix.values()))
+        charged = sum(path.stat().st_size for path in by_suffix[".bundle"]) + (
+            ALIAS_RECORD_BYTES * len(by_suffix[".alias"])
+        )
+        assert charged <= budget
+        assert store.info()["bytes"] == charged
+        assert store.info()["aliases"] == len(by_suffix[".alias"]) <= budget // ALIAS_RECORD_BYTES
+        # A pruned record takes its lock file with it.
+        assert {path.stem for path in by_suffix[".lock"]} <= {
+            path.stem for path in by_suffix[".bundle"] + by_suffix[".alias"]
+        }
 
 
 #: Loads the bundle under argv[1] for the document on stdin and
