@@ -91,9 +91,7 @@ def test_net_loadgen_slo():
                 f"p95={report.p95_seconds * 1000:.1f}ms  "
                 f"p99={report.p99_seconds * 1000:.1f}ms",
                 f"throughput: {report.fetches_per_second:.1f} fetches/s  "
-                f"{report.served_mb_per_second:.3f} MB/s served  "
-                f"({report.served_mb_per_second_per_core:.3f} MB/s/core "
-                f"x {report.server_cores} cores)",
+                f"{report.served_mb_per_second:.3f} MB/s served",
                 f"slo: error_rate={report.error_rate:.3f}  "
                 f"budget={report.error_budget}  "
                 f"remaining={report.error_budget_remaining:.1%}",
@@ -112,15 +110,10 @@ def test_net_loadgen_slo():
         "error_budget",
         "error_budget_remaining",
         "served_mb_per_second",
-        "server_cores",
-        "served_mb_per_second_per_core",
         "chaos",
     ):
         assert key in record, key
     assert record["benchmark"] == "net_loadgen_slo"
-    assert record["server_cores"] >= 1
-    if report.served_mb_per_second > 0:
-        assert report.served_mb_per_second_per_core > 0
     assert json.loads(BENCH_PATH.read_text()) == record
 
     # The CI gate: chaos at these rates must not exhaust the budget.

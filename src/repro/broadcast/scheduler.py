@@ -37,7 +37,6 @@ from repro.broadcast.airindex import (
     AirIndex,
     CarouselEntry,
 )
-from repro.obs.runtime import OBS
 from repro.prep.prepare import PreparedDocument
 from repro.prep.request import PrepRequest
 
@@ -278,8 +277,7 @@ class CarouselScheduler:
         """Air one full cycle: yields ``(kind, payload)`` slots in order.
 
         ``("index", AirIndex)`` first, then ``("frame", envelope)`` per
-        frame slot.  Advances the on-air counters (and the OBS
-        ``broadcast.*`` family when telemetry is enabled).
+        frame slot.  Advances the on-air counters :meth:`stats` reports.
         """
         index = self.air_index(cycle)
         yield "index", index
@@ -292,16 +290,6 @@ class CarouselScheduler:
         self.cycles_aired += 1
         self.frames_aired += aired
         self.bytes_aired += aired_bytes
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "broadcast.cycles", "carousel cycles aired"
-            ).inc()
-            OBS.metrics.counter(
-                "broadcast.frames_aired", "carousel frame slots aired"
-            ).inc(aired)
-            OBS.metrics.counter(
-                "broadcast.bytes_aired", "carousel bytes on air"
-            ).inc(aired_bytes)
 
     def stats(self) -> Dict[str, int]:
         """Always-on counters, in the server ``stats`` dict style."""

@@ -254,8 +254,8 @@ def _serve_workers(args) -> int:
     The ``--warmup`` fix lives here: the parent cooks every document
     into the **shared disk tier once, before any worker exists** —
     each worker then serves its first request as a disk hit instead of
-    re-running the pipeline N times (``prep.misses{cooked}`` stays 1
-    cluster-wide however many workers fork).
+    re-running the pipeline N times (the prep ``cooked_misses`` count
+    stays 1 cluster-wide however many workers fork).
     """
     import asyncio
     import signal

@@ -43,7 +43,6 @@ from repro.net.wire import (
     encode_message,
     read_message,
 )
-from repro.obs.runtime import OBS
 
 
 class _Severed(Exception):
@@ -109,8 +108,8 @@ class ChaosProxy:
             "disconnects": 0,
         }
         #: Per-connection chaos hits, newest last (bounded), so a test
-        #: or snapshot can see *which* link a fault landed on.  Fields
-        #: mirror ``stats`` (``forwarded`` / ``dropped`` /
+        #: or snapshot can see *which* link a fault landed on: each
+        #: link's share of ``stats`` (``forwarded`` / ``dropped`` /
         #: ``corrupted`` / ``disconnects``).
         self.link_stats: Deque[Dict[str, int]] = deque(maxlen=64)
 
@@ -233,19 +232,11 @@ class ChaosProxy:
                 if verdict == DROP:
                     self.stats["dropped"] += 1
                     link["dropped"] += 1
-                    if OBS.enabled:
-                        OBS.metrics.counter(
-                            "net.chaos_drops", "frames swallowed by the proxy"
-                        ).inc()
                     continue
                 if verdict == CORRUPT:
                     body = self._garble(body)
                     self.stats["corrupted"] += 1
                     link["corrupted"] += 1
-                    if OBS.enabled:
-                        OBS.metrics.counter(
-                            "net.chaos_corruptions", "frames garbled by the proxy"
-                        ).inc()
                 elif verdict == DISCONNECT:
                     self._record_disconnect(link)
                     raise _Severed
@@ -268,10 +259,6 @@ class ChaosProxy:
         self.stats["disconnects"] += 1
         if link is not None:
             link["disconnects"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "net.chaos_disconnects", "connections severed by the proxy"
-            ).inc()
 
     @staticmethod
     def _garble(body: bytes) -> bytes:

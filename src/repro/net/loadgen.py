@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -57,8 +56,6 @@ class LoadgenReport(NamedTuple):
     error_budget: float = DEFAULT_ERROR_BUDGET
     error_budget_remaining: float = 1.0   # max(0, 1 - error_rate/budget)
     served_mb_per_second: float = 0.0     # reconstructed payload MB / elapsed
-    server_cores: int = 0                 # cores available to the serving host
-    served_mb_per_second_per_core: float = 0.0  # throughput normalized per core
 
 
 class ClientOutcome(NamedTuple):
@@ -103,23 +100,16 @@ def summarize_outcomes(
     clients: int,
     elapsed: float,
     error_budget: float = DEFAULT_ERROR_BUDGET,
-    server_cores: Optional[int] = None,
 ) -> LoadgenReport:
     """Fold reduced client outcomes into a :class:`LoadgenReport`.
 
     The pure core shared by the single-process and multi-process
     drivers; ``"unreachable"`` outcomes are counted as failed and
     excluded from the latency distribution (they never measured a
-    fetch).  *server_cores* normalizes throughput per serving core for
-    the SLO trend line; it defaults to this host's core count because
-    the loadgen harness co-locates server and clients.
+    fetch).
     """
     if error_budget <= 0:
         raise ValueError(f"error_budget must be positive, got {error_budget}")
-    if server_cores is None:
-        server_cores = os.cpu_count() or 1
-    if server_cores < 1:
-        raise ValueError(f"server_cores must be >= 1, got {server_cores}")
     reached = [o for o in outcomes if o.status != "unreachable"]
     latencies = sorted(o.elapsed for o in reached)
     decoded = sum(1 for o in reached if o.status == "decoded")
@@ -148,12 +138,6 @@ def summarize_outcomes(
         served_mb_per_second=(
             payload_bytes / (1024 * 1024) / elapsed if elapsed > 0 else 0.0
         ),
-        server_cores=server_cores,
-        served_mb_per_second_per_core=(
-            payload_bytes / (1024 * 1024) / elapsed / server_cores
-            if elapsed > 0
-            else 0.0
-        ),
     )
 
 
@@ -163,7 +147,6 @@ def summarize_results(
     clients: int,
     elapsed: float,
     error_budget: float = DEFAULT_ERROR_BUDGET,
-    server_cores: Optional[int] = None,
 ) -> LoadgenReport:
     """Fold per-client fetch results into a :class:`LoadgenReport`.
 
@@ -177,7 +160,6 @@ def summarize_results(
         clients=clients,
         elapsed=elapsed,
         error_budget=error_budget,
-        server_cores=server_cores,
     )
 
 
@@ -275,7 +257,6 @@ def run_loadgen_mp(
     settings: Optional[TransferSettings] = None,
     request: Optional[PrepRequest] = None,
     error_budget: float = DEFAULT_ERROR_BUDGET,
-    server_cores: Optional[int] = None,
 ) -> Tuple[LoadgenReport, List[ClientOutcome]]:
     """Thousands-of-clients fan-out across *processes* driver processes.
 
@@ -326,7 +307,6 @@ def run_loadgen_mp(
         clients=clients,
         elapsed=elapsed,
         error_budget=error_budget,
-        server_cores=server_cores,
     )
     return report, outcomes
 
@@ -345,8 +325,8 @@ def bench_record(
     *chaos* optionally embeds the channel-model parameters the run was
     subjected to, so a regression in the trend line can be traced to
     its injected failure mix; *label* names the run variant (e.g.
-    ``"bursty-adaptive"``) and *adaptive* carries the serving side's
-    ``net.adaptive.*`` summary for A/B rows.  *extra* merges arbitrary
+    ``"bursty-adaptive"``) and *adaptive* carries the server snapshot's
+    ``adaptive`` section for A/B rows.  *extra* merges arbitrary
     JSON-safe fields into the record (the multi-worker rows attach the
     fleet size and the merged prep-tier counters this way) — reserved
     SLO keys win on collision.
@@ -367,10 +347,6 @@ def bench_record(
         "fetches_per_second": round(report.fetches_per_second, 3),
         "payload_bytes": report.payload_bytes,
         "served_mb_per_second": round(report.served_mb_per_second, 6),
-        "server_cores": report.server_cores,
-        "served_mb_per_second_per_core": round(
-            report.served_mb_per_second_per_core, 6
-        ),
         "error_rate": round(report.error_rate, 6),
         "error_budget": report.error_budget,
         "error_budget_remaining": round(report.error_budget_remaining, 6),

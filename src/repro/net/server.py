@@ -32,9 +32,12 @@ the client's wire-propagated :class:`~repro.obs.live.TraceContext`
 (so server-side trace events share the client's transfer ID across
 reconnects), keeps a bounded :class:`~repro.obs.flight.FlightRecorder`
 ring that is dumped only on abnormal close, and feeds a rolling
-:class:`~repro.obs.slo.SLOTracker`.  :meth:`NetServer.stats_snapshot`
-exposes all of it — served in-band via the ``STATS`` admin frame and
-over HTTP by :class:`~repro.net.stats_http.StatsHTTP`.
+:class:`~repro.obs.slo.SLOTracker`.  The always-on ``stats`` counters
+and the per-outcome close counts are the server's only count of what
+it served; :meth:`NetServer.stats_snapshot` exposes them — served
+in-band via the ``STATS`` admin frame and over HTTP by
+:class:`~repro.net.stats_http.StatsHTTP`.  With telemetry enabled the
+server adds trace events, never a second counter.
 """
 
 from __future__ import annotations
@@ -88,6 +91,15 @@ SLO_OK_OUTCOMES = frozenset({"decoded", "early_stop", "done"})
 #: one: with reconnect-and-resume a severed connection is routine
 #: weak-link behaviour, not a serving failure.
 SLO_ERROR_OUTCOMES = frozenset({"timeout", "round_bound", "error", "failed"})
+
+#: Every way a connection closes, counted in the snapshot's
+#: ``outcomes`` section.  A ``DONE`` status outside this set counts as
+#: ``other``, so a client cannot grow the table.
+OUTCOMES = (
+    "decoded", "early_stop", "failed", "done", "stats", "timeout",
+    "client_gone", "cancelled", "error", "unknown_document", "bad_request",
+    "bad_document", "round_bound", "other",
+)
 
 #: Abnormal-close dumps kept in memory for ``stats_snapshot``.
 FLIGHT_DUMPS_KEPT = 32
@@ -476,7 +488,7 @@ class NetServer:
         #: load-balances accepted connections across them; *sock* is
         #: the fallback for platforms without it (one pre-bound listen
         #: socket shared across workers).  *worker_label* tags this
-        #: process's snapshot (and its ``net.*``/``slo.*`` exposition)
+        #: process's snapshot (and its labelled ``/metrics`` series)
         #: inside a multi-worker deployment.
         self.reuse_port = reuse_port
         self._preopened_sock = sock
@@ -504,8 +516,7 @@ class NetServer:
         self._live: Dict[int, _ConnState] = {}
         self._conn_seq = 0
         self._draining = False
-        #: Plain counters for tests and diagnostics (always on, unlike
-        #: the OBS-gated ``net.*`` metric family).
+        #: Always-on counters: the only count of what the server served.
         self.stats: Dict[str, int] = {
             "connections": 0,
             "completed": 0,
@@ -526,6 +537,8 @@ class NetServer:
             "broadcast_subscriptions": 0,
             "broadcast_slots_dropped": 0,
         }
+        #: Connections closed, per outcome (see :data:`OUTCOMES`).
+        self.outcomes: Dict[str, int] = dict.fromkeys(OUTCOMES, 0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -628,10 +641,6 @@ class NetServer:
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
         state = _ConnState(self._conn_seq, peer, self.flight_events)
         self._live[state.conn_id] = state
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "net.active_connections", "transfers in flight"
-            ).inc()
         sender = _BoundedSender(
             writer, self.send_queue_frames, self.send_batch_bytes
         )
@@ -672,11 +681,6 @@ class NetServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            if OBS.enabled:
-                OBS.metrics.gauge("net.active_connections").dec()
-                OBS.metrics.counter(
-                    "net.connections", "transfer connections served"
-                ).labels(outcome=outcome).inc()
 
     async def _refuse(
         self, sender: _BoundedSender, state: _ConnState, event: str, message: str,
@@ -690,8 +694,9 @@ class NetServer:
         return event
 
     def _finish(self, state: _ConnState, outcome: str) -> None:
-        """Close out one connection: flight dump, SLO, trace event."""
+        """Close out one connection: outcome count, flight dump, SLO, trace."""
         self._live.pop(state.conn_id, None)
+        self.outcomes[outcome if outcome in self.outcomes else "other"] += 1
         elapsed = time.monotonic() - state.started
         if outcome in ABNORMAL_OUTCOMES:
             dump = state.flight.dump(outcome)
@@ -705,9 +710,6 @@ class NetServer:
             self.flight_dumps.append(dump)
             self.stats["flight_dumps"] += 1
             if OBS.enabled:
-                OBS.metrics.counter(
-                    "net.flight.dumps", "abnormal-close flight dumps"
-                ).labels(reason=outcome).inc()
                 OBS.trace.emit(
                     NET_FLIGHT_DUMP,
                     transfer_id=state.transfer_id,
@@ -848,36 +850,12 @@ class NetServer:
                 state.gamma = gamma
                 self.stats["adaptive_rounds"] += 1
                 self.stats["adaptive_frames_saved"] += saved
-                if OBS.enabled:
-                    OBS.metrics.gauge(
-                        "net.adaptive.gamma", "per-client redundancy ratio"
-                    ).set(gamma)
-                    OBS.metrics.gauge(
-                        "net.adaptive.alpha", "EWMA per-client loss estimate"
-                    ).set(controller.alpha_estimate)
-                    OBS.metrics.counter(
-                        "net.adaptive.rounds", "rounds sized adaptively"
-                    ).inc()
-                    OBS.metrics.counter(
-                        "net.adaptive.frames_saved",
-                        "redundant frames withheld by adaptive γ",
-                    ).inc(saved)
                 to_send = missing[:send_count]
             else:
                 to_send = missing
             sent = len(to_send)
-            batches, batched_bytes = await sender.send_many(envelopes, to_send)
+            batches, _ = await sender.send_many(envelopes, to_send)
             self.stats["batches_sent"] += batches
-            if OBS.enabled and sent:
-                OBS.metrics.counter(
-                    "net.send.batched_frames", "frames sent via coalesced writes"
-                ).inc(sent)
-                OBS.metrics.counter(
-                    "net.send.batch_bytes", "bytes sent via coalesced writes"
-                ).inc(batched_bytes)
-                OBS.metrics.counter(
-                    "net.send.batches", "coalesced socket writes"
-                ).inc(batches)
             self.stats["frames_sent"] += sent
             self.stats["rounds_served"] += 1
             state.rounds += 1
@@ -886,10 +864,6 @@ class NetServer:
                 "round", round=engine.round, sent=sent, skipped=len(skip)
             )
             if OBS.enabled:
-                OBS.metrics.counter("net.frames_sent", "cooked frames streamed").inc(
-                    sent
-                )
-                OBS.metrics.counter("net.rounds_served", "rounds streamed").inc()
                 OBS.trace.emit(
                     NET_ROUND_SERVED,
                     transfer_id=state.transfer_id,
@@ -949,10 +923,6 @@ class NetServer:
         if self._carousel_wakeup is not None:
             self._carousel_wakeup.set()
         state.flight.record("subscribe", doc=state.document)
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "broadcast.subscribers", "connections subscribed to the carousel"
-            ).inc()
         try:
             _, body = await asyncio.wait_for(
                 read_expected(reader, MSG_DONE), self.round_timeout
@@ -963,8 +933,6 @@ class NetServer:
             return status
         finally:
             self._subscribers.pop(state.conn_id, None)
-            if OBS.enabled:
-                OBS.metrics.gauge("broadcast.subscribers").dec()
 
     async def _run_carousel(self) -> None:
         """The air task: cycle the carousel into every subscriber's queue.
@@ -987,11 +955,6 @@ class NetServer:
                 for sub in list(self._subscribers.values()):
                     if not sub.try_send(envelope):
                         self.stats["broadcast_slots_dropped"] += 1
-                        if OBS.enabled:
-                            OBS.metrics.counter(
-                                "broadcast.slots_dropped",
-                                "carousel slots missed by backlogged subscribers",
-                            ).inc()
                 await asyncio.sleep(0)
             cycle += 1
 
@@ -1035,6 +998,7 @@ class NetServer:
             "server": dict(self.stats),
             "active_connections": self.active_connections,
             **({"worker": self.worker_label} if self.worker_label else {}),
+            "outcomes": dict(self.outcomes),
             "slo": self.slo.report(),
             "connections": [
                 state.describe() for state in self._live.values()

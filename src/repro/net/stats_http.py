@@ -3,12 +3,13 @@
 :class:`StatsHTTP` is the ``--metrics-port`` listener: a tiny asyncio
 HTTP/1.0 responder with three routes —
 
-* ``/metrics`` — Prometheus text exposition.  When telemetry is
-  enabled this is the OBS registry rendered by
+* ``/metrics`` — Prometheus text exposition: the snapshot's numeric
+  fields flattened into sample lines under the names ``/stats.json``
+  uses, each serving fact once, so a scrape works with telemetry off.
+  When telemetry is enabled the OBS registry (client-side families and
+  stage timers, rendered by
   :meth:`~repro.obs.metrics.MetricsRegistry.render_prometheus` with a
-  ``repro_`` prefix; either way it is followed by the server's
-  always-on counters and SLO gauges flattened into sample lines, so a
-  scrape works even with telemetry off;
+  ``repro_`` prefix) comes first;
 * ``/stats.json`` — the full snapshot as JSON (same payload as the
   in-band ``STATS`` wire frame);
 * ``/healthz`` — liveness probe, ``ok``.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import prometheus_name
 from repro.obs.runtime import OBS
@@ -33,79 +34,80 @@ MAX_REQUEST_BYTES = 8192
 
 
 def _flatten_numeric(
-    prefix: str,
-    value: Any,
-    out: List[str],
-    labels: Optional[Dict[str, str]] = None,
+    prefix: str, value: Any, out: Dict[str, List[str]], suffix: str = ""
 ) -> None:
-    """Flatten nested dicts of numbers into Prometheus sample lines.
+    """Flatten nested dicts of numbers into sample lines grouped by name.
 
-    *labels* (e.g. ``{"worker": "w2"}``) are rendered on every emitted
-    sample — the multi-worker exposition uses this to keep per-worker
-    series distinguishable next to the merged ones.
+    *suffix* is a rendered label set (e.g. ``{worker="w2"}``) put on
+    every sample, so per-worker series join the group of the merged
+    one.  Lists and strings (connection tables, IDs) have no scalar
+    form and are skipped.
     """
-    suffix = ""
-    if labels:
-        rendered = ",".join(
-            f'{key}="{val}"' for key, val in sorted(labels.items())
-        )
-        suffix = f"{{{rendered}}}"
     if isinstance(value, bool):
-        out.append(f"{prometheus_name(prefix)}{suffix} {int(value)}")
-    elif isinstance(value, (int, float)):
-        out.append(f"{prometheus_name(prefix)}{suffix} {value:g}")
+        value = int(value)
+    if isinstance(value, (int, float)):
+        name = prometheus_name(prefix)
+        # Counts print exactly: ``:g`` would round a byte counter to
+        # six significant digits.
+        text = str(value) if isinstance(value, int) else f"{value:g}"
+        out.setdefault(name, []).append(f"{name}{suffix} {text}")
     elif isinstance(value, dict):
         for key, nested in value.items():
-            _flatten_numeric(f"{prefix}_{key}", nested, out, labels)
-    # lists / strings (per-connection tables, IDs) have no scalar form
+            _flatten_numeric(f"{prefix}_{key}", nested, out, suffix)
 
 
-#: Per-worker sections worth a labeled series (the heavyweight ones —
-#: connection tables, flight dumps — stay JSON-only).
-_WORKER_SECTIONS = ("server", "slo", "prep")
+#: Snapshot sections flattened into ``/metrics``, each with the keys
+#: it repeats from ``server`` for ``/stats.json`` readers: /metrics
+#: shows those once, as ``repro_server_*``.
+_SECTIONS: Dict[str, Tuple[str, ...]] = {
+    "server": (),
+    "outcomes": (),
+    "slo": (),
+    "prep": (),
+    "prep_cache": (),
+    "adaptive": ("rounds", "frames_saved"),
+    "broadcast": ("subscriptions", "slots_dropped"),
+}
+
+
+def _flatten_snapshot(
+    snapshot: Dict[str, Any], out: Dict[str, List[str]], suffix: str = ""
+) -> None:
+    for section, copies in _SECTIONS.items():
+        value = snapshot.get(section)
+        if isinstance(value, dict):
+            value = {k: v for k, v in value.items() if k not in copies}
+            _flatten_numeric(f"repro_{section}", value, out, suffix)
+    _flatten_numeric(
+        "repro_active_connections", snapshot.get("active_connections", 0), out, suffix
+    )
 
 
 def render_exposition(snapshot: Dict[str, Any]) -> str:
     """The ``/metrics`` body for one snapshot.
 
-    OBS registry first (when enabled), then the snapshot's scalar
-    fields — ``server`` counters, ``slo`` report, prep stats — as
-    ``repro_server_*`` / ``repro_slo_*`` style samples.  A merged
-    multi-worker snapshot (one carrying a ``workers`` list) adds the
-    same families per worker with a ``worker="wN"`` label, so the
-    fleet total and each process's share are both scrapeable.
+    OBS registry first (when enabled: client-side families, stage
+    timers), then the snapshot's numeric fields under the names
+    ``/stats.json`` uses — ``repro_server_*``, ``repro_outcomes_*``,
+    ``repro_slo_*``, ``repro_prep_*``, ``repro_prep_cache_*`` and so
+    on.  A merged multi-worker snapshot (one carrying a ``workers``
+    list) adds each worker's samples with a ``worker="wN"`` label in
+    the same group as the fleet total.
     """
     parts: List[str] = []
     if OBS.enabled:
         rendered = OBS.metrics.render_prometheus(prefix="repro.")
         if rendered:
             parts.append(rendered.rstrip("\n"))
-    flat: List[str] = []
-    for section in _WORKER_SECTIONS:
-        if section in snapshot:
-            _flatten_numeric(f"repro_{section}", snapshot[section], flat)
-    _flatten_numeric(
-        "repro_active_connections", snapshot.get("active_connections", 0), flat
-    )
+    samples: Dict[str, List[str]] = {}
+    _flatten_snapshot(snapshot, samples)
     workers = snapshot.get("workers")
     if isinstance(workers, list):
         for index, worker in enumerate(workers):
-            if not isinstance(worker, dict):
-                continue
-            label = {"worker": str(worker.get("worker", f"w{index}"))}
-            for section in _WORKER_SECTIONS:
-                if section in worker:
-                    _flatten_numeric(
-                        f"repro_{section}", worker[section], flat, label
-                    )
-            _flatten_numeric(
-                "repro_active_connections",
-                worker.get("active_connections", 0),
-                flat,
-                label,
-            )
-    if flat:
-        parts.append("\n".join(flat))
+            if isinstance(worker, dict):
+                label = str(worker.get("worker", f"w{index}"))
+                _flatten_snapshot(worker, samples, f'{{worker="{label}"}}')
+    parts.extend("\n".join(lines) for lines in samples.values())
     return "\n".join(parts) + "\n"
 
 

@@ -466,7 +466,8 @@ class WorkerPool:
 def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-worker snapshots into one fleet view.
 
-    Counter families (``server``, ``prep``) are summed key-wise; the
+    Counter families (``server``, ``outcomes``, ``prep``) are summed
+    key-wise, so each worker's counts add up exactly; the
     merged SLO sums counts/errors exactly but **approximates** the
     percentiles as count-weighted means of the per-worker percentiles
     (flagged ``"approximate": True`` — exact fleet percentiles would
@@ -478,19 +479,19 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """
     merged: Dict[str, Any] = {
         "server": {},
+        "outcomes": {},
         "active_connections": 0,
         "slo": {},
         "prep": {},
         "workers": snapshots,
     }
     for snapshot in snapshots:
-        for key, value in snapshot.get("server", {}).items():
-            if isinstance(value, (int, float)):
-                merged["server"][key] = merged["server"].get(key, 0) + value
+        for section in ("server", "outcomes", "prep"):
+            totals = merged[section]
+            for key, value in snapshot.get(section, {}).items():
+                if isinstance(value, (int, float)):
+                    totals[key] = totals.get(key, 0) + value
         merged["active_connections"] += snapshot.get("active_connections", 0)
-        for key, value in snapshot.get("prep", {}).items():
-            if isinstance(value, (int, float)):
-                merged["prep"][key] = merged["prep"].get(key, 0) + value
 
     reports = [s.get("slo") for s in snapshots if isinstance(s.get("slo"), dict)]
     if reports:

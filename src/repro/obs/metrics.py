@@ -322,8 +322,8 @@ class MetricsRegistry:
     def render_prometheus(self, prefix: str = "") -> str:
         """The whole registry in Prometheus text exposition format.
 
-        Metric names are sanitized (``net.frames_sent`` →
-        ``net_frames_sent``) and optionally *prefix*-ed; labeled
+        Metric names are sanitized (``net.frames_received`` →
+        ``net_frames_received``) and optionally *prefix*-ed; labeled
         children render as ``name{key="value"}`` sample lines, and
         histograms expand into the conventional cumulative
         ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.  The

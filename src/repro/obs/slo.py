@@ -19,9 +19,8 @@ implements the rolling form of that report for a long-lived server:
   even while everything still "succeeds".
 
 ``observe()`` is O(1) (deque append); ``report()`` sorts the window.
-When :data:`~repro.obs.runtime.OBS` is enabled the tracker mirrors
-itself into the ``slo.*`` metric family; with telemetry off it costs
-one attribute read beyond its own bookkeeping.
+The report is the only exported form of these figures: the server
+snapshot carries it as ``slo`` and ``/metrics`` flattens it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Tuple
 
-from repro.obs.runtime import OBS
 from repro.util.stats import percentile
 
 #: Default sliding-window size (observations, not seconds): large
@@ -80,10 +78,6 @@ class SLOTracker:
         self.total_observed += 1
         if not ok:
             self.total_errors += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "slo.observations", "transfers folded into the SLO window"
-            ).labels(outcome="ok" if ok else "error").inc()
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -113,7 +107,7 @@ class SLOTracker:
         remaining = (
             1.0 if not count else max(0.0, 1.0 - error_rate / self.error_budget)
         )
-        report: Dict[str, Any] = {
+        return {
             "window": self.window,
             "count": count,
             "errors": errors,
@@ -129,11 +123,3 @@ class SLOTracker:
             "total_observed": self.total_observed,
             "total_errors": self.total_errors,
         }
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "slo.error_budget_remaining", "unspent error-budget fraction"
-            ).set(remaining)
-            OBS.metrics.gauge(
-                "slo.p95_seconds", "windowed p95 transfer latency"
-            ).set(report["p95_seconds"])
-        return report

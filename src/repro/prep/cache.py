@@ -33,7 +33,7 @@ class ByteBudgetLRU:
         entry itself (it is accepted, counted, and immediately
         evicted, so the budget invariant always holds).
     name:
-        Label used by callers for metrics; the cache itself emits none.
+        Label of the tier in :meth:`info`.
     """
 
     def __init__(self, budget_bytes: Optional[int], name: str = "cache") -> None:
@@ -44,6 +44,8 @@ class ByteBudgetLRU:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
+        #: Entries evicted by the byte budget over the cache's life.
+        self.evictions = 0
 
     # -- core mapping ------------------------------------------------------
 
@@ -80,6 +82,7 @@ class ByteBudgetLRU:
                     )
                     self._bytes -= victim_size
                     evicted.append(victim)
+            self.evictions += len(evicted)
             return evicted
 
     def discard(self, key: Hashable) -> bool:
@@ -137,11 +140,12 @@ class ByteBudgetLRU:
             return list(self._entries)
 
     def info(self) -> Dict[str, Any]:
-        """A snapshot for diagnostics: entry count, bytes, budget."""
+        """A snapshot for diagnostics: entry count, bytes, budget, evictions."""
         with self._lock:
             return {
                 "name": self.name,
                 "entries": len(self._entries),
                 "bytes": self._bytes,
                 "budget_bytes": self.budget_bytes,
+                "evictions": self.evictions,
             }

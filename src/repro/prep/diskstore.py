@@ -85,7 +85,6 @@ from repro.coding.packets import (
     envelope_stride,
 )
 from repro.coding.rs import codec_for
-from repro.obs.runtime import OBS
 from repro.prep.prepare import PreparedDocument
 from repro.util.nossl import sha256
 
@@ -147,8 +146,7 @@ class DiskCookedStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Always-on counters (mirrored into ``prep.disk.*`` when
-        #: telemetry is enabled).
+        #: Always-on counters, reported by :meth:`info`.
         self.stats: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -246,10 +244,6 @@ class DiskCookedStore:
         path = self.bundle_path(key)
         self._write_atomic(path, chunks + [hasher.digest()])
         self.stats["writes"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "prep.disk.writes", "cooked bundles persisted to disk"
-            ).inc()
         if self.max_bytes is not None:
             self._prune(keep=path)
         return path
@@ -334,10 +328,6 @@ class DiskCookedStore:
         if prepared is None:
             return None
         self.stats["hits"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "prep.disk.hits", "cooked bundles served from disk"
-            ).inc()
         return prepared
 
     def _parse(self, mapped: mmap.mmap, path: Path) -> Optional[PreparedDocument]:
@@ -427,10 +417,6 @@ class DiskCookedStore:
             window.release()
         self.stats["misses"] += 1
         self.stats["rejected"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "prep.disk.rejected", "bundles that failed verification"
-            ).inc()
         quarantine = self._quarantine_dir()
         try:
             quarantine.mkdir(parents=True, exist_ok=True)
@@ -465,15 +451,28 @@ class DiskCookedStore:
         return removed
 
     def clear(self) -> int:
-        """Drop every bundle and alias record; returns the bundle count removed."""
+        """Drop every bundle and alias record with its lock file; returns
+        the bundle count removed.  A cook holding a removed lock is at
+        worst repeated."""
         removed = 0
         for path in chain(self._live("*.bundle"), self._live("*.alias")):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += path.suffix == ".bundle"
+            if self._unlink_entry(path):
+                removed += path.suffix == ".bundle"
         return removed
+
+    @staticmethod
+    def _unlink_entry(path: Path) -> bool:
+        """Remove a bundle or alias record and its key's lock file;
+        False when the entry itself could not be removed."""
+        try:
+            path.unlink()
+        except OSError:
+            return False
+        try:
+            path.with_suffix(".lock").unlink()
+        except OSError:
+            pass
+        return True
 
     # -- budget ------------------------------------------------------------
 
@@ -506,14 +505,8 @@ class DiskCookedStore:
                 break
             if keep is not None and path == keep:
                 continue
-            try:
-                path.unlink()
-            except OSError:
+            if not self._unlink_entry(path):
                 continue
-            try:
-                path.with_suffix(".lock").unlink()
-            except OSError:
-                pass
             total -= charge
             self.stats["pruned"] += 1
 

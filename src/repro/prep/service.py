@@ -30,11 +30,11 @@ for plain threads (transport/prototype callers) and for asyncio
 callers that off-load via :meth:`PreparationService.prepare_async` /
 ``run_in_executor`` (the :class:`~repro.net.server.NetServer` does).
 
-Telemetry (``prep.hits`` / ``prep.misses`` / ``prep.evictions``
-labeled by tier, the ``prep.inflight`` gauge, ``prep.*.seconds``
-stage timers; ``prep.hits{tier="shared"}`` counts the MQIC keys served
-from the static cook) flows through :mod:`repro.obs` when enabled; the
-plain :attr:`PreparationService.stats` counters are always on.
+The always-on :attr:`PreparationService.stats` counters are the only
+count of hits, misses, shared cooks and evictions, and
+:meth:`PreparationService.cache_info` reports each tier's entries,
+bytes and evictions; with telemetry enabled the stages add
+``prep.*.seconds`` timers.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.core.information import annotate_sc, serve_measure  # noqa: F401
 from repro.core.pipeline import SCPipeline
 from repro.core.query import Query
 from repro.core.structure import StructuralCharacteristic
-from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 from repro.prep.cache import MISS, ByteBudgetLRU
 from repro.prep.diskstore import DiskCookedStore
@@ -258,8 +257,7 @@ class PreparationService:
         self._records: Dict[str, _SourceRecord] = {}
         self._flights: Dict[Tuple, _Flight] = {}
         self._lock = threading.Lock()
-        #: Always-on counters (the OBS ``prep.*`` family mirrors them
-        #: when telemetry is enabled).
+        #: Always-on counters, the service's only count of each fact.
         self.stats: Dict[str, int] = {
             "sc_hits": 0,
             "sc_misses": 0,
@@ -382,7 +380,6 @@ class PreparationService:
         dropped += self._cooked_tier.discard_where(lambda key: key[0] == digest)
         if self._disk is not None:
             dropped += self._disk.drop_digest(digest)
-        self._update_size_gauges()
         return dropped
 
     def digest(self, document_id: str) -> str:
@@ -526,7 +523,7 @@ class PreparationService:
         """
         value = tier.get(key)
         if value is not MISS:
-            self._count_hit(tier_name)
+            self.stats[f"{tier_name}_hits"] += 1
             return value
         flight_key = (tier.name, key)
         while True:
@@ -544,7 +541,7 @@ class PreparationService:
                     else:
                         leader = False
             if flight is None:
-                self._count_hit(tier_name)
+                self.stats[f"{tier_name}_hits"] += 1
                 return value
             if not leader:
                 # Share the in-progress computation: block until the
@@ -553,7 +550,7 @@ class PreparationService:
                 if flight.error is not None:
                     raise flight.error
                 self.stats["inflight_waits"] += 1
-                self._count_hit(tier_name)
+                self.stats[f"{tier_name}_hits"] += 1
                 return flight.value
             break
         # Leader: probe the disk tier, run the build if it too misses,
@@ -562,18 +559,12 @@ class PreparationService:
             if disk_key is not None and self._disk is not None:
                 value = self._fetch_via_disk(disk_key, tier_name, factory, alias)
             else:
-                self._count_miss(tier_name)
-                value = self._build_metered(tier_name, factory)
+                self.stats[f"{tier_name}_misses"] += 1
+                with timed(f"prep.{tier_name}_build"):
+                    value = factory()
             if isinstance(value, _Shared):
                 value = value.prepared
-            evicted = tier.put(key, value, size_of(value))
-            if evicted:
-                self.stats["evictions"] += len(evicted)
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "prep.evictions", "cache entries evicted by the byte budget"
-                    ).labels(tier=tier_name).inc(len(evicted))
-            self._update_size_gauges()
+            self.stats["evictions"] += len(tier.put(key, value, size_of(value)))
             flight.value = value
             return value
         except BaseException as exc:
@@ -610,19 +601,12 @@ class PreparationService:
                     aliased = self._disk.get_alias(disk_key)
             if value is not None or aliased is not None:
                 self.stats["disk_hits"] += 1
-                self._count_hit(tier_name)
-                if OBS.enabled:
-                    OBS.metrics.counter(
-                        "prep.hits", "preparation cache hits"
-                    ).labels(tier="disk").inc()
+                self.stats[f"{tier_name}_hits"] += 1
                 return value if aliased is None else alias(aliased)
             self.stats["disk_misses"] += 1
-            self._count_miss(tier_name)
-            if OBS.enabled:
-                OBS.metrics.counter(
-                    "prep.misses", "preparation cache misses"
-                ).labels(tier="disk").inc()
-            value = self._build_metered(tier_name, factory)
+            self.stats[f"{tier_name}_misses"] += 1
+            with timed(f"prep.{tier_name}_build"):
+                value = factory()
             try:
                 with timed("prep.disk_persist"):
                     if isinstance(value, _Shared):
@@ -636,41 +620,6 @@ class PreparationService:
                 # the request: the cooked result is still served.
                 self.stats["disk_errors"] += 1
             return value
-
-    def _count_miss(self, tier_name: str) -> None:
-        self.stats[f"{tier_name}_misses"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "prep.misses", "preparation cache misses"
-            ).labels(tier=tier_name).inc()
-
-    def _build_metered(self, tier_name: str, factory: Callable[[], Any]) -> Any:
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "prep.inflight", "preparation builds in flight"
-            ).inc()
-        try:
-            with timed(f"prep.{tier_name}_build"):
-                return factory()
-        finally:
-            if OBS.enabled:
-                OBS.metrics.gauge("prep.inflight").dec()
-
-    def _count_hit(self, tier_name: str) -> None:
-        self.stats[f"{tier_name}_hits"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "prep.hits", "preparation cache hits"
-            ).labels(tier=tier_name).inc()
-
-    def _update_size_gauges(self) -> None:
-        if OBS.enabled:
-            OBS.metrics.gauge(
-                "prep.sc_bytes", "bytes held by the SC cache tier"
-            ).set(self._sc_tier.bytes)
-            OBS.metrics.gauge(
-                "prep.cooked_bytes", "bytes held by the cooked cache tier"
-            ).set(self._cooked_tier.bytes)
 
     def _sc_key(self, record: _SourceRecord) -> Tuple:
         return (record.digest, self._pipeline_token())
@@ -766,10 +715,6 @@ class PreparationService:
         """
         static = self._cooked(record, request.replace(measure="ic", query=""))
         self.stats["shared_cooks"] += 1
-        if OBS.enabled:
-            OBS.metrics.counter(
-                "prep.hits", "preparation cache hits"
-            ).labels(tier="shared").inc()
         if static.measure != measure:
             static = copy.copy(static)  # shares the arena, profile and segments
             static.measure = measure
@@ -805,14 +750,14 @@ class PreparationService:
         return [(doc, hits.get(doc, 0)) for doc in ranked]
 
     def cache_info(self) -> Dict[str, Any]:
-        """Snapshot of both tiers plus the flight and stat counters."""
+        """Snapshot of each tier and the builds in flight (the counters
+        are :attr:`stats`)."""
         with self._lock:
             inflight = len(self._flights)
         info = {
             "sc": self._sc_tier.info(),
             "cooked": self._cooked_tier.info(),
             "inflight": inflight,
-            "stats": dict(self.stats),
         }
         if self._disk is not None:
             info["disk"] = self._disk.info()

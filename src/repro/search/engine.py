@@ -148,7 +148,8 @@ class SearchEngine:
         n = max(1, self._index.document_count)
         scores: Dict[str, float] = {}
         norms: Dict[str, float] = {}
-        for term in query.keywords():
+        # Sorted, so a score's sum does not follow the string hash seed.
+        for term in sorted(query.keywords()):
             df = self._index.document_frequency(term)
             if df == 0:
                 continue

@@ -137,6 +137,24 @@ class TestLayeringLint:
         assert "repro.cli imports hashlib (one SHA-256 import site" in violations[0]
         assert "repro.prep.bad imports hashlib (one SHA-256 import site" in violations[1]
 
+    def test_snapshot_counted_parts_keep_no_obs_counter(self, tmp_path):
+        # A serving part counts each fact once, in the stats its
+        # snapshot exports; the client side and trace events are free.
+        pkg = tmp_path / "repro"
+        for layer in ("net", "obs"):
+            (pkg / layer).mkdir(parents=True)
+            (pkg / layer / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        counter = 'from repro.obs.runtime import OBS\nOBS.metrics.counter("x").inc()\n'
+        (pkg / "net" / "server.py").write_text(counter)
+        (pkg / "net" / "client.py").write_text(counter)
+        (pkg / "obs" / "slo.py").write_text(
+            "from repro.obs.runtime import OBS\nOBS.trace.emit('x')\n"
+        )
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 1
+        assert "server.py:2: repro.net.server reads OBS.metrics" in violations[0]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

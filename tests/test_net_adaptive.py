@@ -4,8 +4,8 @@ With ``adaptive_gamma=True`` the server sizes every round from its
 per-client loss estimate instead of streaming all N cooked frames:
 clean channels converge toward ``gamma_floor`` (redundant frames are
 withheld), bursty ones push γ up toward ``gamma_ceiling``.  These
-tests pin both directions plus the ``net.adaptive.*`` telemetry and
-the stats-snapshot surface.
+tests pin both directions plus the stats-snapshot surface, with
+telemetry off and on.
 """
 
 import asyncio
@@ -131,26 +131,26 @@ def test_reconnecting_client_keeps_its_channel_estimate():
     asyncio.run(go())
 
 
-def test_adaptive_metrics_land_in_the_obs_registry():
-    """net.adaptive.* gauges/counters are visible when telemetry is on."""
+def test_adaptive_counts_land_in_the_snapshot_with_telemetry_on():
+    """The snapshot carries the adaptive counts when telemetry is on;
+    the OBS registry keeps no second count."""
 
     async def go():
         store, _, _ = make_store(size=4096, packet_size=64, gamma=2.0)
         async with NetServer(store, adaptive_gamma=True) as server:
             result = await fetch_once(server)
             assert result.status == "decoded"
-            assert server.stats["adaptive_rounds"] >= 1
+            snapshot = server.stats_snapshot()
         await assert_no_leaked_tasks()
+        return snapshot
 
     obs.enable()
     try:
-        asyncio.run(go())
-        metrics = obs.OBS.metrics
-        assert metrics.get("net.adaptive.gamma") is not None
-        assert metrics.get("net.adaptive.alpha") is not None
-        rounds = metrics.get("net.adaptive.rounds")
-        assert rounds is not None and rounds.total >= 1
-        assert metrics.get("net.adaptive.frames_saved") is not None
+        snapshot = asyncio.run(go())
+        assert snapshot["server"]["adaptive_rounds"] >= 1
+        assert snapshot["adaptive"]["rounds"] == snapshot["server"]["adaptive_rounds"]
+        assert snapshot["adaptive"]["clients"] == 1
+        assert not [n for n in obs.OBS.metrics.names() if n.startswith("net.adaptive")]
     finally:
         obs.disable(reset=True)
 

@@ -16,6 +16,7 @@ pin the two contracts that make that safe to ship:
 """
 
 import asyncio
+import math
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from repro.net import (
     read_expected,
     read_message,
 )
+from repro.net.server import SEND_BATCH_BYTES
 from repro.net.wire import MSG_FRAME
 from repro.transport.cache import PacketCache
 
@@ -149,7 +151,8 @@ def test_slow_reader_bounds_queued_bytes_under_batching():
 
 
 def test_batch_metrics_emitted():
-    """net.send.* counters account for every coalesced frame and byte."""
+    """The server's stats account for every coalesced frame and write,
+    with telemetry on: the OBS registry keeps no second count."""
     from repro import obs
 
     async def go():
@@ -161,14 +164,14 @@ def test_batch_metrics_emitted():
         assert result.payload == payload
         stats = dict(server.stats)
         await assert_no_leaked_tasks()
-        return stats
+        return stats, prepared
 
     obs.enable()
     try:
-        stats = asyncio.run(go())
-        counters = obs.OBS.metrics.snapshot()["counters"]
-        assert counters["net.send.batched_frames"] == stats["frames_sent"]
-        assert counters["net.send.batches"] == stats["batches_sent"]
-        assert counters["net.send.batch_bytes"] > 0
+        stats, prepared = asyncio.run(go())
+        per_batch = max(1, SEND_BATCH_BYTES // prepared.wire_frames().stride)
+        assert stats["frames_sent"] == prepared.n  # one clean round
+        assert stats["batches_sent"] == math.ceil(prepared.n / per_batch)
+        assert not [name for name in obs.OBS.metrics.names() if name.startswith("net.send")]
     finally:
         obs.disable()

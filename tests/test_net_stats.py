@@ -7,6 +7,7 @@ server), the snapshot contents after real traffic, and the
 
 import asyncio
 import json
+from collections import Counter
 
 import pytest
 
@@ -143,7 +144,7 @@ class TestStatsHTTP:
                     _status, body = await http_get(
                         http.host, http.port, "/metrics"
                     )
-                    assert "# TYPE repro_net_frames_sent counter" in body
+                    assert "\nrepro_server_frames_sent " in body
                     assert "# TYPE repro_net_fetch_seconds histogram" in body
                     assert 'le="+Inf"' in body
             await assert_no_leaked_tasks()
@@ -153,6 +154,43 @@ class TestStatsHTTP:
             asyncio.run(go())
         finally:
             obs.disable(reset=True)
+
+    def test_metrics_shows_each_fact_once(self):
+        """With telemetry on, no sample repeats and each name is one
+        group of lines; the server's counts come from its snapshot."""
+
+        async def go():
+            prepared, _payload = make_prepared(size=2048, packet_size=64)
+            store = DocumentStore()
+            store.add(prepared)
+            async with NetServer(store) as server:
+                async with StatsHTTP(server.stats_snapshot) as http:
+                    result = await NetClient(
+                        server.host, server.port, cache=PacketCache()
+                    ).fetch("doc")
+                    assert result.status == "decoded"
+                    while server.active_connections:
+                        await asyncio.sleep(0.01)
+                    _status, body = await http_get(
+                        http.host, http.port, "/metrics"
+                    )
+            await assert_no_leaked_tasks()
+            return body
+
+        obs.enable()
+        try:
+            body = asyncio.run(go())
+        finally:
+            obs.disable(reset=True)
+        samples = [line for line in body.splitlines() if not line.startswith("#")]
+        keys = [line.rsplit(" ", 1)[0] for line in samples]
+        assert [key for key, count in Counter(keys).items() if count > 1] == []
+        names = [key.split("{", 1)[0] for key in keys]
+        groups = [name for i, name in enumerate(names) if i == 0 or names[i - 1] != name]
+        assert [name for name, count in Counter(groups).items() if count > 1] == []
+        assert "repro_server_frames_sent" in names
+        assert "repro_outcomes_decoded 1" in samples
+        assert "# TYPE repro_net_fetch_seconds histogram" in body
 
     def test_non_get_rejected(self):
         async def go():

@@ -227,6 +227,16 @@ class TestMergeSnapshots:
         )
         assert merged["workers"] == [a, b]
 
+    def test_outcome_counts_sum_exactly(self):
+        a = {"server": {}, "outcomes": {"decoded": 123_456_782, "client_gone": 2, "timeout": 0}}
+        b = {"server": {}, "outcomes": {"decoded": 7, "client_gone": 0, "timeout": 1}}
+        merged = merge_snapshots([a, b])
+        assert merged["outcomes"] == {"decoded": 123_456_789, "client_gone": 2, "timeout": 1}
+        # /metrics prints the counts exactly, not to six digits.
+        body = "\n" + render_exposition(merged)
+        assert "\nrepro_outcomes_decoded 123456789\n" in body
+        assert 'repro_outcomes_decoded{worker="w1"} 7' in body
+
     def test_empty_merge_is_well_formed(self):
         merged = merge_snapshots([])
         assert merged["server"] == {}

@@ -182,18 +182,17 @@ class TestSLOTracker:
         with pytest.raises(ValueError):
             SLOTracker(window=0)
 
-    def test_obs_mirroring_when_enabled(self):
+    def test_report_is_the_only_count_when_enabled(self):
         obs.enable()
         try:
             slo = SLOTracker()
             slo.observe(0.1, ok=True)
             slo.observe(0.2, ok=False)
-            slo.report()
-            metrics = obs.OBS.metrics
-            counter = metrics.get("slo.observations")
-            assert counter is not None
-            assert counter.total == 2
-            assert metrics.get("slo.error_budget_remaining") is not None
+            report = slo.report()
+            assert report["total_observed"] == 2
+            assert report["total_errors"] == 1
+            assert report["error_budget_remaining"] == 0.0
+            assert not [n for n in obs.OBS.metrics.names() if n.startswith("slo.")]
         finally:
             obs.disable(reset=True)
 

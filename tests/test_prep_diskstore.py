@@ -359,6 +359,19 @@ class TestStoreMaintenance:
         assert store.clear() == 1
         assert store.info()["bundles"] == 0
 
+    def test_clear_removes_every_lock_file(self, tmp_path):
+        service, _ = make_disk_service(tmp_path)
+        packet_sizes = (48, 64, 96, 128)
+        for packet_size in packet_sizes:
+            service.prepare("doc", PrepRequest(query="mobile web", packet_size=packet_size))
+        store = service.disk_store
+        assert len(list(store.root.glob("*/*.lock"))) == len(packet_sizes)
+        assert store.clear() == len(packet_sizes)
+        locks = [
+            path for path in store.root.glob("*/*.lock") if path.parent.name != QUARANTINE_DIR
+        ]
+        assert locks == []
+
 
 #: A query none of whose words the paper holds: its MQIC cook shares
 #: the static cook, and the disk tier keeps an alias record for it.

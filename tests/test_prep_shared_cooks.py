@@ -25,6 +25,7 @@ from repro.core.information import serve_measure
 from repro.core.pipeline import SCPipeline
 from repro.core.query import Query
 from repro.data import draft_paper_path
+from repro.net.stats_http import render_exposition
 from repro.prep import PrepRequest, PreparationService
 from repro.prep.prepare import DocumentSender
 from repro.prep.service import _cooked_size
@@ -168,9 +169,10 @@ class TestSharedCook:
         try:
             service = paper_service()
             service.prepare(DOCUMENT, OFF_VOCABULARY)
-            hits = obs.OBS.metrics.get("prep.hits")
-            assert hits.labels(tier="shared").value == 1
-            assert obs.OBS.metrics.get("prep.misses").labels(tier="cooked").value == 2
+            body = render_exposition({"prep": service.stats})
+            assert "\nrepro_prep_shared_cooks 1\n" in body
+            assert "\nrepro_prep_cooked_misses 2\n" in body
+            assert obs.OBS.metrics.get("prep.hits") is None
         finally:
             obs.disable(reset=True)
 

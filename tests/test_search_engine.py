@@ -1,7 +1,11 @@
 """Tests for the search engine and query-time QIC annotation."""
 
+import os
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.query import Query
 from repro.search.engine import SearchEngine
@@ -135,3 +139,37 @@ class TestQueryWordsLeaveTheMemo:
             term: fresh.count(term) for term in fresh.keywords()
         }
         assert engine._score(query) == engine._score(fresh) != {}
+
+
+#: Prints ``repr`` of every score of the seed-1 corpus topic queries.
+SCORES_SCRIPT = """
+from repro.search.engine import SearchEngine
+from repro.simulation.textgen import CorpusGenerator
+from repro.xmlkit.parser import parse_xml
+generator = CorpusGenerator(seed=1)
+engine = SearchEngine()
+for name, (xml, _topic) in generator.corpus(40).items():
+    engine.add_document(name, parse_xml(xml))
+for topic in range(len(generator.topics)):
+    query = generator.topic_query(topic)
+    for hit in engine.search(query, limit=40):
+        print(query, hit.document_id, repr(hit.score))
+"""
+
+
+class TestScoresFollowNoHashSeed:
+    @staticmethod
+    def scores(hash_seed):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", SCORES_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_two_hash_seeds_give_every_score_bit_for_bit(self):
+        first = self.scores(0)
+        assert first.count("\n") > 8
+        assert self.scores(1) == first

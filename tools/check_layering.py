@@ -30,7 +30,12 @@ module under ``src/repro`` and fails the build when:
    strategies that drive transfers live in ``repro.browse``);
 8. only ``repro.util.nossl`` imports ``hashlib``: every SHA-256 goes
    through its builtin ``sha256``, so no module loads OpenSSL's
-   ``_hashlib`` into a serving process.
+   ``_hashlib`` into a serving process;
+9. the serving parts whose always-on ``stats`` are exported through
+   the server snapshot (``net.server``, ``net.chaos``, ``prep.service``,
+   ``prep.diskstore``, ``broadcast.scheduler``, ``obs.slo``) never
+   read ``OBS.metrics``: each serving fact has one counter, and
+   ``/metrics`` flattens the snapshot instead of a second copy.
 
 Usage::
 
@@ -275,6 +280,21 @@ SOLE_IMPORTERS = {
 }
 
 
+#: Modules whose ``stats`` are the only count of a serving fact.
+SNAPSHOT_COUNTED = (
+    "repro.net.server",
+    "repro.net.chaos",
+    "repro.prep.service",
+    "repro.prep.diskstore",
+    "repro.broadcast.scheduler",
+    "repro.obs.slo",
+)
+ONE_COUNT = (
+    "one count per serving fact: count it in the always-on stats the "
+    "snapshot exports, not in OBS.metrics"
+)
+
+
 def module_name(root: Path, path: Path) -> str:
     """``src/repro/a/b.py`` → ``repro.a.b`` (packages keep their name)."""
     relative = path.relative_to(root.parent)
@@ -295,6 +315,18 @@ def imported_modules(tree: ast.AST) -> Iterator[Tuple[int, str]]:
                 yield node.lineno, node.module
 
 
+def obs_metrics_reads(tree: ast.AST) -> Iterator[int]:
+    """Yield the line of every ``OBS.metrics`` attribute access."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "metrics"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "OBS"
+        ):
+            yield node.lineno
+
+
 def _violates(imported: str, banned: str) -> bool:
     return imported == banned or imported.startswith(banned + ".")
 
@@ -313,9 +345,15 @@ def check_tree(root: Path) -> List[str]:
             for banned, (owner, why) in SOLE_IMPORTERS.items()
             if module != owner
         ]
-        if not rules:
+        counted = module in SNAPSHOT_COUNTED
+        if not rules and not counted:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if counted:
+            violations.extend(
+                f"{path}:{lineno}: {module} reads OBS.metrics ({ONE_COUNT})"
+                for lineno in obs_metrics_reads(tree)
+            )
         for lineno, imported in imported_modules(tree):
             for banned_prefixes, why in rules:
                 for banned in banned_prefixes:
