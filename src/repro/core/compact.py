@@ -15,7 +15,10 @@ what cannot be derived:
   The text is decompressed once per read of :attr:`CompactSC.payload`
   (once per cook, once per tree rebuild), never once per unit;
 * a :class:`KeywordTable` of the document's keywords in
-  occurrence-vector order with their counts and the vector's norm;
+  occurrence-vector order with their counts and the vector's norm.  It
+  holds each keyword as an id into a :class:`Vocabulary`, which the
+  pipeline shares across every document it builds: a corpus repeats
+  its keywords, and each string is held once;
 * each unit's own keyword counts as ``(keyword id, count)`` runs in
   ``array`` buffers.
 
@@ -49,11 +52,24 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import zlib
 from array import array
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.text.vector import OccurrenceVector, vector_norm, weights_by_count
 
@@ -91,6 +107,58 @@ class ScheduledSegment(NamedTuple):
     content: float
 
 
+class Vocabulary:
+    """keyword ↔ id for every SC one pipeline builds.
+
+    A corpus repeats its keywords across documents; each keyword table
+    holds ids into one vocabulary instead of its own tuple of strings.
+    Append-only: ids are given in first-seen order and never change,
+    and :meth:`ids` appends under a lock, so concurrent builds agree on
+    every id.  :meth:`get` and :meth:`known` read without appending, for
+    words that come from outside (client queries), as
+    :meth:`Lemmatizer.reader <repro.text.lemmatizer.Lemmatizer.reader>`
+    reads the lemma memo.
+    """
+
+    __slots__ = ("_ids", "_words", "_lock")
+
+    def __init__(self) -> None:
+        self._ids: Dict[str, int] = {}
+        self._words: List[str] = []
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def ids(self, words: Sequence[str]) -> List[int]:
+        """The id of each of *words*, appending the ones not held yet."""
+        ids = list(map(self._ids.get, words))
+        if None in ids:
+            with self._lock:
+                held, known = self._words, self._ids
+                for slot, word in enumerate(words):
+                    if ids[slot] is None:
+                        ident = known.get(word)
+                        if ident is None:
+                            ident = len(held)
+                            held.append(word)  # before the id, for lock-free readers
+                            known[word] = ident
+                        ids[slot] = ident
+        return ids
+
+    def get(self, word: str) -> Optional[int]:
+        """*word*'s id, or None when no SC holds it; never appends."""
+        return self._ids.get(word)
+
+    def known(self, words: Iterable[str]) -> FrozenSet[int]:
+        """The ids of those of *words* some SC holds; never appends."""
+        return frozenset(map(self._ids.get, words)) - {None}
+
+    def words(self, ids: Iterable[int]) -> Tuple[str, ...]:
+        """The keywords of *ids*, in their order."""
+        return tuple(map(self._words.__getitem__, ids))
+
+
 class KeywordTable:
     """A document's keywords in occurrence-vector order.
 
@@ -98,30 +166,42 @@ class KeywordTable:
     counts; any keyword in *unit_counts* that the vector lacks follows
     them, with weight 0 (the vector's convention for absent keywords).
     Without *unit_counts* the vector is taken to hold every keyword, as
-    it does when it is the root's aggregate.  The weights are not
-    stored: :attr:`weights` derives them from the counts and the norm.
+    it does when it is the root's aggregate.  These ids are the
+    document's own, and the own runs use them; per id, the table stores
+    the keyword's id in *vocabulary* (a private one when none is
+    given), and :attr:`keywords` reads the strings back.  The weights
+    are not stored: :attr:`weights` derives them from the counts and
+    the norm.
     """
 
-    __slots__ = ("keywords", "counts", "norm")
+    __slots__ = ("vocabulary", "_packed", "counts", "norm")
 
     def __init__(
         self,
         vector: OccurrenceVector,
         unit_counts: Optional[Iterable[Mapping[str, int]]] = None,
+        vocabulary: Optional[Vocabulary] = None,
     ) -> None:
         keywords = list(vector)
-        missing: List[str] = []
         if unit_counts is not None:
             known = set(keywords)
-            missing = [
+            keywords += [
                 keyword
                 for keyword in dict.fromkeys(chain.from_iterable(unit_counts))
                 if keyword not in known
             ]
-            keywords += missing
-        self.keywords: Tuple[str, ...] = tuple(keywords)
+        self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
+        self._packed = _packed(self.vocabulary.ids(keywords))
         self.counts = _packed(list(map(itemgetter(1), vector.items())))
         self.norm: str = vector.norm_kind
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    @property
+    def keywords(self) -> Tuple[str, ...]:
+        """The keyword of each id, a fresh tuple of the vocabulary's strings."""
+        return self.vocabulary.words(self._packed)
 
     @property
     def weights(self) -> array:
@@ -130,12 +210,16 @@ class KeywordTable:
         counts = self.counts
         by_count = weights_by_count(counts, vector_norm(counts, self.norm))
         weights = array("d", map(by_count.__getitem__, counts))
-        weights.extend([0.0] * (len(self.keywords) - len(counts)))
+        weights.extend([0.0] * (len(self) - len(counts)))
         return weights
 
     def index(self) -> Dict[str, int]:
         """keyword → id, for callers that hold keyword-keyed counts."""
-        return dict(zip(self.keywords, range(len(self.keywords))))
+        return dict(zip(self.keywords, range(len(self))))
+
+    def holds_any(self, ids: AbstractSet[int]) -> bool:
+        """Whether any of the vocabulary *ids* is one of this table's."""
+        return not ids.isdisjoint(self._packed)
 
     def vector_pairs(self) -> Pairs:
         """The occurrence vector as ``(id, count)`` pairs, in vector order."""
@@ -143,10 +227,13 @@ class KeywordTable:
 
     def lookup(self, values: Mapping[str, float]) -> array:
         """``values`` per keyword id, 0.0 where a keyword has none."""
-        table = array("d", bytes(8 * len(self.keywords)))
+        table = array("d", bytes(8 * len(self)))
         for keyword, value in values.items():
+            ident = self.vocabulary.get(keyword)
+            if ident is None:
+                continue
             try:
-                table[self.keywords.index(keyword)] = value
+                table[self._packed.index(ident)] = value
             except ValueError:
                 continue
         return table
@@ -157,8 +244,9 @@ class KeywordTable:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the keyword tuple and the counts."""
-        return sys.getsizeof(self.keywords) + sys.getsizeof(self.counts)
+        """Bytes held: the vocabulary ids and the counts.  The keyword
+        strings are the vocabulary's, held once for every table."""
+        return sys.getsizeof(self._packed) + sys.getsizeof(self.counts)
 
 
 # -- measure arithmetic ----------------------------------------------------
@@ -240,19 +328,6 @@ class OccurrenceMeasure(Measure):
 def static_measure(table: KeywordTable) -> Measure:
     """The paper's information content p_i (§3.1)."""
     return LinearMeasure("ic", table.weights, table)
-
-
-def scores_like_static(measure: Measure, table: KeywordTable) -> bool:
-    """Whether *measure* gives every unit the static IC's value, bit for bit.
-
-    True for a :class:`LinearMeasure` whose coefficients are the table's
-    weights byte for byte, as the modified query IC's are when no query
-    keyword is in the table (ω_a + λ·0.0).  Comparing bytes is exact:
-    ``-0.0`` against ``0.0`` is a difference.
-    """
-    return isinstance(measure, LinearMeasure) and bytes(measure.coefficients) == bytes(
-        table.weights
-    )
 
 
 def proportional_measure(table: KeywordTable) -> Measure:
@@ -399,13 +474,16 @@ class CompactSC:
         payloads: Sequence[bytes],
         owns: Sequence[Mapping[str, int]],
         vector: Optional[OccurrenceVector] = None,
+        vocabulary: Optional[Vocabulary] = None,
     ) -> None:
         """Compact *units*, in preorder with their :func:`subtree_ends`.
 
         Units have ``lod``, ``label``, ``title`` and ``virtual``, and are
         only read; *payloads* and *owns* are their own bytes and counts.
         Without a *vector*, the document's is the root's aggregate, or
-        the placeholder ``{"_": 1}`` when no unit has a keyword.
+        the placeholder ``{"_": 1}`` when no unit has a keyword.  The
+        keyword table's ids go into *vocabulary* (see
+        :class:`KeywordTable`).
         """
         # The root's aggregate: every unit's counts summed in preorder
         # has the same keys, values and key order as the subtree sums.
@@ -415,9 +493,9 @@ class CompactSC:
         for counts in owns:
             add_counts(total, counts)
         if vector is None:
-            self.table = KeywordTable(OccurrenceVector(total or {"_": 1}))
+            self.table = KeywordTable(OccurrenceVector(total or {"_": 1}), None, vocabulary)
         else:
-            self.table = KeywordTable(vector, [total])
+            self.table = KeywordTable(vector, [total], vocabulary)
         self.lods = bytes(map(attrgetter("lod"), units))
         self.virtual = bytes(map(attrgetter("virtual"), units))
         self.ends = _packed(ends)
@@ -514,7 +592,8 @@ class CompactSC:
         """Bytes held by the arrays, the compressed text and the strings.
 
         Keyword strings are not counted: the pipeline's lemmatizer
-        already holds every lemma.  Labels and titles are, once each,
+        already holds every lemma, and its vocabulary every keyword.
+        Labels, titles and the structure buffers are, once each,
         although another document may share them.
         """
         buffers = (

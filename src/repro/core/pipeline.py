@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.compact import CompactSC, subtree_ends
+from repro.core.compact import CompactSC, Vocabulary, subtree_ends
 from repro.core.lod import LOD
 from repro.core.structure import StructuralCharacteristic
 from repro.obs.runtime import OBS
@@ -246,13 +246,18 @@ class SCGeneratorStage:
 
     Each unit's text is its payload and its counts its own counts; the
     occurrence vector is their sum, the root's aggregate.  No unit
-    objects are built.
+    objects are built.  Every SC this stage emits holds its keywords as
+    ids into the stage's one :class:`~repro.core.compact.Vocabulary`.
     """
+
+    def __init__(self, vocabulary: Optional[Vocabulary] = None) -> None:
+        self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
 
     def process(self, root: RecognizedUnit) -> CompactSC:
         units = list(root.walk())
         payloads = [unit.text.encode("utf-8") for unit in units]
-        return CompactSC(units, subtree_ends(units), payloads, [unit.counts for unit in units])
+        owns = [unit.counts for unit in units]
+        return CompactSC(units, subtree_ends(units), payloads, owns, vocabulary=self.vocabulary)
 
 
 class SCPipeline:
@@ -293,6 +298,11 @@ class SCPipeline:
     def shared_lemmatizer(self) -> Lemmatizer:
         """The lemmatizer instance, for building compatible queries."""
         return self.lemmatizer.lemmatizer
+
+    @property
+    def shared_vocabulary(self) -> Vocabulary:
+        """The keyword vocabulary every SC of this pipeline holds ids into."""
+        return self.generator.vocabulary
 
     def cache_token(self) -> Tuple[str, ...]:
         """A hashable token identifying this pipeline configuration.

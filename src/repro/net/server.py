@@ -46,6 +46,7 @@ import asyncio
 import math
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Deque, Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro.coding.packets import MAX_SEQUENCE
@@ -512,6 +513,8 @@ class NetServer:
         #: Most recent abnormal-close flight dumps, newest last.
         self.flight_dumps: Deque[Dict[str, Any]] = deque(maxlen=FLIGHT_DUMPS_KEPT)
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The one thread prepares run on (see :meth:`start`).
+        self._prep_executor: Optional[ThreadPoolExecutor] = None
         self._connections: Set[asyncio.Task] = set()
         self._live: Dict[int, _ConnState] = {}
         self._conn_seq = 0
@@ -559,6 +562,11 @@ class NetServer:
                 self._accept, self.host, self.port
             )
         self.port = self._server.sockets[0].getsockname()[1]
+        # One thread cooks: the cook holds the GIL, so more threads
+        # would only hold more stacks and interleave cooks.
+        self._prep_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-prep"
+        )
         if self.carousel is not None:
             self.carousel.build()
             self._carousel_wakeup = asyncio.Event()
@@ -595,6 +603,12 @@ class NetServer:
             except asyncio.CancelledError:
                 pass
             self._carousel_task = None
+        executor, self._prep_executor = self._prep_executor, None
+        if executor is not None:
+            # A cancelled fetch's cook may still run: let it end without
+            # blocking the loop, then join the idle thread.
+            await asyncio.wrap_future(executor.submit(int))
+            executor.shutdown()
 
     def kill(self) -> None:
         """Hard stop: drop the listener and abort every connection now.
@@ -610,6 +624,9 @@ class NetServer:
             self._carousel_task = None
         for task in self._connections:
             task.cancel()
+        if self._prep_executor is not None:
+            self._prep_executor.shutdown(wait=False, cancel_futures=True)
+            self._prep_executor = None
 
     @property
     def active_connections(self) -> int:
@@ -775,11 +792,11 @@ class NetServer:
                         "carousel delivery not enabled on this server"
                     )
                 return await self._serve_carousel(reader, sender, state)
-            # The store cooks off the event loop: a cold cook runs the
-            # full pipeline + encode, and the service's single-flight
-            # makes concurrent identical requests share one build.
+            # The store cooks off the event loop, on the server's one
+            # prep thread: a cold cook runs the full pipeline + encode,
+            # and prepares run one at a time.
             prepared = await asyncio.get_running_loop().run_in_executor(
-                None, self.store.prepare, document_id, request
+                self._prep_executor, self.store.prepare, document_id, request
             )
         except KeyError:
             return await self._refuse(

@@ -26,7 +26,7 @@ import asyncio
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import prometheus_name
+from repro.obs.metrics import prometheus_name, prometheus_value
 from repro.obs.runtime import OBS
 
 #: Bound on the request head (request line + headers) we will read.
@@ -47,10 +47,7 @@ def _flatten_numeric(
         value = int(value)
     if isinstance(value, (int, float)):
         name = prometheus_name(prefix)
-        # Counts print exactly: ``:g`` would round a byte counter to
-        # six significant digits.
-        text = str(value) if isinstance(value, int) else f"{value:g}"
-        out.setdefault(name, []).append(f"{name}{suffix} {text}")
+        out.setdefault(name, []).append(f"{name}{suffix} {prometheus_value(value)}")
     elif isinstance(value, dict):
         for key, nested in value.items():
             _flatten_numeric(f"{prefix}_{key}", nested, out, suffix)

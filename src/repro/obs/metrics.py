@@ -51,6 +51,20 @@ def prometheus_name(name: str) -> str:
     return sanitized
 
 
+def prometheus_value(value: float) -> str:
+    """A sample value in Prometheus text form.
+
+    Integral values print exactly (``:g`` would round 12 345 678 to
+    ``1.23457e+07``); any other float prints its shortest round-trip
+    form.
+    """
+    if isinstance(value, int):
+        return str(value)
+    if value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
 def _prometheus_escape(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
@@ -344,20 +358,22 @@ class MetricsRegistry:
                     cumulative = 0
                     for bound, count in child.bucket_counts():
                         cumulative += count
-                        le = "+Inf" if bound is None else format(bound, "g")
+                        le = "+Inf" if bound is None else prometheus_value(bound)
                         lines.append(
                             f"{sample}_bucket"
                             f"{_prometheus_labels({**labels, 'le': le})} {cumulative}"
                         )
                     lines.append(
-                        f"{sample}_sum{_prometheus_labels(labels)} {child.sum:g}"
+                        f"{sample}_sum{_prometheus_labels(labels)} "
+                        f"{prometheus_value(child.sum)}"
                     )
                     lines.append(
                         f"{sample}_count{_prometheus_labels(labels)} {child.count}"
                     )
                 else:
                     lines.append(
-                        f"{sample}{_prometheus_labels(labels)} {child.value:g}"
+                        f"{sample}{_prometheus_labels(labels)} "
+                        f"{prometheus_value(child.value)}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -215,6 +215,14 @@ class DiskCookedStore:
             finally:
                 os.close(fd)
 
+    def discard_lock(self, key: Tuple) -> None:
+        """Remove *key*'s lock file, for a persist that failed: it left
+        no entry for :meth:`_prune` or :meth:`clear` to take it with."""
+        try:
+            self.bundle_path(key).with_suffix(".lock").unlink()
+        except OSError:
+            pass
+
     # -- write path --------------------------------------------------------
 
     def put(self, key: Tuple, prepared: PreparedDocument) -> Path:

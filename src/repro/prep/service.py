@@ -11,7 +11,10 @@ tiers:
 
 * the **SC tier**, keyed by document content digest (plus the pipeline
   configuration token): pipeline output is query-independent, so one
-  frozen compact SC serves every request against the same bytes;
+  frozen compact SC serves every request against the same bytes.  The
+  tier holds each corpus-wide fact once: keyword tables hold ids into
+  the pipeline's one :class:`~repro.core.compact.Vocabulary`, and equal
+  labels, titles and structure buffers are one object;
 * the **cooked tier**, keyed by the full canonical request tuple
   ``(digest, lod, measure, query_key, packet_size, gamma, systematic,
   delivery)``: byte-identical requests share one encode, and ``ic`` or
@@ -22,7 +25,8 @@ Both tiers use byte-budget LRU eviction
 is cooked and held once: an MQIC request whose query shares no keyword
 with the document ranks every unit exactly as the static IC does
 (ω_a + λ·0), so its key aliases the static cook instead of encoding
-the same bytes again.  Concurrent misses for the same key are
+the same bytes again.  The cook decides this on vocabulary ids, before
+it builds any measure.  Concurrent misses for the same key are
 **single-flighted**: exactly one caller runs the pipeline and encode,
 everyone else blocks on the flight and shares the result.
 The mechanism is a plain ``threading.Event``, which is correct both
@@ -46,7 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.coding.packets import Packetizer
-from repro.core.compact import CompactSC, scores_like_static
+from repro.core.compact import CompactSC
 # ``annotate_sc`` is not called here: ``benchmarks/perf/layers.py``
 # wraps ``repro.prep.service.annotate_sc`` by name when it traces a
 # server, so the name stays importable from this module.
@@ -140,6 +144,39 @@ class _Flight:
         self.error: Optional[BaseException] = None
 
 
+#: Distinct structure records :class:`_StructureRecords` holds at most;
+#: past it the table starts over, and records already shared stay shared.
+_STRUCTURE_RECORDS = 1024
+
+
+class _StructureRecords:
+    """One held copy of each equal structure record across the SC tier.
+
+    Documents of one corpus repeat their shape: the same labels, a few
+    title tuples, the same LOD, virtual-flag and subtree-end buffers.
+    :meth:`share` swaps each such field of a freshly built SC for an
+    equal one already held, before the SC is published to the tier, so
+    a reader sees the same values either way.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self) -> None:
+        self._held: Dict[Any, Any] = {}
+
+    def share(self, sc: CompactSC) -> CompactSC:
+        held = self._held
+        if len(held) >= _STRUCTURE_RECORDS:
+            held.clear()
+        sc.lods = held.setdefault(sc.lods, sc.lods)
+        sc.virtual = held.setdefault(sc.virtual, sc.virtual)
+        sc.labels = held.setdefault(sc.labels, sc.labels)
+        sc.titles = held.setdefault(sc.titles, sc.titles)
+        ends = sc.ends  # an array: keyed by its typecode and bytes
+        sc.ends = held.setdefault((ends.typecode, ends.tobytes()), ends)
+        return sc
+
+
 def content_digest(source: str, *, html: bool = False) -> str:
     """The cache digest of a document source (parse-mode aware)."""
     hasher = sha256(b"html\x00" if html else b"xml\x00")
@@ -158,9 +195,9 @@ def _sc_size(sc: CompactSC) -> int:
     """Byte-budget weight of a cached SC: its exact buffer bytes (the
     unit text compressed, no derived field) plus one per-entry
     constant, checked against ``tracemalloc`` in
-    ``tests/test_prep_sc_memory.py``.  Labels and titles count once per
-    document, as a document cached alone holds them; documents that
-    share them weigh more than they hold.
+    ``tests/test_prep_sc_memory.py``.  Labels, titles and structure
+    buffers count once per document, as a document cached alone holds
+    them; documents that share them weigh more than they hold.
     """
     return sc.nbytes + _SC_ENTRY_BYTES
 
@@ -256,6 +293,7 @@ class PreparationService:
         self._disk = disk_store
         self._records: Dict[str, _SourceRecord] = {}
         self._flights: Dict[Tuple, _Flight] = {}
+        self._structures = _StructureRecords()
         self._lock = threading.Lock()
         #: Always-on counters, the service's only count of each fact.
         self.stats: Dict[str, int] = {
@@ -619,6 +657,7 @@ class PreparationService:
                 # A full or read-only disk degrades the tier, never
                 # the request: the cooked result is still served.
                 self.stats["disk_errors"] += 1
+                self._disk.discard_lock(disk_key)
             return value
 
     def _sc_key(self, record: _SourceRecord) -> Tuple:
@@ -651,7 +690,7 @@ class PreparationService:
                 document = html_to_research_paper(source)
             else:
                 document = parse_xml(source)
-        return self._pipeline.run(document).compact()
+        return self._structures.share(self._pipeline.run(document).compact())
 
     def _build_cooked(
         self, record: _SourceRecord, request: PrepRequest
@@ -688,15 +727,18 @@ class PreparationService:
                 # "auto" degrades to the static measure (matching
                 # the pre-service CLI behaviour).
                 measure = "ic"
-            ranking = serve_measure(sc.table, measure, query)
-            if request.resolved_measure == "mqic" and scores_like_static(
-                ranking, sc.table
-            ):
-                schedule = None
-            else:
+            # Query words that no SC holds have no id, and looking
+            # them up adds none.
+            query_ids = sc.table.vocabulary.known(query.keywords() if query is not None else ())
+            shares_static = request.resolved_measure == "mqic" and not sc.table.holds_any(
+                query_ids
+            )
+            if not shares_static:
+                ranking = serve_measure(sc.table, measure, query)
                 schedule = sc.schedule(request.lod_level, ranking)
-        if schedule is None:
-            return self._share_static(record, request, ranking.name)
+        if shares_static:
+            # No query keyword is in the document: the static cook.
+            return self._share_static(record, request, measure)
         return DocumentSender(packetizer).prepare(record.document_id, schedule)
 
     def _share_static(

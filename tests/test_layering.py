@@ -155,6 +155,25 @@ class TestLayeringLint:
         assert len(violations) == 1
         assert "server.py:2: repro.net.server reads OBS.metrics" in violations[0]
 
+    def test_server_side_keeps_off_the_default_executor(self, tmp_path):
+        # Prepares run on the server's one prep thread; the client side
+        # and an explicit executor are free.
+        pkg = tmp_path / "repro"
+        (pkg / "net").mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "net" / "__init__.py").write_text("")
+        default = "async def f(loop, g):\n    await loop.run_in_executor(None, g)\n"
+        keyword = "async def h(loop, g):\n    await loop.run_in_executor(executor=None, func=g)\n"
+        (pkg / "net" / "server.py").write_text(
+            "async def f(loop, pool, g):\n    await loop.run_in_executor(pool, g)\n"
+        )
+        (pkg / "net" / "workers.py").write_text(default + keyword)
+        (pkg / "net" / "client.py").write_text(default)
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 2
+        assert all("repro.net.workers calls run_in_executor" in v for v in violations)
+        assert "workers.py:2:" in violations[0] and "workers.py:4:" in violations[1]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

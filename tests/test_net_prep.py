@@ -10,6 +10,7 @@ a hang.  Marked ``net``.
 """
 
 import asyncio
+import threading
 
 import pytest
 
@@ -67,6 +68,69 @@ class TestLoadgenSharesOneBuild:
         assert snapshot["prep"]["cooked_hits"] >= 49
         assert snapshot["outcomes"]["decoded"] == 50
         assert telemetry.metrics.get("prep.misses") is None
+
+
+def prep_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-prep")]
+
+
+class OneAtATimeStore:
+    """A service wrapper that records which threads prepare, and how
+    many prepares ever ran at once."""
+
+    def __init__(self, service):
+        self.service = service
+        self.lock = threading.Lock()
+        self.active = 0
+        self.most_at_once = 0
+        self.threads = set()
+        self.prep_threads_seen = 0
+
+    def prepare(self, document_id, request=None):
+        with self.lock:
+            self.active += 1
+            self.most_at_once = max(self.most_at_once, self.active)
+            self.threads.add(threading.current_thread().name)
+            self.prep_threads_seen = max(self.prep_threads_seen, len(prep_threads()))
+        try:
+            return self.service.prepare(document_id, request)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+class TestOnePrepThread:
+    def test_concurrent_cold_fetches_share_one_thread(self):
+        service, pipeline = make_store()
+        store = OneAtATimeStore(service)
+        requests = [
+            PrepRequest(query=query, packet_size=packet_size)
+            for query in ("mobile web", "caching")
+            for packet_size in (64, 128)
+        ]
+
+        async def go():
+            async with NetServer(store) as server:
+                clients = [
+                    NetClient(server.host, server.port, request=request)
+                    for request in requests
+                ]
+                results = await asyncio.gather(
+                    *(client.fetch(document) for client in clients for document in ("doc", "other"))
+                )
+                during = len(prep_threads())
+            return results, during
+
+        results, during = asyncio.run(go())
+        assert all(result.payload for result in results)
+        assert service.stats["cooked_misses"] == 2 * len(requests)  # every key cold
+        assert pipeline.runs == 2
+        assert store.most_at_once == 1
+        assert len(store.threads) == 1
+        assert next(iter(store.threads)).startswith("repro-prep")
+        assert store.prep_threads_seen == 1
+        assert during == 1
+        assert prep_threads() == []
 
 
 class TestPerRequestParameters:

@@ -18,6 +18,7 @@ from repro.obs import (
     prometheus_name,
     valid_trace_id,
 )
+from repro.net.stats_http import render_exposition
 from repro.obs.trace import NET_CONN_OPEN, TraceRecorder
 
 
@@ -248,6 +249,20 @@ class TestPrometheusExposition:
 
     def test_empty_registry(self):
         assert MetricsRegistry().render_prometheus() == ""
+
+    def test_large_values_print_exactly(self):
+        registry = MetricsRegistry()
+        registry.counter("bytes").inc(12_345_678)
+        registry.gauge("huge").set(2**60)
+        registry.gauge("ratio").set(0.1234567891)
+        text = registry.render_prometheus()
+        assert "\nbytes 12345678\n" in text
+        assert f"\nhuge {2**60}\n" in text
+        assert "\nratio 0.1234567891\n" in text
+        # The snapshot's flattened samples print through the same formatter.
+        body = render_exposition({"server": {"bytes_sent": 12_345_678, "mean": 12_345_678.0}})
+        assert "repro_server_bytes_sent 12345678\n" in body
+        assert "repro_server_mean 12345678\n" in body
 
 
 class TestTransferIdOverride:

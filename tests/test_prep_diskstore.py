@@ -372,6 +372,20 @@ class TestStoreMaintenance:
         ]
         assert locks == []
 
+    def test_failed_persist_leaves_no_lock_file(self, tmp_path, monkeypatch):
+        service, _ = make_disk_service(tmp_path)
+        store = service.disk_store
+
+        def full_disk(key, prepared):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store, "put", full_disk)
+        prepared = service.prepare("doc", REQUEST)
+        assert prepared.m > 0  # the request is still served
+        assert service.stats["disk_errors"] == 1
+        assert service.stats["disk_writes"] == 0
+        assert list(store.root.glob("*/*.lock")) == []
+
 
 #: A query none of whose words the paper holds: its MQIC cook shares
 #: the static cook, and the disk tier keeps an alias record for it.

@@ -12,11 +12,12 @@ measure that reads no query (``ic``, ``proportional``) is cooked once
 whatever query its requests carry.
 """
 
+import random
 import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -29,6 +30,7 @@ from repro.net.stats_http import render_exposition
 from repro.prep import PrepRequest, PreparationService
 from repro.prep.prepare import DocumentSender
 from repro.prep.service import _cooked_size
+from repro.simulation.textgen import CorpusGenerator
 from repro.text.keywords import KeywordExtractor
 from repro.xmlkit.parser import parse_xml
 
@@ -98,6 +100,56 @@ def test_prepare_equals_a_direct_cook(query, measure, packet_size):
     static = SERVICE.prepare(DOCUMENT, PrepRequest(measure="ic", packet_size=packet_size))
     matches = bytes(ranking.coefficients) == bytes(COMPACT.table.weights)
     assert (prepared.cooked is static.cooked) == matches
+
+
+CORPUS_PIPELINE = SCPipeline()
+CORPUS = [
+    (name, xml, CORPUS_PIPELINE.run(parse_xml(xml)).compact())
+    for name, (xml, _topic) in CorpusGenerator(seed=1).corpus(12).items()
+]
+CORPUS_WORDS = sorted({word for _n, _x, sc in CORPUS for word in sc.table.keywords})
+corpus_queries = st.lists(
+    st.one_of(
+        st.sampled_from(CORPUS_WORDS),
+        st.text(string.ascii_lowercase, min_size=2, max_size=9),
+    ),
+    min_size=1,
+    max_size=4,
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=st.integers(0, len(CORPUS) - 1), query=corpus_queries)
+def test_sharing_by_ids_agrees_with_the_coefficient_bytes(document, query):
+    """A shared cook is decided on vocabulary ids; the rule it replaces
+    compared the MQIC coefficients with the static weights as bytes."""
+    table = CORPUS[document][2].table
+    extractor = KeywordExtractor(lemmatizer=CORPUS_PIPELINE.shared_lemmatizer.reader())
+    parsed = Query(query, extractor=extractor)
+    assume(not parsed.is_empty)
+    coefficients = serve_measure(table, "mqic", parsed).coefficients
+    by_bytes = bytes(coefficients) == bytes(table.weights)
+    by_ids = not table.holds_any(table.vocabulary.known(parsed.keywords()))
+    assert by_ids == by_bytes
+
+
+def test_off_vocabulary_queries_leave_the_vocabulary_alone():
+    pipeline = SCPipeline()
+    service = PreparationService(pipeline=pipeline)
+    for name, xml, _sc in CORPUS:
+        service.add_document(name, xml)
+    service.warmup()
+    vocabulary = pipeline.shared_vocabulary
+    held = len(vocabulary)
+    rng = random.Random(7)
+    names = [name for name, _xml, _sc in CORPUS]
+    for _ in range(500):
+        words = ["".join(rng.choices("qxzjv", k=rng.randint(4, 9))) for _ in range(3)]
+        request = PrepRequest(query=" ".join(words), measure="mqic")
+        prepared = service.prepare(rng.choice(names), request)
+        assert prepared.measure == "mqic"
+    assert len(vocabulary) == held
+    assert service.stats["shared_cooks"] == 500
 
 
 OFF_VOCABULARY = PrepRequest(query="quokka zeppelin")

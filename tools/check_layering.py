@@ -35,7 +35,11 @@ module under ``src/repro`` and fails the build when:
    the server snapshot (``net.server``, ``net.chaos``, ``prep.service``,
    ``prep.diskstore``, ``broadcast.scheduler``, ``obs.slo``) never
    read ``OBS.metrics``: each serving fact has one counter, and
-   ``/metrics`` flattens the snapshot instead of a second copy.
+   ``/metrics`` flattens the snapshot instead of a second copy;
+10. the server side of ``repro.net`` (``server``, ``workers``) never
+    calls ``run_in_executor(None, ...)``: prepares run on the server's
+    own one-thread executor, and asyncio's default executor grows to
+    ``min(32, cpu + 4)`` threads that a GIL-bound cook cannot use.
 
 Usage::
 
@@ -295,6 +299,12 @@ ONE_COUNT = (
 )
 
 
+ONE_PREP_THREAD = (
+    "one prep thread per server: pass the server's own executor, not "
+    "None (asyncio's default executor)"
+)
+
+
 def module_name(root: Path, path: Path) -> str:
     """``src/repro/a/b.py`` → ``repro.a.b`` (packages keep their name)."""
     relative = path.relative_to(root.parent)
@@ -327,6 +337,26 @@ def obs_metrics_reads(tree: ast.AST) -> Iterator[int]:
             yield node.lineno
 
 
+def default_executor_calls(tree: ast.AST) -> Iterator[int]:
+    """Yield the line of every ``run_in_executor`` call given ``None``
+    (or no executor at all)."""
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run_in_executor"
+        ):
+            continue
+        executor = node.args[0] if node.args else None
+        for keyword in node.keywords:
+            if keyword.arg == "executor":
+                executor = keyword.value
+        if executor is None or (
+            isinstance(executor, ast.Constant) and executor.value is None
+        ):
+            yield node.lineno
+
+
 def _violates(imported: str, banned: str) -> bool:
     return imported == banned or imported.startswith(banned + ".")
 
@@ -346,13 +376,20 @@ def check_tree(root: Path) -> List[str]:
             if module != owner
         ]
         counted = module in SNAPSHOT_COUNTED
-        if not rules and not counted:
+        server_side = module in SERVER_SIDE
+        if not rules and not counted and not server_side:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         if counted:
             violations.extend(
                 f"{path}:{lineno}: {module} reads OBS.metrics ({ONE_COUNT})"
                 for lineno in obs_metrics_reads(tree)
+            )
+        if server_side:
+            violations.extend(
+                f"{path}:{lineno}: {module} calls run_in_executor on the "
+                f"default executor ({ONE_PREP_THREAD})"
+                for lineno in default_executor_calls(tree)
             )
         for lineno, imported in imported_modules(tree):
             for banned_prefixes, why in rules:
