@@ -594,6 +594,17 @@ def cmd_net_loadgen(args) -> int:
     return 0 if report.error_budget_remaining > 0 else 1
 
 
+def _prep_evictions(snapshot) -> int:
+    """Memory-tier evictions: the ``prep_cache`` tiers' counts, summed
+    over each worker of a fleet snapshot."""
+    return sum(
+        tier.get("evictions", 0)
+        for part in snapshot.get("workers") or [snapshot]
+        for tier in part.get("prep_cache", {}).values()
+        if isinstance(tier, dict)
+    )
+
+
 def cmd_net_stats(args) -> int:
     """Query a running server's operational snapshot (STATS frame)."""
     import asyncio
@@ -634,7 +645,7 @@ def cmd_net_stats(args) -> int:
             f"prep: sc {prep.get('sc_hits', 0)}/{prep.get('sc_misses', 0)} "
             f"hit/miss, cooked {prep.get('cooked_hits', 0)}"
             f"/{prep.get('cooked_misses', 0)} hit/miss, "
-            f"{prep.get('evictions', 0)} eviction(s)"
+            f"{_prep_evictions(snapshot)} eviction(s)"
         )
     for conn in snapshot.get("connections", []):
         print(

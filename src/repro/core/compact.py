@@ -182,6 +182,29 @@ class KeywordTable:
         unit_counts: Optional[Iterable[Mapping[str, int]]] = None,
         vocabulary: Optional[Vocabulary] = None,
     ) -> None:
+        self._fill(vector, unit_counts, vocabulary)
+
+    @classmethod
+    def indexed(
+        cls,
+        vector: OccurrenceVector,
+        unit_counts: Optional[Iterable[Mapping[str, int]]] = None,
+        vocabulary: Optional[Vocabulary] = None,
+    ) -> Tuple["KeywordTable", Dict[str, int]]:
+        """A new table and its :meth:`index`, made from the keyword list
+        the table is built from rather than read back from the
+        vocabulary."""
+        table = cls.__new__(cls)
+        keywords = table._fill(vector, unit_counts, vocabulary)
+        return table, dict(zip(keywords, range(len(keywords))))
+
+    def _fill(
+        self,
+        vector: OccurrenceVector,
+        unit_counts: Optional[Iterable[Mapping[str, int]]],
+        vocabulary: Optional[Vocabulary],
+    ) -> List[str]:
+        """Set every field; returns the keywords in id order."""
         keywords = list(vector)
         if unit_counts is not None:
             known = set(keywords)
@@ -194,6 +217,7 @@ class KeywordTable:
         self._packed = _packed(self.vocabulary.ids(keywords))
         self.counts = _packed(list(map(itemgetter(1), vector.items())))
         self.norm: str = vector.norm_kind
+        return keywords
 
     def __len__(self) -> int:
         return len(self._packed)
@@ -493,9 +517,11 @@ class CompactSC:
         for counts in owns:
             add_counts(total, counts)
         if vector is None:
-            self.table = KeywordTable(OccurrenceVector(total or {"_": 1}), None, vocabulary)
+            self.table, index = KeywordTable.indexed(
+                OccurrenceVector(total or {"_": 1}), None, vocabulary
+            )
         else:
-            self.table = KeywordTable(vector, [total], vocabulary)
+            self.table, index = KeywordTable.indexed(vector, [total], vocabulary)
         self.lods = bytes(map(attrgetter("lod"), units))
         self.virtual = bytes(map(attrgetter("virtual"), units))
         self.ends = _packed(ends)
@@ -503,7 +529,7 @@ class CompactSC:
         self.titles: Tuple[str, ...] = tuple(map(sys.intern, map(attrgetter("title"), units)))
         self.compressed = zlib.compress(b"".join(payloads), 1)
         self.offsets = _packed(list(accumulate(map(len, payloads), initial=0)))
-        self.own, self.own_starts = _flatten(owns, self.table.index())
+        self.own, self.own_starts = _flatten(owns, index)
 
     @classmethod
     def from_tree(cls, root, vector: OccurrenceVector) -> "CompactSC":

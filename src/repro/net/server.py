@@ -523,8 +523,6 @@ class NetServer:
         self.stats: Dict[str, int] = {
             "connections": 0,
             "completed": 0,
-            "client_gone": 0,
-            "timeouts": 0,
             "errors": 0,
             "rounds_served": 0,
             "frames_sent": 0,
@@ -667,11 +665,9 @@ class NetServer:
             outcome = await self._serve_transfer(reader, sender, state)
         except asyncio.TimeoutError:
             outcome = "timeout"
-            self.stats["timeouts"] += 1
             state.flight.record("timeout", waited=self.round_timeout)
         except ConnectionLost as exc:
             outcome = "client_gone"
-            self.stats["client_gone"] += 1
             state.flight.record("client_gone", detail=str(exc))
         except WireError as exc:
             try:

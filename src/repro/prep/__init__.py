@@ -11,8 +11,8 @@ cooked packets ready for the §4.2 transfer protocol":
   packets step;
 * :class:`~repro.prep.service.PreparationService` — lazy pipeline +
   measure + schedule + cook behind SC-tier (compact SCs) and
-  cooked-tier byte-budget LRU caches with single-flight miss
-  deduplication.
+  cooked-tier byte-budget LRU caches; misses build one at a time
+  under one build lock, so each key is built once.
 
 Layering: prep sits above ``core``/``coding``/``obs`` and below
 ``transport``/``net``/``prototype`` — it never imports a transport.

@@ -7,7 +7,8 @@ in **bytes** (entries vary over orders of magnitude, so an entry count
 is the wrong budget), least-recently-used eviction, and explicit
 invalidation by predicate (drop everything derived from one document
 digest).  :class:`ByteBudgetLRU` provides exactly that behind one lock;
-single-flight deduplication lives in the service, not here.
+the build lock that runs one build per key lives in the service, not
+here.
 """
 
 from __future__ import annotations

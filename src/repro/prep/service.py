@@ -26,16 +26,20 @@ is cooked and held once: an MQIC request whose query shares no keyword
 with the document ranks every unit exactly as the static IC does
 (ω_a + λ·0), so its key aliases the static cook instead of encoding
 the same bytes again.  The cook decides this on vocabulary ids, before
-it builds any measure.  Concurrent misses for the same key are
-**single-flighted**: exactly one caller runs the pipeline and encode,
-everyone else blocks on the flight and shares the result.
-The mechanism is a plain ``threading.Event``, which is correct both
-for plain threads (transport/prototype callers) and for asyncio
-callers that off-load via :meth:`PreparationService.prepare_async` /
-``run_in_executor`` (the :class:`~repro.net.server.NetServer` does).
+it builds any measure.
+
+A hit reads its tier without a lock.  A miss takes the service's one
+re-entrant build lock and reads the tier again, so concurrent misses
+for one key run one build and the others share it.  Builds run one at
+a time, as each :class:`~repro.net.server.NetServer` runs every
+prepare on its own prep thread.  For in-process thread callers that
+means: misses for distinct keys build one after another; N concurrent
+requests whose build raises run N failing builds, each raising its own
+error; and a waiter for an entry too large for its tier's budget builds
+it again.
 
 The always-on :attr:`PreparationService.stats` counters are the only
-count of hits, misses, shared cooks and evictions, and
+count of hits, misses, waits and shared cooks, and
 :meth:`PreparationService.cache_info` reports each tier's entries,
 bytes and evictions; with telemetry enabled the stages add
 ``prep.*.seconds`` timers.
@@ -133,17 +137,6 @@ class _Shared:
         self.prepared = prepared
 
 
-class _Flight:
-    """One in-progress computation shared by concurrent requesters."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
-
-
 #: Distinct structure records :class:`_StructureRecords` holds at most;
 #: past it the table starts over, and records already shared stay shared.
 _STRUCTURE_RECORDS = 1024
@@ -186,9 +179,11 @@ def content_digest(source: str, *, html: bool = False) -> str:
 
 #: Bytes an SC-tier entry holds besides its compact SC's buffers: the
 #: ``CompactSC`` and ``KeywordTable`` objects, the tier key and its LRU
-#: slot (``tracemalloc``, 64-bit CPython 3.11: 977 B for a corpus
-#: document cooked alone).
-_SC_ENTRY_BYTES = 980
+#: slot (``tracemalloc``, 64-bit CPython 3.11, fresh interpreter: a
+#: corpus document cooked alone retains 1 113 B besides its buffers,
+#: 288 B of which is the service's structure-record table taking its
+#: first slots, once per service).
+_SC_ENTRY_BYTES = 820
 
 
 def _sc_size(sc: CompactSC) -> int:
@@ -292,9 +287,10 @@ class PreparationService:
             disk_store = DiskCookedStore(disk_path, max_bytes=disk_budget_bytes)
         self._disk = disk_store
         self._records: Dict[str, _SourceRecord] = {}
-        self._flights: Dict[Tuple, _Flight] = {}
         self._structures = _StructureRecords()
         self._lock = threading.Lock()
+        #: Held by every build, so builds run one at a time (see _fetch).
+        self._build_lock = threading.RLock()
         #: Always-on counters, the service's only count of each fact.
         self.stats: Dict[str, int] = {
             "sc_hits": 0,
@@ -307,7 +303,6 @@ class PreparationService:
             "disk_errors": 0,
             "inflight_waits": 0,
             "shared_cooks": 0,
-            "evictions": 0,
             "invalidations": 0,
         }
         #: Per-document demand counters (every ``prepare`` call, hit or
@@ -447,8 +442,8 @@ class PreparationService:
     ) -> PreparedDocument:
         """The prepared document for ``(document_id, request)``.
 
-        Cache hit, single-flight wait, or full build — always the same
-        bytes for the same canonical request.  Raises
+        Cache hit, a wait on the build lock, or full build — always the
+        same bytes for the same canonical request.  Raises
         :class:`UnknownDocumentError` for an unregistered id.
         """
         if request is None:
@@ -470,22 +465,6 @@ class PreparationService:
                 f"measure 'mqic' needs a query with keywords, got {request.query!r}"
             )
         return self._with_id(prepared, document_id)
-
-    async def prepare_async(
-        self, document_id: str, request: Optional[PrepRequest] = None
-    ) -> PreparedDocument:
-        """:meth:`prepare` off the event loop (default executor).
-
-        Concurrent coroutines requesting the same key dedupe through
-        the same single-flight as plain threads.
-        """
-        import asyncio
-        from functools import partial
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            None, partial(self.prepare, document_id, request)
-        )
 
     def sc_for(self, document_id: str) -> StructuralCharacteristic:
         """A fresh SC tree rebuilt from the cached compact SC.
@@ -529,14 +508,8 @@ class PreparationService:
             self._cooked_tier,
             key,
             "cooked",
-            lambda: self._build_cooked(record, request),
+            lambda: self._cook(record, request, key),
             _cooked_size,
-            # The disk key additionally carries the pipeline token:
-            # bundle files outlive this process, so they must not be
-            # shared across differently-configured pipelines the way
-            # the per-instance memory tier safely can.
-            disk_key=key + self._pipeline_token() if self._disk else None,
-            alias=lambda measure: self._share_static(record, request, measure),
         )
 
     def _fetch(
@@ -544,107 +517,79 @@ class PreparationService:
         tier: ByteBudgetLRU,
         key: Tuple,
         tier_name: str,
-        factory: Callable[[], Any],
+        build: Callable[[], Any],
         size_of: Callable[[Any], int],
-        disk_key: Optional[Tuple] = None,
-        alias: Optional[Callable[[str], Any]] = None,
     ) -> Any:
-        """Tier lookup with single-flight miss deduplication.
+        """Tier lookup; a miss builds under the service's build lock.
 
-        With *disk_key* set, the in-process flight leader additionally
-        holds the store's cross-process bundle lock while it probes
-        disk and (on a cluster-wide miss) cooks and persists — so N
-        workers missing the same key still run the pipeline exactly
-        once between them, and the others load the winner's bundle.
-        A key whose disk record is an alias is served by
-        ``alias(measure)`` instead of *factory*.
+        A hit reads the tier without the lock, so it never waits behind
+        a build.  A miss takes the lock and reads the tier again: an
+        entry another thread published meanwhile is a hit that had to
+        wait (``inflight_waits``); otherwise *build* runs, counting its
+        own miss, and its value is published.  The lock is re-entrant:
+        a cook fetches its SC, and a shared cook the static key, on the
+        thread that holds it.
         """
         value = tier.get(key)
-        if value is not MISS:
-            self.stats[f"{tier_name}_hits"] += 1
-            return value
-        flight_key = (tier.name, key)
-        while True:
-            with self._lock:
+        if value is MISS:
+            with self._build_lock:
                 value = tier.get(key)
-                if value is not MISS:
-                    leader = None
-                    flight = None
-                else:
-                    flight = self._flights.get(flight_key)
-                    if flight is None:
-                        flight = _Flight()
-                        self._flights[flight_key] = flight
-                        leader = True
-                    else:
-                        leader = False
-            if flight is None:
-                self.stats[f"{tier_name}_hits"] += 1
-                return value
-            if not leader:
-                # Share the in-progress computation: block until the
-                # leader resolves the flight, then use its outcome.
-                flight.event.wait()
-                if flight.error is not None:
-                    raise flight.error
+                if value is MISS:
+                    value = build()
+                    tier.put(key, value, size_of(value))
+                    return value
                 self.stats["inflight_waits"] += 1
-                self.stats[f"{tier_name}_hits"] += 1
-                return flight.value
-            break
-        # Leader: probe the disk tier, run the build if it too misses,
-        # publish the result, settle followers.
-        try:
-            if disk_key is not None and self._disk is not None:
-                value = self._fetch_via_disk(disk_key, tier_name, factory, alias)
-            else:
-                self.stats[f"{tier_name}_misses"] += 1
-                with timed(f"prep.{tier_name}_build"):
-                    value = factory()
-            if isinstance(value, _Shared):
-                value = value.prepared
-            self.stats["evictions"] += len(tier.put(key, value, size_of(value)))
-            flight.value = value
-            return value
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._flights.pop(flight_key, None)
-            flight.event.set()
+        self.stats[f"{tier_name}_hits"] += 1
+        return value
 
-    def _fetch_via_disk(
-        self,
-        disk_key: Tuple,
-        tier_name: str,
-        factory: Callable[[], Any],
-        alias: Optional[Callable[[str], Any]] = None,
-    ) -> Any:
-        """Leader path through the persistent tier.
+    def _cook(
+        self, record: _SourceRecord, request: PrepRequest, key: Tuple
+    ) -> PreparedDocument:
+        """A cooked-tier miss: through the disk tier when there is one.
+
+        The disk key additionally carries the pipeline token: bundle
+        files outlive this process, so they must not be shared across
+        differently-configured pipelines the way the per-instance
+        memory tier safely can.
+        """
+        if self._disk is None:
+            self.stats["cooked_misses"] += 1
+            with timed("prep.cooked_build"):
+                cooked = self._build_cooked(record, request)
+        else:
+            cooked = self._cook_via_disk(record, request, key + self._pipeline_token())
+        return cooked.prepared if isinstance(cooked, _Shared) else cooked
+
+    def _cook_via_disk(
+        self, record: _SourceRecord, request: PrepRequest, disk_key: Tuple
+    ) -> Union[PreparedDocument, _Shared]:
+        """A cooked-tier miss through the persistent tier.
 
         Holds the store's cross-process bundle lock over probe → cook
-        → persist, so concurrent workers cook each bundle exactly once
-        cluster-wide.  A verified bundle on disk is a *hit* for the
-        in-memory tier's contract: no pipeline ran, no miss counted.
-        So is an alias record, which a shared cook persists instead of
-        a second bundle: *alias* serves it from the owning key without
-        building the SC again.
+        → persist, so N workers missing the same key run the pipeline
+        exactly once between them, and the others load the winner's
+        bundle.  A verified bundle on disk is a *hit* for the in-memory
+        tier's contract: no pipeline ran, no miss counted.  So is an
+        alias record, which a shared cook persists instead of a second
+        bundle: it is served from the owning key without building the
+        SC again.
         """
-        assert self._disk is not None
         with self._disk.lock(disk_key):
             aliased: Optional[str] = None
             with timed("prep.disk_probe"):
                 value = self._disk.get(disk_key)
-                if value is None and alias is not None:
+                if value is None:
                     aliased = self._disk.get_alias(disk_key)
             if value is not None or aliased is not None:
                 self.stats["disk_hits"] += 1
-                self.stats[f"{tier_name}_hits"] += 1
-                return value if aliased is None else alias(aliased)
+                self.stats["cooked_hits"] += 1
+                if aliased is None:
+                    return value
+                return self._share_static(record, request, aliased)
             self.stats["disk_misses"] += 1
-            self.stats[f"{tier_name}_misses"] += 1
-            with timed(f"prep.{tier_name}_build"):
-                value = factory()
+            self.stats["cooked_misses"] += 1
+            with timed("prep.cooked_build"):
+                value = self._build_cooked(record, request)
             try:
                 with timed("prep.disk_persist"):
                     if isinstance(value, _Shared):
@@ -682,15 +627,17 @@ class PreparationService:
         return (type(self._pipeline).__qualname__,)
 
     def _build_sc(self, record: _SourceRecord) -> CompactSC:
-        source = record.text()
-        with timed("prep.parse"):
-            if record.html:
-                from repro.htmlkit.extract import html_to_research_paper
+        self.stats["sc_misses"] += 1
+        with timed("prep.sc_build"):
+            source = record.text()
+            with timed("prep.parse"):
+                if record.html:
+                    from repro.htmlkit.extract import html_to_research_paper
 
-                document = html_to_research_paper(source)
-            else:
-                document = parse_xml(source)
-        return self._structures.share(self._pipeline.run(document).compact())
+                    document = html_to_research_paper(source)
+                else:
+                    document = parse_xml(source)
+            return self._structures.share(self._pipeline.run(document).compact())
 
     def _build_cooked(
         self, record: _SourceRecord, request: PrepRequest
@@ -749,11 +696,12 @@ class PreparationService:
         No query keyword is in the document, so every MQIC coefficient
         is ω_a + λ·0.0 and the schedule, profile and arena are the
         static IC's.  The static request goes through the cooked tier
-        like any fetch (single flight, disk tier) while this request's
-        flight and bundle lock are held: locks are taken query key
-        first, static key second, and a static cook never shares, so
-        the order cannot invert.  The alias keeps this request's
-        measure name, as ``_with_id`` keeps the requested id.
+        like any fetch (build lock, disk tier) while this request's
+        build and bundle lock are held: the build lock is re-entrant,
+        bundle locks are taken query key first, static key second, and
+        a static cook never shares, so the order cannot invert.  The
+        alias keeps this request's measure name, as ``_with_id`` keeps
+        the requested id.
         """
         static = self._cooked(record, request.replace(measure="ic", query=""))
         self.stats["shared_cooks"] += 1
@@ -792,15 +740,9 @@ class PreparationService:
         return [(doc, hits.get(doc, 0)) for doc in ranked]
 
     def cache_info(self) -> Dict[str, Any]:
-        """Snapshot of each tier and the builds in flight (the counters
-        are :attr:`stats`)."""
-        with self._lock:
-            inflight = len(self._flights)
-        info = {
-            "sc": self._sc_tier.info(),
-            "cooked": self._cooked_tier.info(),
-            "inflight": inflight,
-        }
+        """Snapshot of each tier: entries, bytes and evictions (the
+        counters are :attr:`stats`)."""
+        info = {"sc": self._sc_tier.info(), "cooked": self._cooked_tier.info()}
         if self._disk is not None:
             info["disk"] = self._disk.info()
         return info

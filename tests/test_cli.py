@@ -198,3 +198,31 @@ class TestFigure:
         out = capsys.readouterr().out
         for name in ("table1", "fig2", "fig7"):
             assert name in out
+
+
+class TestNetStats:
+    def test_prep_line_sums_the_tiers_evictions_per_worker(self, capsys, monkeypatch):
+        import repro.net
+
+        def worker(sc, cooked):
+            return {"prep_cache": {"sc": {"evictions": sc}, "cooked": {"evictions": cooked},
+                                   "disk": {"bundles": 4}}}
+
+        snapshot = {
+            "server": {"completed": 3},
+            "prep": {"sc_hits": 1, "sc_misses": 2, "cooked_hits": 5, "cooked_misses": 3},
+            "workers": [worker(1, 2), worker(0, 4)],
+        }
+
+        async def fake_fetch_stats(host, port):
+            return snapshot
+
+        monkeypatch.setattr(repro.net, "fetch_stats", fake_fetch_stats)
+        assert main(["net", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "prep: sc 1/2 hit/miss, cooked 5/3 hit/miss, 7 eviction(s)" in out
+        # One server's snapshot carries its own tiers.
+        del snapshot["workers"]
+        snapshot.update(worker(2, 0))
+        assert main(["net", "stats"]) == 0
+        assert "2 eviction(s)" in capsys.readouterr().out

@@ -174,6 +174,20 @@ class TestLayeringLint:
         assert all("repro.net.workers calls run_in_executor" in v for v in violations)
         assert "workers.py:2:" in violations[0] and "workers.py:4:" in violations[1]
 
+    def test_prep_service_keeps_off_the_default_executor(self, tmp_path):
+        # The service builds under its own lock; a hop onto asyncio's
+        # default executor would bring back threads it cannot use.
+        pkg = tmp_path / "repro"
+        (pkg / "prep").mkdir(parents=True)
+        (pkg / "__init__.py").write_text("")
+        (pkg / "prep" / "__init__.py").write_text("")
+        default = "async def f(loop, g):\n    await loop.run_in_executor(None, g)\n"
+        (pkg / "prep" / "service.py").write_text(default)
+        (pkg / "prep" / "diskstore.py").write_text(default)
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 1
+        assert "service.py:2: repro.prep.service calls run_in_executor" in violations[0]
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

@@ -186,7 +186,7 @@ def test_half_open_socket_times_out_server_side():
         async with NetServer(store, round_timeout=0.2) as server:
             reader, writer = await asyncio.open_connection(server.host, server.port)
             deadline = asyncio.get_running_loop().time() + 5.0
-            while server.stats["timeouts"] < 1:
+            while server.outcomes["timeout"] < 1:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.02)
             while server.active_connections:
@@ -197,7 +197,7 @@ def test_half_open_socket_times_out_server_side():
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        assert server.stats["timeouts"] == 1
+        assert server.outcomes["timeout"] == 1
         assert server.active_connections == 0
         await assert_no_leaked_tasks()
 
@@ -220,7 +220,7 @@ def test_silent_client_after_round_times_out_server_side():
                 if msg_type == MSG_ROUND_END:
                     break
             deadline = asyncio.get_running_loop().time() + 5.0
-            while server.stats["timeouts"] < 1:
+            while server.outcomes["timeout"] < 1:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.02)
             writer.close()

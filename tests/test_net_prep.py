@@ -249,7 +249,7 @@ class TestCrossWorkerParity:
                 merged = pool.stats_snapshot(timeout=10.0)
                 served = (
                     merged["server"]["completed"]
-                    + merged["server"]["client_gone"]
+                    + merged["outcomes"]["client_gone"]
                 )
                 if served >= 24 or _time.monotonic() >= deadline:
                     break

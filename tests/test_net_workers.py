@@ -55,7 +55,7 @@ def settled_snapshot(pool, served, deadline_seconds=10.0):
     while True:
         merged = pool.stats_snapshot(timeout=10.0)
         total = (
-            merged["server"]["completed"] + merged["server"]["client_gone"]
+            merged["server"]["completed"] + merged["outcomes"]["client_gone"]
         )
         if total >= served or time.monotonic() >= deadline:
             return merged
@@ -100,7 +100,7 @@ class TestPoolLifecycle:
             # sum rather than the exact completed split.
             served = (
                 merged["server"]["completed"]
-                + merged["server"]["client_gone"]
+                + merged["outcomes"]["client_gone"]
             )
             assert served == 16
         assert_all_reaped(pool)
@@ -115,7 +115,7 @@ class TestPoolLifecycle:
         assert (
             sum(
                 final["server"]["completed"]
-                + final["server"]["client_gone"]
+                + final["outcomes"]["client_gone"]
                 for final in finals
             )
             == 4

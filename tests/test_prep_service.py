@@ -1,6 +1,7 @@
 """Cache semantics of the on-demand PreparationService.
 
-Tier-1: single-flight dedup (threads *and* asyncio), byte-budget LRU
+Tier-1: one build per key under the build lock (threads *and*
+asyncio executors), builds one at a time, byte-budget LRU
 eviction, digest invalidation, byte-identical hit-vs-miss output, and
 the per-request parameters all landing in the cooked-tier key.
 """
@@ -9,7 +10,9 @@ import asyncio
 import hashlib
 import random
 import string
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -146,7 +149,7 @@ class TestCacheTiers:
         second = service.prepare("doc", request)
         assert second is not first
         assert second.frames() == first.frames()
-        assert service.stats["evictions"] >= 2
+        assert service.cache_info()["cooked"]["evictions"] >= 2
         assert service.stats["cooked_hits"] == 0
 
     def test_unknown_document_raises(self):
@@ -255,8 +258,9 @@ class TestSingleFlight:
         service.add_document("doc", PAPER)
 
         async def go():
+            loop = asyncio.get_running_loop()
             return await asyncio.gather(
-                *(service.prepare_async("doc") for _ in range(12))
+                *(loop.run_in_executor(None, service.prepare, "doc") for _ in range(12))
             )
 
         results = asyncio.run(go())
@@ -273,6 +277,97 @@ class TestSingleFlight:
         with pytest.raises(ValueError):
             service.prepare("doc", bad)  # still raises, not a cached poison
         assert service.prepare("doc", PrepRequest(query="mobile")).document_id == "doc"
+
+
+class PeakPipeline(CountingPipeline):
+    """CountingPipeline that records the most ``run`` calls at once, and
+    can hold a run open until :attr:`release` is set."""
+
+    def __init__(self, hold=False):
+        super().__init__()
+        self.active = 0
+        self.peak = 0
+        self.hold = hold
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, document):
+        with self._count_lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            if self.hold:
+                self.entered.set()
+                assert self.release.wait(10.0)
+            else:
+                time.sleep(0.02)  # long enough for another run to overlap
+            return super().run(document)
+        finally:
+            with self._count_lock:
+                self.active -= 1
+
+
+class TestBuildLock:
+    def test_distinct_misses_build_one_at_a_time(self):
+        pipeline = PeakPipeline()
+        service = PreparationService(pipeline=pipeline)
+        for index in range(8):
+            service.add_document(f"doc{index}", PAPER.replace("Service Cache", f"Paper {index}"))
+        barrier = threading.Barrier(8)
+
+        def fetch(index):
+            barrier.wait()
+            return service.prepare(f"doc{index}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: more chances to overlap
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(fetch, range(8), timeout=60.0))
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert [result.document_id for result in results] == [f"doc{i}" for i in range(8)]
+        assert pipeline.runs == 8
+        assert pipeline.peak == 1
+        assert service.stats["cooked_misses"] == 8
+
+    def test_hit_does_not_wait_behind_a_build(self):
+        pipeline = PeakPipeline()
+        service = PreparationService(pipeline=pipeline)
+        service.add_document("hot", PAPER)
+        service.add_document("cold", OTHER)
+        cached = service.prepare("hot")
+        pipeline.hold = True
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            cold = pool.submit(service.prepare, "cold")
+            assert pipeline.entered.wait(10.0)
+            try:
+                assert service.prepare("hot") is cached
+                assert not cold.done()  # the build is still held open
+            finally:
+                pipeline.release.set()
+            assert cold.result(10.0).document_id == "cold"
+        assert service.stats["cooked_hits"] == 1
+
+    def test_concurrent_failing_builds_each_raise(self):
+        service, pipeline = make_service()
+        service.add_document("doc", PAPER)
+        bad = PrepRequest(measure="qic")  # qic needs a query
+        barrier = threading.Barrier(4)
+
+        def fetch(_):
+            barrier.wait()
+            with pytest.raises(ValueError, match="needs a query"):
+                service.prepare("doc", bad)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(fetch, range(4)))
+
+        # No error is handed on: each request ran its own failing build.
+        assert service.stats["cooked_misses"] == 4
+        assert service.prepare("doc", PrepRequest(query="mobile")).document_id == "doc"
+        assert pipeline.runs == 1  # the SC built once, for every cook
 
 
 class TestServiceConveniences:

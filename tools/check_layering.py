@@ -36,10 +36,12 @@ module under ``src/repro`` and fails the build when:
    ``prep.diskstore``, ``broadcast.scheduler``, ``obs.slo``) never
    read ``OBS.metrics``: each serving fact has one counter, and
    ``/metrics`` flattens the snapshot instead of a second copy;
-10. the server side of ``repro.net`` (``server``, ``workers``) never
-    calls ``run_in_executor(None, ...)``: prepares run on the server's
-    own one-thread executor, and asyncio's default executor grows to
-    ``min(32, cpu + 4)`` threads that a GIL-bound cook cannot use.
+10. the server side of ``repro.net`` (``server``, ``workers``) and the
+    preparation service (``prep.service``) never call
+    ``run_in_executor(None, ...)``: prepares run on the server's own
+    one-thread executor, builds one at a time under the service's build
+    lock, and asyncio's default executor grows to ``min(32, cpu + 4)``
+    threads that a GIL-bound cook cannot use.
 
 Usage::
 
@@ -303,6 +305,8 @@ ONE_PREP_THREAD = (
     "one prep thread per server: pass the server's own executor, not "
     "None (asyncio's default executor)"
 )
+#: Modules held to rule 10: they never use asyncio's default executor.
+PREP_THREAD_MODULES = SERVER_SIDE + ("repro.prep.service",)
 
 
 def module_name(root: Path, path: Path) -> str:
@@ -376,8 +380,8 @@ def check_tree(root: Path) -> List[str]:
             if module != owner
         ]
         counted = module in SNAPSHOT_COUNTED
-        server_side = module in SERVER_SIDE
-        if not rules and not counted and not server_side:
+        prep_thread = module in PREP_THREAD_MODULES
+        if not rules and not counted and not prep_thread:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         if counted:
@@ -385,7 +389,7 @@ def check_tree(root: Path) -> List[str]:
                 f"{path}:{lineno}: {module} reads OBS.metrics ({ONE_COUNT})"
                 for lineno in obs_metrics_reads(tree)
             )
-        if server_side:
+        if prep_thread:
             violations.extend(
                 f"{path}:{lineno}: {module} calls run_in_executor on the "
                 f"default executor ({ONE_PREP_THREAD})"
