@@ -248,6 +248,39 @@ def _broker_store(args):
     return BrokerDocumentStore(broker, request=_document_request(args))
 
 
+async def _until_stopped(args, snapshot, banner: List[str]) -> None:
+    """Print *banner* and serve ``--metrics-port`` until SIGINT or SIGTERM.
+
+    The handlers go in before the banner's "listening on" line, so a
+    signal sent as soon as that line shows drains instead of killing."""
+    import asyncio
+    import signal
+
+    loop = asyncio.get_running_loop()
+    stop = asyncio.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except (NotImplementedError, ValueError):
+            pass
+    print("\n".join(banner))
+    metrics_http = None
+    if args.metrics_port is not None:
+        from repro.net.stats_http import StatsHTTP
+
+        metrics_http = StatsHTTP(snapshot, args.host, args.metrics_port)
+        await metrics_http.start()
+        print(
+            f"metrics on http://{metrics_http.host}:{metrics_http.port}"
+            "/metrics (also /stats.json, /healthz)"
+        )
+    try:
+        await stop.wait()
+    finally:
+        if metrics_http is not None:
+            await metrics_http.stop()
+
+
 def _serve_workers(args) -> int:
     """Multi-process serving: N workers over one port + shared disk tier.
 
@@ -258,12 +291,10 @@ def _serve_workers(args) -> int:
     stays 1 cluster-wide however many workers fork).
     """
     import asyncio
-    import signal
     import tempfile
     from dataclasses import replace
 
-    from repro.net.stats_http import StatsHTTP
-    from repro.net.workers import WorkerPool, build_worker_service
+    from repro.net.workers import WorkerPool, build_worker_service, merge_snapshots
 
     config = _serve_config(args)
     if config.disk_root is None:
@@ -278,59 +309,25 @@ def _serve_workers(args) -> int:
     pool = WorkerPool(replace(config, warmup=False), args.workers)
     pool.start()
     mode = "SO_REUSEPORT" if pool.config.reuse_port else "shared listener"
-    print(
+    banner = [
         f"listening on {pool.host}:{pool.port} with {args.workers} "
-        f"worker(s) via {mode} (ctrl-c to stop)"
-    )
-    for path in args.paths:
-        print(f"serving {Path(path).stem!r} from {path}")
-
-    async def _wait() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except (NotImplementedError, ValueError):
-                pass
-        metrics_http = None
-        if args.metrics_port is not None:
-            metrics_http = StatsHTTP(
-                lambda: pool.stats_snapshot(timeout=2.0),
-                args.host,
-                args.metrics_port,
-            )
-            await metrics_http.start()
-            print(
-                f"merged metrics on http://{metrics_http.host}:"
-                f"{metrics_http.port}/metrics (also /stats.json, /healthz)"
-            )
-        try:
-            await stop.wait()
-        finally:
-            if metrics_http is not None:
-                await metrics_http.stop()
-
+        f"worker(s) via {mode} (ctrl-c to stop)",
+        *(f"serving {Path(path).stem!r} from {path}" for path in args.paths),
+    ]
     try:
-        asyncio.run(_wait())
+        asyncio.run(
+            _until_stopped(args, lambda: pool.stats_snapshot(timeout=2.0), banner)
+        )
     except KeyboardInterrupt:
         pass
     # Drain fan-out: every worker finishes in-flight transfers within
     # the round timeout, reports a final snapshot, and exits.
-    finals = pool.stop(drain_timeout=args.round_timeout)
-    completed = sum(
-        snapshot["server"].get("completed", 0)
-        for snapshot in finals
-        if snapshot is not None
-    )
-    frames = sum(
-        snapshot["server"].get("frames_sent", 0)
-        for snapshot in finals
-        if snapshot is not None
-    )
+    finals = [s for s in pool.stop(drain_timeout=args.round_timeout) if s is not None]
+    totals = merge_snapshots(finals)["server"]
     print(
-        f"served {completed} transfer(s), {frames} frame(s) across "
-        f"{len([s for s in finals if s is not None])}/{args.workers} worker(s)"
+        f"served {totals.get('completed', 0)} transfer(s), "
+        f"{totals.get('frames_sent', 0)} frame(s) across "
+        f"{len(finals)}/{args.workers} worker(s)"
     )
     return 0
 
@@ -387,24 +384,13 @@ def cmd_net_serve(args) -> int:
                 f"adaptive gamma on "
                 f"(floor={config.gamma_floor:g} ceiling={config.gamma_ceiling:g})"
             )
-        print(f"listening on {server.host}:{server.port} (ctrl-c to stop)")
-        metrics_http = None
-        if args.metrics_port is not None:
-            from repro.net.stats_http import StatsHTTP
-
-            metrics_http = StatsHTTP(server.stats_snapshot, args.host, args.metrics_port)
-            await metrics_http.start()
-            print(
-                f"metrics on http://{metrics_http.host}:{metrics_http.port}"
-                "/metrics (also /stats.json, /healthz)"
-            )
         try:
-            await asyncio.Event().wait()
-        except asyncio.CancelledError:
-            pass
+            await _until_stopped(
+                args,
+                server.stats_snapshot,
+                [f"listening on {server.host}:{server.port} (ctrl-c to stop)"],
+            )
         finally:
-            if metrics_http is not None:
-                await metrics_http.stop()
             await server.stop()
             stats = server.stats
             print(

@@ -39,10 +39,10 @@ snapshot.  :meth:`WorkerPool.stop` fans the drain out to every worker
 and reaps the processes.
 
 :func:`merge_snapshots` folds per-worker snapshots into the fleet
-view that ``/stats.json`` and ``/metrics`` expose: summed counters,
-an **approximate** merged SLO (percentiles are count-weighted means
-of the per-worker percentiles — exact merging would need the raw
-windows), and the individual snapshots under ``"workers"``.
+view that ``/stats.json`` and ``/metrics`` expose: summed counters, a
+merged SLO whose latency bucket counts sum exactly (so the fleet
+percentiles are those of the union of the workers' windows), and the
+individual snapshots under ``"workers"``.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.obs.slo import slo_report
 from repro.prep.request import PrepRequest
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
 from repro.util.nossl import refuse_ssl
@@ -467,15 +468,12 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-worker snapshots into one fleet view.
 
     Counter families (``server``, ``outcomes``, ``prep``) are summed
-    key-wise, so each worker's counts add up exactly; the
-    merged SLO sums counts/errors exactly but **approximates** the
-    percentiles as count-weighted means of the per-worker percentiles
-    (flagged ``"approximate": True`` — exact fleet percentiles would
-    need the raw windows).  Per-worker ``broadcast`` sections merge the
-    same way: the carousel counters sum exactly, while any derived
-    per-cycle mean is a cycle-weighted mean across independent worker
-    streams and carries the same ``"approximate": True`` label.  The
-    untouched per-worker snapshots ride along under ``"workers"``.
+    key-wise, so each worker's counts add up exactly.  The merged SLO
+    is :func:`~repro.obs.slo.slo_report` over the workers' reports: their
+    latency ``buckets`` sum, so the fleet p50/p95/p99 are the ones one
+    tracker that saw every worker's window would report, and the count,
+    errors, ``over_target`` and error budget are exact.  The untouched
+    per-worker snapshots ride along under ``"workers"``.
     """
     merged: Dict[str, Any] = {
         "server": {},
@@ -495,60 +493,14 @@ def merge_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
 
     reports = [s.get("slo") for s in snapshots if isinstance(s.get("slo"), dict)]
     if reports:
-        count = sum(r.get("count", 0) for r in reports)
-        errors = sum(r.get("errors", 0) for r in reports)
-        error_budget = reports[0].get("error_budget", 0.05)
-        error_rate = errors / count if count else 0.0
-        slo: Dict[str, Any] = {
-            "count": count,
-            "errors": errors,
-            "error_rate": error_rate,
-            "error_budget": error_budget,
-            "error_budget_remaining": (
-                1.0
-                if not count
-                else max(0.0, 1.0 - error_rate / error_budget)
-            ),
-            "over_target": sum(r.get("over_target", 0) for r in reports),
-            "total_observed": sum(r.get("total_observed", 0) for r in reports),
-            "total_errors": sum(r.get("total_errors", 0) for r in reports),
-            "approximate": True,
-        }
-        for key in ("p50_seconds", "p95_seconds", "p99_seconds", "mean_seconds"):
-            if count:
-                slo[key] = (
-                    sum(r.get(key, 0.0) * r.get("count", 0) for r in reports)
-                    / count
-                )
-            else:
-                slo[key] = 0.0
-        merged["slo"] = slo
-
-    carousels = [
-        s.get("broadcast") for s in snapshots if isinstance(s.get("broadcast"), dict)
-    ]
-    if carousels:
-        broadcast: Dict[str, Any] = {
-            "enabled": any(b.get("enabled") for b in carousels),
-            "schedule": carousels[0].get("schedule"),
-            "documents": max(b.get("documents", 0) for b in carousels),
-            "period_slots": max(b.get("period_slots", 0) for b in carousels),
-        }
-        for key in (
-            "subscribers",
-            "subscriptions",
-            "slots_dropped",
-            "cycles_aired",
-            "frames_aired",
-            "bytes_aired",
-        ):
-            broadcast[key] = sum(b.get(key, 0) for b in carousels)
-        cycles = broadcast["cycles_aired"]
-        broadcast["mean_cycle_bytes"] = (
-            broadcast["bytes_aired"] / cycles if cycles else 0.0
+        parts = [(r["count"], r["errors"], r["over_target"],
+                  r["mean_seconds"] * r["count"], r["buckets"]) for r in reports]
+        merged["slo"] = slo_report(
+            parts,
+            window=sum(r["window"] for r in reports),
+            error_budget=reports[0]["error_budget"],
+            target_seconds=reports[0]["target_seconds"],
+            total_observed=sum(r["total_observed"] for r in reports),
+            total_errors=sum(r["total_errors"] for r in reports),
         )
-        # Workers air independent streams, so the per-cycle mean is a
-        # cycle-weighted blend — labelled exactly like the SLO means.
-        broadcast["approximate"] = True
-        merged["broadcast"] = broadcast
     return merged

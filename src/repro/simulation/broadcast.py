@@ -41,6 +41,7 @@ from repro.broadcast.airindex import ENVELOPE_OVERHEAD
 from repro.channel import PASS, parse_model_spec
 from repro.coding.packets import Packetizer
 from repro.prep.prepare import DocumentSender, PreparedDocument
+from repro.util.stats import percentile
 
 #: Per-reader seed stride: readers i and j never share a channel
 #: stream, and the carousel and unicast sides of the comparison reuse
@@ -204,7 +205,7 @@ def simulate_carousel(
         "cycles_aired": min(max_cycles, (slot_index + period - 1) // period),
         "bytes_on_air": bytes_on_air,
         "mean_tuning_slots": statistics.fmean(tuning_slots),
-        "p95_tuning_slots": _percentile(tuning_slots, 95.0),
+        "p95_tuning_slots": float(percentile(tuning_slots, 95.0)),
         "max_tuning_slots": max(tuning_slots),
         "mean_tuning_bytes": statistics.fmean(tuning_bytes),
         "mean_sync_slots": statistics.fmean(sync_slots),
@@ -348,14 +349,3 @@ def run_broadcast_experiment(
         "seed": seed,
         "rows": rows,
     }
-
-
-def _percentile(values: List[int], pct: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    fraction = rank - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction

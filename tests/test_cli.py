@@ -1,5 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -182,6 +188,35 @@ class TestDeliveryFlag:
         ]:
             assert main(["net", "serve", DRAFT, "--port", "0", *flags]) == 2, flags
             assert capsys.readouterr().out.strip() == message
+
+
+@pytest.mark.net
+def test_sigterm_drains_single_process_serve():
+    """SIGTERM sent as soon as "listening on" shows drains ``net serve``:
+    exit 0 with its ``served`` summary, as ctrl-c does."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "net", "serve", DRAFT, "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"},
+    )
+    try:
+        output = []
+        for line in proc.stdout:
+            output.append(line)
+            if line.startswith("listening on"):
+                proc.send_signal(signal.SIGTERM)
+                break
+        output.append(proc.stdout.read())
+        assert proc.wait(timeout=30) == 0, "".join(output)
+        assert "served 0 transfer(s)" in "".join(output)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
 
 class TestFigure:

@@ -188,6 +188,26 @@ class TestLayeringLint:
         assert len(violations) == 1
         assert "service.py:2: repro.prep.service calls run_in_executor" in violations[0]
 
+    def test_one_percentile_rule(self, tmp_path):
+        # Samples go through repro.util.stats, bucket counts through
+        # repro.obs.slo; a private copy anywhere else is a violation.
+        pkg = tmp_path / "repro"
+        for layer in ("util", "obs", "simulation"):
+            (pkg / layer).mkdir(parents=True)
+            (pkg / layer / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "util" / "stats.py").write_text("def percentile(v, p):\n    pass\n")
+        (pkg / "obs" / "slo.py").write_text("def _bucket_percentile(c, p):\n    pass\n")
+        (pkg / "simulation" / "broadcast.py").write_text(
+            "def _percentile(v, p):\n    pass\n\n"
+            "class Sketch:\n    async def Quantile(self, q):\n        pass\n"
+        )
+        violations = check_layering.check_tree(pkg)
+        assert len(violations) == 2
+        assert "broadcast.py:1: repro.simulation.broadcast defines _percentile" in violations[0]
+        assert "broadcast.py:5: repro.simulation.broadcast defines Quantile" in violations[1]
+        assert all("one percentile rule" in v for v in violations)
+
     def test_sibling_module_prefix_not_confused(self, tmp_path):
         # repro.transport.session_helpers is NOT repro.transport.session.
         pkg = tmp_path / "repro"

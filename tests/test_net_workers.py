@@ -16,7 +16,10 @@ import pytest
 
 from repro.net import merge_snapshots, render_exposition, run_loadgen
 from repro.net.workers import WorkerConfig, WorkerPool
+from repro.obs import SLOTracker
+from repro.obs.slo import RELATIVE_ERROR, bucket_index, bucket_seconds
 from repro.prep import PrepRequest, PreparationService
+from repro.util.stats import percentile
 
 from tests.test_prep_service import PAPER
 
@@ -190,29 +193,24 @@ class TestDrain:
 
 
 class TestMergeSnapshots:
-    def test_counters_sum_and_percentiles_weight(self):
+    def test_counters_sum_and_buckets_merge_exactly(self):
+        fast, slow = SLOTracker(), SLOTracker()
+        for index in range(10):
+            fast.observe(0.1, ok=index != 0)
+        for _ in range(30):
+            slow.observe(0.2)
         a = {
             "server": {"completed": 3, "frames_sent": 30},
             "active_connections": 1,
             "prep": {"cooked_misses": 1, "cooked_hits": 2},
-            "slo": {
-                "count": 10, "errors": 1, "error_budget": 0.05,
-                "over_target": 1, "total_observed": 10, "total_errors": 1,
-                "p50_seconds": 0.1, "p95_seconds": 0.2,
-                "p99_seconds": 0.3, "mean_seconds": 0.12,
-            },
+            "slo": fast.report(),
             "worker": "w0",
         }
         b = {
             "server": {"completed": 1, "frames_sent": 10},
             "active_connections": 0,
             "prep": {"cooked_misses": 0, "cooked_hits": 1},
-            "slo": {
-                "count": 30, "errors": 0, "error_budget": 0.05,
-                "over_target": 0, "total_observed": 30, "total_errors": 0,
-                "p50_seconds": 0.2, "p95_seconds": 0.4,
-                "p99_seconds": 0.5, "mean_seconds": 0.24,
-            },
+            "slo": slow.report(),
             "worker": "w1",
         }
         merged = merge_snapshots([a, b])
@@ -221,11 +219,23 @@ class TestMergeSnapshots:
         assert merged["prep"] == {"cooked_misses": 1, "cooked_hits": 3}
         slo = merged["slo"]
         assert slo["count"] == 40 and slo["errors"] == 1
-        assert slo["approximate"] is True
-        assert slo["p50_seconds"] == pytest.approx(
-            (0.1 * 10 + 0.2 * 30) / 40
-        )
+        # The bucket counts sum exactly, so the percentiles are exact
+        # over the bucket midpoints: ranks 19 and 20 both fall at 0.2 s.
+        assert slo["buckets"] == [[bucket_index(0.1), 10], [bucket_index(0.2), 30]]
+        assert slo["p50_seconds"] == bucket_seconds(bucket_index(0.2))
+        assert slo["mean_seconds"] == pytest.approx((0.1 * 10 + 0.2 * 30) / 40)
         assert merged["workers"] == [a, b]
+
+    def test_disjoint_workers_merge_to_the_union_p95(self):
+        fast, slow = SLOTracker(), SLOTracker()
+        for _ in range(100):
+            fast.observe(0.001)
+            slow.observe(0.100)
+        merged = merge_snapshots([{"slo": fast.report()}, {"slo": slow.report()}])
+        union = percentile([0.001] * 100 + [0.100] * 100, 95.0)
+        assert union == 0.100
+        assert abs(merged["slo"]["p95_seconds"] - union) <= RELATIVE_ERROR * union
+        assert "approximate" not in merged["slo"]
 
     def test_outcome_counts_sum_exactly(self):
         a = {"server": {}, "outcomes": {"decoded": 123_456_782, "client_gone": 2, "timeout": 0}}
@@ -243,42 +253,6 @@ class TestMergeSnapshots:
         assert merged["workers"] == []
         assert merged["active_connections"] == 0
         assert "broadcast" not in merged
-
-    def test_broadcast_sections_merge_with_approximate_label(self):
-        a = {
-            "server": {},
-            "broadcast": {
-                "enabled": True, "schedule": "skewed", "documents": 4,
-                "period_slots": 241, "subscribers": 2, "subscriptions": 5,
-                "slots_dropped": 1, "cycles_aired": 3, "frames_aired": 720,
-                "bytes_aired": 195_000,
-            },
-        }
-        b = {
-            "server": {},
-            "broadcast": {
-                "enabled": True, "schedule": "skewed", "documents": 4,
-                "period_slots": 241, "subscribers": 1, "subscriptions": 2,
-                "slots_dropped": 0, "cycles_aired": 1, "frames_aired": 240,
-                "bytes_aired": 65_000,
-            },
-        }
-        merged = merge_snapshots([a, b])
-        broadcast = merged["broadcast"]
-        assert broadcast["enabled"] is True
-        assert broadcast["schedule"] == "skewed"
-        assert broadcast["documents"] == 4
-        assert broadcast["period_slots"] == 241
-        assert broadcast["subscribers"] == 3
-        assert broadcast["subscriptions"] == 7
-        assert broadcast["slots_dropped"] == 1
-        assert broadcast["cycles_aired"] == 4
-        assert broadcast["frames_aired"] == 960
-        assert broadcast["bytes_aired"] == 260_000
-        # The per-cycle mean blends independent worker streams, so it
-        # carries the same label the merged SLO percentiles do.
-        assert broadcast["mean_cycle_bytes"] == pytest.approx(260_000 / 4)
-        assert broadcast["approximate"] is True
 
     def test_unicast_only_fleet_has_no_broadcast_section(self):
         merged = merge_snapshots([{"server": {"completed": 1}}])

@@ -5,7 +5,11 @@ recorder's bounded ring, the rolling SLO tracker, the Prometheus text
 exposition, and the trace recorder's transfer-ID override.
 """
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.obs import (
@@ -18,8 +22,11 @@ from repro.obs import (
     prometheus_name,
     valid_trace_id,
 )
+from repro.net import merge_snapshots
 from repro.net.stats_http import render_exposition
+from repro.obs.slo import BUCKET_COUNT, RELATIVE_ERROR
 from repro.obs.trace import NET_CONN_OPEN, TraceRecorder
+from repro.util.stats import percentile
 
 
 class TestTraceContext:
@@ -183,6 +190,27 @@ class TestSLOTracker:
         with pytest.raises(ValueError):
             SLOTracker(window=0)
 
+    def test_window_keeps_two_bounded_halves(self):
+        slo = SLOTracker(window=8)
+        for index in range(1, 12):
+            slo.observe(index / 1000.0, ok=index != 3)
+        # Halves of 4: observations 5-8 and 9-11 remain; the error aged out.
+        report = slo.report()
+        assert len(slo) == report["count"] == 7
+        assert report["errors"] == 0
+        assert report["mean_seconds"] == pytest.approx(sum(range(5, 12)) / 7000.0)
+        assert sum(hits for _, hits in report["buckets"]) == 7
+
+    def test_report_round_trips_through_json(self):
+        slo = SLOTracker()
+        for seconds in (0.0, 0.003, 0.25, 7.0, 1e9):
+            slo.observe(seconds)
+        report = slo.report()
+        assert json.loads(json.dumps(report)) == report
+        # Out-of-range latencies land in the end buckets.
+        assert [report["buckets"][0][0], report["buckets"][-1][0]] == [0, BUCKET_COUNT - 1]
+        assert "repro_slo_buckets" not in render_exposition({"slo": report})
+
     def test_report_is_the_only_count_when_enabled(self):
         obs.enable()
         try:
@@ -286,3 +314,46 @@ class TestTransferIdOverride:
         recorder = TraceRecorder()
         assert recorder.begin_transfer(document="doc") == "t1"
         assert recorder.begin_transfer(document="doc") == "t2"
+
+
+LATENCIES = st.lists(
+    st.floats(min_value=1e-6, max_value=1e4, allow_nan=False), min_size=1, max_size=200
+)
+
+
+class TestSLOBuckets:
+    @settings(max_examples=200, deadline=None)
+    @given(LATENCIES)
+    def test_percentiles_bracket_the_order_statistics(self, latencies):
+        slo = SLOTracker(window=2 * len(latencies))
+        for seconds in latencies:
+            slo.observe(seconds)
+        report = slo.report()
+        ordered = sorted(latencies)
+        for p in (50, 95, 99):
+            rank = p / 100.0 * (len(ordered) - 1)
+            low, high = ordered[math.floor(rank)], ordered[math.ceil(rank)]
+            value = report[f"p{p}_seconds"]
+            assert low * (1 - RELATIVE_ERROR) <= value * (1 + 1e-12)
+            assert value <= high * (1 + RELATIVE_ERROR) * (1 + 1e-12)
+            exact = percentile(ordered, p)
+            assert abs(value - exact) <= RELATIVE_ERROR * high * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LATENCIES, LATENCIES, st.randoms(use_true_random=False))
+    def test_merge_equals_one_tracker_over_both_streams(self, first, second, rng):
+        size = 2 * (len(first) + len(second))
+        workers = [SLOTracker(target_seconds=1.0, window=size) for _ in range(2)]
+        whole = SLOTracker(target_seconds=1.0, window=size)
+        for tracker, stream in zip(workers, (first, second)):
+            for seconds in stream:
+                ok = rng.random() < 0.9
+                tracker.observe(seconds, ok=ok)
+                whole.observe(seconds, ok=ok)
+        merged = merge_snapshots([{"slo": t.report()} for t in workers])["slo"]
+        expected = whole.report()
+        for key in ("buckets", "count", "errors", "over_target", "error_rate",
+                    "error_budget_remaining", "p50_seconds", "p95_seconds",
+                    "p99_seconds", "total_observed", "total_errors"):
+            assert merged[key] == expected[key], key
+        assert merged["mean_seconds"] == pytest.approx(expected["mean_seconds"], rel=1e-9)

@@ -41,7 +41,11 @@ module under ``src/repro`` and fails the build when:
     ``run_in_executor(None, ...)``: prepares run on the server's own
     one-thread executor, builds one at a time under the service's build
     lock, and asyncio's default executor grows to ``min(32, cpu + 4)``
-    threads that a GIL-bound cook cannot use.
+    threads that a GIL-bound cook cannot use;
+11. only ``repro.util.stats`` (over samples) and ``repro.obs.slo``
+    (over latency bucket counts) define a function whose name contains
+    ``percentile`` or ``quantile``, so every reported percentile follows
+    one rule.
 
 Usage::
 
@@ -309,6 +313,14 @@ ONE_PREP_THREAD = (
 PREP_THREAD_MODULES = SERVER_SIDE + ("repro.prep.service",)
 
 
+ONE_PERCENTILE = (
+    "one percentile rule: rank samples with repro.util.stats.percentile "
+    "and bucket counts with repro.obs.slo"
+)
+#: Rule 11: the only modules that define a percentile function.
+PERCENTILE_OWNERS = ("repro.util.stats", "repro.obs.slo")
+
+
 def module_name(root: Path, path: Path) -> str:
     """``src/repro/a/b.py`` → ``repro.a.b`` (packages keep their name)."""
     relative = path.relative_to(root.parent)
@@ -361,6 +373,16 @@ def default_executor_calls(tree: ast.AST) -> Iterator[int]:
             yield node.lineno
 
 
+def percentile_definitions(tree: ast.AST) -> Iterator[Tuple[int, str]]:
+    """Yield ``(lineno, name)`` for every function whose name contains
+    ``percentile`` or ``quantile``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name.lower()
+            if "percentile" in name or "quantile" in name:
+                yield node.lineno, node.name
+
+
 def _violates(imported: str, banned: str) -> bool:
     return imported == banned or imported.startswith(banned + ".")
 
@@ -381,9 +403,12 @@ def check_tree(root: Path) -> List[str]:
         ]
         counted = module in SNAPSHOT_COUNTED
         prep_thread = module in PREP_THREAD_MODULES
-        if not rules and not counted and not prep_thread:
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if module not in PERCENTILE_OWNERS:
+            violations.extend(
+                f"{path}:{lineno}: {module} defines {name} ({ONE_PERCENTILE})"
+                for lineno, name in percentile_definitions(tree)
+            )
         if counted:
             violations.extend(
                 f"{path}:{lineno}: {module} reads OBS.metrics ({ONE_COUNT})"
